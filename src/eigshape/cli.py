@@ -205,7 +205,8 @@ def cmd_solve(args) -> int:
     print(header)
     closest = None
     if exact is not None:
-        closest = min(range(len(pairs)), key=lambda i: abs(pairs[i].lam - exact))
+        closest = min((i for i, p in enumerate(pairs) if not p.zero_mode),
+                      key=lambda i: abs(pairs[i].lam - exact), default=None)
     for i, p in enumerate(pairs):
         line = f"{i + 1} {p.lam:.12e} {p.residual:.3e}"
         # the known exact value belongs to whichever pair approximates it
@@ -227,10 +228,12 @@ def cmd_gradient(args) -> int:
     k = 1 if bc is BoundaryCondition.DIRICHLET else 6
     _, space, M, pairs = _solve_for(domain, bc, args.level, k)
     pair = pick_target(pairs, M, Target.first())
-    formula = shapegrad.Formula(args.formula)
-    sample = shapegrad.gradient_samples(space, pair, (fld,), formula)[0]
+    if shapegrad.Formula(args.formula) is shapegrad.Formula.VOLUME:
+        value = shapegrad.volume_gradients(space, pair, (fld,))[0]
+    else:
+        value = shapegrad.boundary_gradients(space, pair, (fld,))[0]
     print(f"lambda_h = {pair.lam!r}")
-    print(f"value = {sample.value!r}")
+    print(f"value = {float(value)!r}")
     return 0
 
 

@@ -154,9 +154,14 @@ def pick_target(pairs: list[EigenPair], M, target: Target,
         scores = [abs(float(p.coeffs @ (M @ exact_nodal))) for p in live]
         return live[int(np.argmax(scores))]
     clusters = cluster(live, M, rel_gap)
-    cl = clusters[target.cluster_index]
-    return EigenPair(float(cl.lambdas[target.member]), cl.basis[:, target.member],
-                     residual=0.0)
+    ci, member = target.cluster_index, target.member
+    if not (0 <= ci < len(clusters) and 0 <= member < clusters[ci].multiplicity):
+        raise ValueError(
+            f"target cluster:{ci},{member} is out of range: cluster index must be in "
+            f"0..{len(clusters) - 1}, member in 0..m-1 with multiplicities m = "
+            f"{[c.multiplicity for c in clusters]}")
+    cl = clusters[ci]
+    return EigenPair(float(cl.lambdas[member]), cl.basis[:, member], residual=0.0)
 
 
 def _check_pencil(A, M, k: int, tol: float) -> int:
@@ -173,7 +178,12 @@ def _package(A, M, vals, vecs, bc, tol) -> list[EigenPair]:
     order = np.argsort(vals)
     vals = vals[order]
     vecs = vecs[:, order]
-    lam_ref = float(np.max(np.abs(vals))) or 1.0
+    # when only zero modes were computed (Neumann, k=1) the spectrum scale
+    # vanishes; use the largest diagonal Rayleigh quotient of the pencil instead
+    lam_ref = float(np.max(np.abs(vals)))
+    pencil_scale = float(np.max(A.diagonal() / M.diagonal()))
+    if lam_ref <= _ZERO_MODE_REL * pencil_scale:
+        lam_ref = pencil_scale or 1.0
     pairs = []
     for lam, u in zip(vals, vecs.T):
         u = u / np.sqrt(float(u @ (M @ u)))
@@ -185,7 +195,7 @@ def _package(A, M, vals, vecs, bc, tol) -> list[EigenPair]:
     worst = max(p.residual for p in pairs)
     if worst > tol:
         raise NonConvergenceError("residual tolerance not met", worst)
-    if bc is BoundaryCondition.NEUMANN and len(pairs) >= 2:
-        cutoff = _ZERO_MODE_REL * abs(pairs[1].lam)
+    if bc is BoundaryCondition.NEUMANN:
+        cutoff = _ZERO_MODE_REL * (abs(pairs[1].lam) if len(pairs) >= 2 else lam_ref)
         pairs = [replace(p, zero_mode=bool(abs(p.lam) < cutoff)) for p in pairs]
     return pairs

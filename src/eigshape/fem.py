@@ -98,7 +98,6 @@ def assemble_stiffness(space: FemSpace) -> sp.csr_matrix:
 
 
 def assemble_mass(space: FemSpace) -> sp.csr_matrix:
-    nt = space.mesh.num_triangles
     pattern = (np.ones((3, 3)) + np.eye(3)) / 12.0
     local = signed_areas(space.mesh)[:, None, None] * pattern[None, :, :]
     return _assemble(space, local)

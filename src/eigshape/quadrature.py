@@ -4,6 +4,9 @@ Triangle rules use the conical (collapsed) Gauss-Legendre x Gauss-Jacobi
 product, which integrates every bivariate polynomial of total degree d
 exactly with (d//2 + 1)^2 points. Weights sum to the reference-triangle
 area 1/2; physical weights are w * 2|K|.
+
+Every polynomial integral in the package goes through `moments`: weighted
+monomial moment tables that polynomial coefficients are contracted against.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 from .mesh import Mesh, signed_areas
+
+_CHUNK_POINTS = 4096  # quadrature points per moments() chunk
 
 
 @lru_cache(maxsize=None)
@@ -67,3 +72,35 @@ def physical_points(mesh: Mesh, degree: int) -> tuple[np.ndarray, np.ndarray, np
     wts = (2.0 * signed_areas(mesh))[:, None] * w[None, :]
     bary = np.stack([1.0 - x - y, x, y], axis=1)
     return pts, wts, bary
+
+
+def moments(points: np.ndarray, weights: np.ndarray, values: np.ndarray,
+            degree: int) -> np.ndarray:
+    """Weighted monomial moments out[k, p, q] = sum of w * values[k] * x1^p x2^q.
+
+    points (n, npts, 2) and weights (n, npts) hold a rule over n cells
+    (triangles or edges); values is (k, n, 1) when constant per cell or
+    (k, n, npts) per point. The table is square, p, q <= degree; entries
+    with p + q beyond the rule's exactness are left to the caller to ignore.
+    Cells are streamed in chunks so no (k, points, table) array is built.
+    """
+    k, n, nv = values.shape
+    npts = points.shape[1]
+    size = degree + 1
+    out = np.zeros((k, size * size))
+    step = max(1, _CHUNK_POINTS // npts)
+    for lo in range(0, n, step):
+        sl = slice(lo, min(lo + step, n))
+        # powers by repeated products: libm pow is slow on negative bases
+        xp = np.empty(points[sl].shape[:2] + (size,))
+        yp = np.empty_like(xp)
+        xp[..., 0] = weights[sl]  # xp[..., p] = w x1^p
+        yp[..., 0] = 1.0
+        for d in range(1, size):
+            xp[..., d] = xp[..., d - 1] * points[sl, :, 0]
+            yp[..., d] = yp[..., d - 1] * points[sl, :, 1]
+        mono = (xp[..., :, None] * yp[..., None, :]).reshape(xp.shape[0], npts, -1)
+        if nv == 1:
+            mono = mono.sum(axis=1)
+        out += values[:, sl].reshape(k, -1) @ mono.reshape(-1, size * size)
+    return out.reshape(k, size, size)

@@ -221,10 +221,8 @@ def continuous_derivatives(domain: Domain, bc: BoundaryCondition, basis: Velocit
         tang = grad - dudn[:, None] * normals
         u = pair.value(pts)
         density = np.einsum("na,na->n", tang, tang) - pair.lam * u ** 2
-    values = np.empty(basis.size)
-    for i, field in enumerate(basis.fields):
-        vn = np.einsum("na,na->n", field.evaluate(pts), normals)
-        values[i] = float(np.sum(w * density * vn))
+    values = shapegrad.boundary_form(basis.fields, pts[:, None, :], w[:, None],
+                                     normals[:, None, :], density[None, :, None])[:, 0]
     return ReferenceDerivatives(values, Provenance.ANALYTIC, pair.lam, domain, bc)
 
 

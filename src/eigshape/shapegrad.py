@@ -11,7 +11,11 @@ normals of the discrete polygon.
 
 For an eigenvalue cluster the same integrands, bilinear in a pair of basis
 functions, fill a small symmetric matrix whose sorted eigenvalues are the
-directional derivatives.
+directional derivatives. A simple eigenpair is the one-member cluster.
+
+Both forms are linear in V and DV, so each is computed as moment tables of
+the eigenfunction data (quadrature.moments), one per matrix entry, contracted
+against the fields' coefficient stacks (velocity.coefficient_stack).
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ import numpy as np
 from .eig import EigenCluster, EigenPair
 from .fem import BoundaryCondition, FemSpace, element_gradients
 from .mesh import boundary_normals
-from .quadrature import edge_rule, physical_points
-from .velocity import VelocityField
+from .quadrature import edge_rule, moments, physical_points
+from .velocity import VelocityField, coefficient_stack
 
 _BASE_DEGREE = 6  # volume rule exact for degree max(6, field degree + 2)
 
@@ -33,14 +37,6 @@ _BASE_DEGREE = 6  # volume rule exact for degree max(6, field degree + 2)
 class Formula(Enum):
     VOLUME = "volume"
     BOUNDARY = "boundary"
-
-
-@dataclass(frozen=True)
-class GradientSample:
-    value: float
-    formula: Formula
-    bc: BoundaryCondition
-    field_index: int
 
 
 @dataclass(frozen=True)
@@ -54,51 +50,25 @@ def volume_gradient(space: FemSpace, pair: EigenPair, field: VelocityField) -> f
 
 
 def volume_gradients(space: FemSpace, pair: EigenPair, fields) -> np.ndarray:
-    """Volume-form derivative for each field, sharing the quadrature pass."""
-    ctx = _VolumeData(space, (pair,), max(f.degree for f in fields))
-    out = np.zeros(len(fields))
-    for sl in ctx.chunks():
-        g = ctx.grads[0][sl]
-        gg = np.einsum("ta,ta->t", g, g)
-        uu = ctx.uvals[0][sl] ** 2
-        pts = ctx.points[sl]
-        w = ctx.weights[sl]
-        for idx, field in enumerate(fields):
-            DV = field.jacobian(pts)
-            div = field.divergence(pts)
-            dvg = np.einsum("tqab,tb->tqa", DV, g)
-            term = -2.0 * np.einsum("tqa,ta->tq", dvg, g)
-            term += div * (gg[:, None] - pair.lam * uu)
-            out[idx] += float(np.sum(w * term))
-    return out
+    """Volume-form derivative for each field, sharing one set of tables."""
+    return _volume_entries(space, pair.coeffs[:, None], pair.lam, fields)[:, 0]
 
 
 def boundary_gradient_dirichlet(space: FemSpace, pair: EigenPair, field: VelocityField) -> float:
     if space.bc is not BoundaryCondition.DIRICHLET:
         raise ValueError("Dirichlet boundary formula called with a Neumann space")
-    return float(_boundary_values(space, (pair,), (field,))[0])
+    return float(boundary_gradients(space, pair, (field,))[0])
 
 
 def boundary_gradient_neumann(space: FemSpace, pair: EigenPair, field: VelocityField) -> float:
     if space.bc is not BoundaryCondition.NEUMANN:
         raise ValueError("Neumann boundary formula called with a Dirichlet space")
-    return float(_boundary_values(space, (pair,), (field,))[0])
+    return float(boundary_gradients(space, pair, (field,))[0])
 
 
 def boundary_gradients(space: FemSpace, pair: EigenPair, fields) -> np.ndarray:
     """Boundary-form derivative for each field (dispatches on the space's bc)."""
-    return _boundary_values(space, (pair,), fields)
-
-
-def gradient_samples(space: FemSpace, pair: EigenPair, fields,
-                     formula: Formula) -> list[GradientSample]:
-    """Tagged per-field derivative values for one eigenpair."""
-    if formula is Formula.VOLUME:
-        values = volume_gradients(space, pair, fields)
-    else:
-        values = boundary_gradients(space, pair, fields)
-    return [GradientSample(float(v), formula, space.bc, i)
-            for i, v in enumerate(values)]
+    return _boundary_entries(space, pair.coeffs[:, None], pair.lam, fields)[:, 0]
 
 
 def directional_matrix(space: FemSpace, cl: EigenCluster, field: VelocityField,
@@ -108,30 +78,12 @@ def directional_matrix(space: FemSpace, cl: EigenCluster, field: VelocityField,
     The continuous formulas use the (single) continuous eigenvalue; here it
     is replaced by the cluster-mean discrete eigenvalue.
     """
-    l = cl.multiplicity
-    lam = cl.mean
-    if formula is Formula.VOLUME:
-        ctx = _VolumeData(space, _members(cl), field.degree)
-        mat = np.zeros((l, l))
-        for sl in ctx.chunks():
-            DV = field.jacobian(ctx.points[sl])
-            div = field.divergence(ctx.points[sl])
-            w = ctx.weights[sl]
-            for i in range(l):
-                gi = ctx.grads[i][sl]
-                dvg = np.einsum("tqab,tb->tqa", DV, gi) + np.einsum("tqba,tb->tqa", DV, gi)
-                for j in range(i, l):
-                    gj = ctx.grads[j][sl]
-                    gij = np.einsum("ta,ta->t", gi, gj)
-                    term = -np.einsum("tqa,ta->tq", dvg, gj)
-                    term += div * (gij[:, None] - lam * ctx.uvals[i][sl] * ctx.uvals[j][sl])
-                    mat[i, j] += float(np.sum(w * term))
-        for i in range(l):
-            for j in range(i, l):
-                mat[j, i] = mat[i, j]
-    else:
-        mat = _boundary_matrix(space, cl, field)
-    mat = 0.5 * (mat + mat.T)
+    entries = _volume_entries if formula is Formula.VOLUME else _boundary_entries
+    values = entries(space, cl.basis, cl.mean, (field,))[0]
+    mat = np.empty((cl.multiplicity, cl.multiplicity))
+    i, j = np.triu_indices(cl.multiplicity)
+    mat[i, j] = values
+    mat[j, i] = values
     return DirectionalMatrix(mat, np.linalg.eigvalsh(mat))
 
 
@@ -147,81 +99,65 @@ def weyl_bound(l: int, A: np.ndarray, Ah: np.ndarray) -> tuple[float, float]:
     return dev, bound
 
 
-class _VolumeData:
-    """Per-(space, cluster) quadrature context shared across fields."""
+def boundary_form(fields, points: np.ndarray, weights: np.ndarray, normals: np.ndarray,
+                  density: np.ndarray) -> np.ndarray:
+    """out[f, e] = integral of density_e V_f . n over a boundary rule.
 
-    _CHUNK_TRIANGLES = 65536
-
-    def __init__(self, space: FemSpace, pairs, field_degree: int):
-        degree = max(_BASE_DEGREE, field_degree + 2)
-        self.points, self.weights, bary = physical_points(space.mesh, degree)
-        tris = space.mesh.triangles
-        self.grads = [element_gradients(space, p.coeffs) for p in pairs]
-        self.uvals = [space.nodal_values(p.coeffs)[tris] @ bary.T for p in pairs]
-
-    def chunks(self):
-        nt = self.points.shape[0]
-        for lo in range(0, nt, self._CHUNK_TRIANGLES):
-            yield slice(lo, min(lo + self._CHUNK_TRIANGLES, nt))
+    points (n, npts, 2) and weights (n, npts) hold the rule, normals is
+    (n, npts, 2) or (n, 1, 2), density is (e, n, npts) or (e, n, 1).
+    """
+    size = max(f.degree for f in fields) + 1
+    values = density[:, None] * np.moveaxis(normals, -1, 0)  # (e, 2, n, npts or 1)
+    e = density.shape[0]
+    T = moments(points, weights, values.reshape((2 * e,) + values.shape[2:]), size - 1)
+    C = coefficient_stack(fields, size)[:, :, 0]
+    return np.einsum("fcpq,ecpq->fe", C, T.reshape(e, 2, size, size))
 
 
-def _members(cl: EigenCluster) -> list[EigenPair]:
-    return [EigenPair(float(cl.lambdas[i]), cl.basis[:, i], 0.0)
-            for i in range(cl.multiplicity)]
+def _volume_entries(space: FemSpace, basis: np.ndarray, lam: float, fields) -> np.ndarray:
+    """Volume form per field (rows) and per entry i <= j of the (dof, l)
+    eigenvector basis (columns, row-major upper triangle)."""
+    size = max(f.degree for f in fields) + 1
+    points, weights, bary = physical_points(space.mesh, max(_BASE_DEGREE, size + 1))
+    nt = points.shape[0]
+    i, j = np.triu_indices(basis.shape[1])
+    grads = np.stack([element_gradients(space, u) for u in basis.T])  # (l, nt, 2)
+    tris = space.mesh.triangles
+    uvals = np.stack([space.nodal_values(u)[tris] @ bary.T for u in basis.T])
+    # G[e, a, b]: moments of g_i,a g_j,b (constant per triangle); U: of u_i u_j
+    gg = grads[i, :, :, None] * grads[j, :, None, :]
+    G = moments(points, weights, gg.transpose(0, 2, 3, 1).reshape(-1, nt, 1), size - 1)
+    G = G.reshape(len(i), 2, 2, size, size)
+    U = moments(points, weights, uvals[i] * uvals[j], size - 1)
+    # T[e, c, b] multiplies the x_b-derivative of V_c
+    T = -(G + G.transpose(0, 2, 1, 3, 4))
+    scalar = G[:, 0, 0] + G[:, 1, 1] - lam * U
+    T[:, 0, 0] += scalar
+    T[:, 1, 1] += scalar
+    C = coefficient_stack(fields, size)[:, :, 1:]
+    return np.einsum("fcbpq,ecbpq->fe", C, T)
 
 
-class _BoundaryData:
-    """Edge quadrature context: normals, trace values and gradients."""
-
-    def __init__(self, space: FemSpace, pairs, field_degree: int):
-        mesh = space.mesh
-        edges = mesh.boundary_edges
-        self.normals, self.lengths = boundary_normals(mesh)
-        degree = field_degree + (0 if space.bc is BoundaryCondition.DIRICHLET else 2)
-        t, w = edge_rule(degree)
-        p0 = mesh.vertices[edges[:, 0]]
-        p1 = mesh.vertices[edges[:, 1]]
-        self.points = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
-        self.weights = self.lengths[:, None] * w[None, :]
-        self.dudn = []
-        self.tangential = []
-        self.trace = []
-        for p in pairs:
-            g = element_gradients(space, p.coeffs)[edges[:, 2]]  # (ne, 2)
-            gn = np.einsum("ea,ea->e", g, self.normals)
-            self.dudn.append(gn)
-            self.tangential.append(g - gn[:, None] * self.normals)
-            nodal = space.nodal_values(p.coeffs)
-            self.trace.append(nodal[edges[:, 0]][:, None] * (1.0 - t)[None, :]
-                              + nodal[edges[:, 1]][:, None] * t[None, :])
-
-
-def _boundary_values(space: FemSpace, pairs, fields) -> np.ndarray:
-    ctx = _BoundaryData(space, pairs, max(f.degree for f in fields))
-    out = np.empty(len(fields))
-    for idx, field in enumerate(fields):
-        vn = np.einsum("eqa,ea->eq", field.evaluate(ctx.points), ctx.normals)
-        out[idx] = _boundary_entry(space, ctx, vn, 0, 0, pairs[0].lam)
-    return out
-
-
-def _boundary_matrix(space: FemSpace, cl: EigenCluster, field: VelocityField) -> np.ndarray:
-    members = _members(cl)
-    ctx = _BoundaryData(space, members, field.degree)
-    vn = np.einsum("eqa,ea->eq", field.evaluate(ctx.points), ctx.normals)
-    l = cl.multiplicity
-    mat = np.empty((l, l))
-    for i in range(l):
-        for j in range(i, l):
-            mat[i, j] = mat[j, i] = _boundary_entry(space, ctx, vn, i, j, cl.mean)
-    return mat
-
-
-def _boundary_entry(space: FemSpace, ctx: _BoundaryData, vn: np.ndarray,
-                    i: int, j: int, lam: float) -> float:
-    if space.bc is BoundaryCondition.DIRICHLET:
-        coef = ctx.dudn[i] * ctx.dudn[j]
-        return -float(np.sum(ctx.weights * vn * coef[:, None]))
-    tt = np.einsum("ea,ea->e", ctx.tangential[i], ctx.tangential[j])
-    integrand = tt[:, None] - lam * ctx.trace[i] * ctx.trace[j]
-    return float(np.sum(ctx.weights * vn * integrand))
+def _boundary_entries(space: FemSpace, basis: np.ndarray, lam: float, fields) -> np.ndarray:
+    """Boundary form per field and per basis entry, as in _volume_entries."""
+    mesh = space.mesh
+    edges = mesh.boundary_edges
+    normals, lengths = boundary_normals(mesh)
+    dirichlet = space.bc is BoundaryCondition.DIRICHLET
+    t, w = edge_rule(max(f.degree for f in fields) + (0 if dirichlet else 2))
+    p0 = mesh.vertices[edges[:, 0]]
+    p1 = mesh.vertices[edges[:, 1]]
+    points = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
+    weights = lengths[:, None] * w[None, :]
+    i, j = np.triu_indices(basis.shape[1])
+    grads = np.stack([element_gradients(space, u)[edges[:, 2]] for u in basis.T])  # (l, ne, 2)
+    dudn = np.einsum("lea,ea->le", grads, normals)
+    if dirichlet:
+        density = -(dudn[i] * dudn[j])[:, :, None]
+    else:
+        tang = grads - dudn[:, :, None] * normals
+        nodal = np.stack([space.nodal_values(u) for u in basis.T])
+        trace = nodal[:, edges[:, 0], None] * (1.0 - t) + nodal[:, edges[:, 1], None] * t
+        tt = np.einsum("lea,lea->le", tang[i], tang[j])
+        density = tt[:, :, None] - lam * trace[i] * trace[j]
+    return boundary_form(fields, points, weights, normals[:, None, :], density)

@@ -1,8 +1,10 @@
 """Polynomial velocity fields, the monomial basis, and the H1 dual norm.
 
-A field stores one monomial-coefficient array per component; evaluation,
-Jacobian and divergence are closed-form. The basis spans both components of
-every monomial of total degree <= gamma, giving q = 2*C(gamma+2, 2) fields.
+A field stores one monomial-coefficient array per component. Integrals never
+evaluate a field pointwise: its coefficient stack (the component and
+derivative coefficients) is contracted against moment tables. The basis spans
+both components of every monomial of total degree <= gamma, giving
+q = 2*C(gamma+2, 2) fields.
 The dual norm of an error vector w is sqrt(w^T K^{-1} w) with K the H1
 Gramian of the basis over the (discrete) domain.
 """
@@ -18,11 +20,9 @@ import scipy.linalg
 from numpy.polynomial import polynomial as npoly
 
 from .mesh import Mesh
-from .quadrature import physical_points
+from .quadrature import moments, physical_points
 
 log = logging.getLogger(__name__)
-
-_CHUNK = 200_000  # quadrature points per evaluation chunk
 
 
 class FactorizationError(RuntimeError):
@@ -59,12 +59,6 @@ class VelocityField:
         x, y = points[..., 0], points[..., 1]
         return (npoly.polyval2d(x, y, npoly.polyder(self.coeffs_x, axis=0))
                 + npoly.polyval2d(x, y, npoly.polyder(self.coeffs_y, axis=1)))
-
-
-def eval_field(field: VelocityField, point) -> tuple[np.ndarray, np.ndarray, float]:
-    """(V, DV, div V) at a single point."""
-    p = np.asarray(point, dtype=float)
-    return field.evaluate(p), field.jacobian(p), float(field.divergence(p))
 
 
 def monomial_field(b1: int, b2: int, component: int) -> VelocityField:
@@ -124,85 +118,46 @@ class Gramian:
         return self.matrix.shape[0]
 
 
+def coefficient_stack(fields, size: int) -> np.ndarray:
+    """C[f, c, d] for field f and component c (V_x, V_y): d = 0 the component,
+    d = 1, 2 its x1, x2 derivative, each a zero-padded (size, size) array of
+    monomial coefficients. size must exceed every field's total degree.
+
+    Contracting C against moment tables integrates any polynomial expression
+    that is linear in V and DV.
+    """
+    out = np.zeros((len(fields), 2, 3, size, size))
+    powers = np.arange(1, size)
+    for f, field in enumerate(fields):
+        for c, coeffs in enumerate((field.coeffs_x, field.coeffs_y)):
+            # entries past the total degree are zero, so truncation is exact
+            block = coeffs[:size, :size]
+            out[f, c, 0, :block.shape[0], :block.shape[1]] = block
+        out[f, :, 1, :-1, :] = powers[:, None] * out[f, :, 0, 1:, :]
+        out[f, :, 2, :, :-1] = powers[None, :] * out[f, :, 0, :, 1:]
+    return out
+
+
 def gramian(basis: VelocityBasis, mesh: Mesh) -> Gramian:
     """H1(Omega) Gramian of the basis over the triangulated domain.
 
-    Entries are integrated by a triangle rule exact for degree 2*gamma. The
-    all-monomial basis from build_basis goes through a moment table; other
-    bases fall back to a chunked quadrature pass over every field pair.
+    K[f, g] sums the integrals of V_f . V_g and DV_f : DV_g. Both are sums of
+    monomial products, so K contracts the coefficient stack twice against the
+    Hankel array H[i, j, k, l] = mom[i + k, j + l] of the mesh moments, taken
+    with a triangle rule exact for twice the largest field degree. Any
+    polynomial basis works.
     """
-    layout = _monomial_layout(basis)
-    if layout is not None:
-        K = _gramian_from_moments(layout, mesh)
-    else:
-        K = _gramian_generic(basis, mesh)
+    size = max(f.degree for f in basis.fields) + 1
+    degree = 2 * (size - 1)
+    pts, wts, _ = physical_points(mesh, degree)
+    mom = moments(pts, wts, np.ones((1, pts.shape[0], 1)), degree)[0]
+    idx = np.arange(size)
+    hankel = mom[idx[:, None, None, None] + idx[None, None, :, None],
+                 idx[None, :, None, None] + idx[None, None, None, :]]
+    C = coefficient_stack(basis.fields, size)
+    K = np.einsum("fcdij,ijkl,gcdkl->fg", C, hankel, C, optimize=True)
     K = 0.5 * (K + K.T)
     return _factorize(K)
-
-
-def _monomial_layout(basis: VelocityBasis):
-    """(component, b1, b2) per field when all fields are single monomials."""
-    layout = []
-    for f in basis.fields:
-        entries = [(comp, i, j) for comp, c in enumerate((f.coeffs_x, f.coeffs_y))
-                   for i, j in np.argwhere(c != 0.0)]
-        if len(entries) != 1:
-            return None
-        comp, i, j = entries[0]
-        if (f.coeffs_x if comp == 0 else f.coeffs_y)[i, j] != 1.0:
-            return None
-        layout.append((comp, int(i), int(j)))
-    return layout
-
-
-def _mesh_moments(mesh: Mesh, degree: int) -> np.ndarray:
-    """mom[p, q] = integral of x1^p x2^q over the mesh, p + q <= degree."""
-    pts, wts, _ = physical_points(mesh, degree)
-    flat = pts.reshape(-1, 2)
-    w = wts.reshape(-1)
-    mom = np.zeros((degree + 1, degree + 1))
-    for lo in range(0, flat.shape[0], _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, flat.shape[0]))
-        xp = flat[sl, 0, None] ** np.arange(degree + 1)
-        yp = flat[sl, 1, None] ** np.arange(degree + 1)
-        mom += np.einsum("n,np,nq->pq", w[sl], xp, yp, optimize=True)
-    return mom
-
-
-def _gramian_from_moments(layout, mesh: Mesh) -> np.ndarray:
-    degree = 2 * max(i + j for _, i, j in layout)
-    mom = _mesh_moments(mesh, degree)
-    q = len(layout)
-    K = np.zeros((q, q))
-    for a in range(q):
-        ca, a1, a2 = layout[a]
-        for b in range(a, q):
-            cb, b1, b2 = layout[b]
-            if ca != cb:
-                continue
-            val = mom[a1 + b1, a2 + b2]
-            if a1 and b1:
-                val += a1 * b1 * mom[a1 + b1 - 2, a2 + b2]
-            if a2 and b2:
-                val += a2 * b2 * mom[a1 + b1, a2 + b2 - 2]
-            K[a, b] = K[b, a] = val
-    return K
-
-
-def _gramian_generic(basis: VelocityBasis, mesh: Mesh) -> np.ndarray:
-    degree = 2 * max(f.degree for f in basis.fields)
-    pts, wts, _ = physical_points(mesh, degree)
-    flat = pts.reshape(-1, 2)
-    w = wts.reshape(-1)
-    q = basis.size
-    K = np.zeros((q, q))
-    for lo in range(0, flat.shape[0], _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, flat.shape[0]))
-        V = np.stack([f.evaluate(flat[sl]) for f in basis.fields])        # (q, m, 2)
-        D = np.stack([f.jacobian(flat[sl]) for f in basis.fields])        # (q, m, 2, 2)
-        K += np.einsum("imc,jmc,m->ij", V, V, w[sl], optimize=True)
-        K += np.einsum("imab,jmab,m->ij", D, D, w[sl], optimize=True)
-    return K
 
 
 def _factorize(K: np.ndarray) -> Gramian:

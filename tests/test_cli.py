@@ -46,6 +46,25 @@ def test_solve_neumann_flags_zero_mode(capsys):
     assert "(zero mode)" in out
 
 
+def test_solve_neumann_single_pair_is_the_zero_mode(capsys):
+    # with k=1 the only pair is the zero mode; its residual scale must not vanish
+    assert run_cli("solve", "--domain", "square", "--bc", "neumann",
+                   "--level", "2", "--k", "1") == 0
+    row = capsys.readouterr().out.strip().splitlines()[-1]
+    assert row.startswith("1 ") and row.endswith("(zero mode)")
+    assert float(row.split()[2]) <= 1e-10
+
+
+def test_cluster_target_out_of_range_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cluster.cfg"
+    cfg.write_text(MINI_CONFIG.replace("min_level = 1", "min_level = 2")
+                   + "target = cluster:1,5\n")
+    assert run_cli("study", str(cfg), "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "cluster:1,5" in err and "cluster index must be in 0.." in err
+    assert "multiplicities" in err
+
+
 def test_invalid_domain_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli("solve", "--domain", "hexagon", "--bc", "dirichlet", "--level", "1")

@@ -11,10 +11,12 @@ from eigshape.shapegrad import (Formula, boundary_gradient_dirichlet,
                                 boundary_gradient_neumann, boundary_gradients,
                                 directional_matrix, volume_gradient,
                                 volume_gradients, weyl_bound)
-from eigshape.velocity import (build_basis, constant_field, identity_field,
-                               monomial_field, rotation_field)
+from eigshape.velocity import (VelocityBasis, VelocityField, build_basis, constant_field,
+                               identity_field, monomial_field, rotation_field)
 from eigshape import reference as refmod
-from eigshape.fem import FemSpace, assemble_mass, assemble_stiffness
+from eigshape.fem import FemSpace, assemble_mass, assemble_stiffness, element_gradients
+from eigshape.mesh import boundary_normals
+from eigshape.quadrature import edge_rule, physical_points
 
 from conftest import BCS, DOMAINS, assembled, first_nonzero_pair
 
@@ -253,3 +255,103 @@ def test_weyl_bound_shape_validation(l):
     A = np.eye(l)
     with pytest.raises(ValueError):
         weyl_bound(l, A, np.eye(l + 1))
+
+
+# -- general polynomial fields against pointwise evaluation --------------------
+
+GENERAL_FIELDS = (
+    VelocityField(np.array([[0.3, 2.0], [-1.0, 0.5]]), np.array([[0.0], [0.7], [0.2]]),
+                  "0.3 - x + 2y + 0.5xy, 0.7x + 0.2x^2"),
+    identity_field(),
+    rotation_field(),
+)
+
+
+def _pointwise_volume(space, U, lam, field):
+    """Oracle: volume-form matrix of the basis columns U, fields evaluated pointwise."""
+    pts, w, bary = physical_points(space.mesh, max(6, field.degree + 2))
+    DV, div = field.jacobian(pts), field.divergence(pts)
+    grads = [element_gradients(space, u) for u in U.T]
+    uvals = [space.nodal_values(u)[space.mesh.triangles] @ bary.T for u in U.T]
+    l = U.shape[1]
+    mat = np.empty((l, l))
+    for i in range(l):
+        for j in range(l):
+            gi, gj = grads[i], grads[j]
+            term = -(np.einsum("tqab,ta,tb->tq", DV, gj, gi)
+                     + np.einsum("tqab,ta,tb->tq", DV, gi, gj))
+            term += div * (np.einsum("ta,ta->t", gi, gj)[:, None] - lam * uvals[i] * uvals[j])
+            mat[i, j] = np.sum(w * term)
+    return mat
+
+
+def _pointwise_boundary(space, U, lam, field):
+    """Oracle: boundary-form matrix of the basis columns U, V.n evaluated pointwise."""
+    mesh = space.mesh
+    edges = mesh.boundary_edges
+    normals, lengths = boundary_normals(mesh)
+    dirichlet = space.bc is BoundaryCondition.DIRICHLET
+    t, wt = edge_rule(field.degree + (0 if dirichlet else 2))
+    p0, p1 = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
+    pts = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
+    w = lengths[:, None] * wt[None, :]
+    vn = np.einsum("ema,ea->em", field.evaluate(pts), normals)
+    grads = [element_gradients(space, u)[edges[:, 2]] for u in U.T]
+    dudn = [np.einsum("ea,ea->e", g, normals) for g in grads]
+    tang = [g - d[:, None] * normals for g, d in zip(grads, dudn)]
+    nodal = [space.nodal_values(u) for u in U.T]
+    trace = [n[edges[:, 0], None] * (1.0 - t) + n[edges[:, 1], None] * t for n in nodal]
+    l = U.shape[1]
+    mat = np.empty((l, l))
+    for i in range(l):
+        for j in range(l):
+            if dirichlet:
+                density = -(dudn[i] * dudn[j])[:, None]
+            else:
+                density = (np.einsum("ea,ea->e", tang[i], tang[j])[:, None]
+                           - lam * trace[i] * trace[j])
+            mat[i, j] = np.sum(w * density * vn)
+    return mat
+
+
+def _assert_close(value, oracle):
+    value, oracle = np.asarray(value), np.asarray(oracle)
+    assert np.abs(value - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("bc", BCS)
+def test_general_fields_match_pointwise_evaluation(domain, bc):
+    _, space, A, M = assembled(domain, bc, 3)
+    pairs = solve_lowest(A, M, 6, bc)
+    live = [p for p in pairs if not p.zero_mode]
+    pair = live[0]
+    single = pair.coeffs[:, None]
+    _assert_close(volume_gradients(space, pair, GENERAL_FIELDS),
+                  [_pointwise_volume(space, single, pair.lam, f)[0, 0] for f in GENERAL_FIELDS])
+    _assert_close(boundary_gradients(space, pair, GENERAL_FIELDS),
+                  [_pointwise_boundary(space, single, pair.lam, f)[0, 0] for f in GENERAL_FIELDS])
+    # the largest cluster in the computed range (a double eigenvalue on the square and disk)
+    cl = max(cluster(live, M, rel_gap=0.05), key=lambda c: c.multiplicity)
+    for formula, oracle in ((Formula.VOLUME, _pointwise_volume),
+                            (Formula.BOUNDARY, _pointwise_boundary)):
+        _assert_close([directional_matrix(space, cl, f, formula).matrix for f in GENERAL_FIELDS],
+                      [oracle(space, cl.basis, cl.mean, f) for f in GENERAL_FIELDS])
+
+
+@pytest.mark.parametrize("domain", [Domain.UNIT_SQUARE, Domain.UNIT_DISK])
+@pytest.mark.parametrize("bc", BCS)
+def test_general_fields_continuous_reference_matches_pointwise_evaluation(domain, bc):
+    ref = refmod.continuous_derivatives(domain, bc, VelocityBasis(2, GENERAL_FIELDS))
+    exact = refmod.exact_eigenpair(domain, bc)
+    pts, normals, w = refmod._boundary_quadrature(domain, 64, 10)
+    grad = exact.gradient(pts)
+    dudn = np.einsum("na,na->n", grad, normals)
+    if bc is BoundaryCondition.DIRICHLET:
+        density = -dudn ** 2
+    else:
+        tang = grad - dudn[:, None] * normals
+        density = np.einsum("na,na->n", tang, tang) - exact.lam * exact.value(pts) ** 2
+    oracle = [np.sum(w * density * np.einsum("na,na->n", f.evaluate(pts), normals))
+              for f in GENERAL_FIELDS]
+    _assert_close(ref.values, oracle)

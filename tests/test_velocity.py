@@ -5,10 +5,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigshape.mesh import Domain, generate
-from eigshape.velocity import (FactorizationError, Gramian, VelocityBasis,
-                               _factorize, _gramian_generic, build_basis,
-                               constant_field, dual_norm, eval_field, gramian,
-                               identity_field, monomial_field, rotation_field)
+from eigshape.quadrature import physical_points
+from eigshape.velocity import (FactorizationError, Gramian, VelocityBasis, VelocityField,
+                               _factorize, build_basis, constant_field, dual_norm,
+                               gramian, identity_field, monomial_field, rotation_field)
+
+_CHUNK = 200_000  # quadrature points per oracle evaluation chunk
+
+
+def _gramian_generic(basis, mesh):
+    """Oracle: the H1 Gramian by pointwise field evaluation at every quadrature point."""
+    degree = 2 * max(f.degree for f in basis.fields)
+    pts, wts, _ = physical_points(mesh, degree)
+    flat = pts.reshape(-1, 2)
+    w = wts.reshape(-1)
+    q = basis.size
+    K = np.zeros((q, q))
+    for lo in range(0, flat.shape[0], _CHUNK):
+        sl = slice(lo, min(lo + _CHUNK, flat.shape[0]))
+        V = np.stack([f.evaluate(flat[sl]) for f in basis.fields])        # (q, m, 2)
+        D = np.stack([f.jacobian(flat[sl]) for f in basis.fields])        # (q, m, 2, 2)
+        K += np.einsum("imc,jmc,m->ij", V, V, w[sl], optimize=True)
+        K += np.einsum("imab,jmab,m->ij", D, D, w[sl], optimize=True)
+    return K
 
 
 def test_basis_counts():
@@ -23,6 +42,12 @@ def test_basis_ordering_deterministic():
     names = [f.name for f in build_basis(1).fields]
     assert names == ["mono:0,0,0", "mono:1,0,0", "mono:0,1,0",
                      "mono:0,0,1", "mono:1,0,1", "mono:0,1,1"]
+
+
+def eval_field(field, point):
+    """(V, DV, div V) at a single point."""
+    p = np.asarray(point, dtype=float)
+    return field.evaluate(p), field.jacobian(p), float(field.divergence(p))
 
 
 def test_eval_simple_fields():
@@ -70,6 +95,19 @@ def test_gramian_fast_path_matches_generic():
     generic = _gramian_generic(basis, m)
     generic = 0.5 * (generic + generic.T)
     assert np.abs(fast - generic).max() <= 1e-12 * np.abs(generic).max()
+
+
+@pytest.mark.parametrize("domain", [Domain.UNIT_SQUARE, Domain.UNIT_DISK, Domain.L_SHAPE])
+def test_gramian_multi_term_basis_matches_pointwise_oracle(domain):
+    multi = VelocityField(np.array([[0.3, 2.0], [-1.0, 0.5]]),
+                          np.array([[0.0], [0.7], [0.2]]), "multi")
+    basis = VelocityBasis(2, (multi, identity_field(), rotation_field(),
+                              monomial_field(1, 1, 1)))
+    m = generate(domain, 2)
+    K = gramian(basis, m).matrix
+    oracle = _gramian_generic(basis, m)
+    oracle = 0.5 * (oracle + oracle.T)
+    assert np.abs(K - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 def test_gramian_generic_path_for_custom_basis():
