@@ -187,12 +187,12 @@ def _solve_for(domain: Domain, bc: BoundaryCondition, level: int, k: int):
     space = FemSpace(mesh, bc)
     A = assemble_stiffness(space)
     M = assemble_mass(space)
-    return mesh, space, M, solve_lowest(A, M, k, bc)
+    return mesh, space, A, M, solve_lowest(A, M, k, bc)
 
 
 def cmd_solve(args) -> int:
     domain, bc = _DOMAINS[args.domain], _BCS[args.bc]
-    mesh, space, M, pairs = _solve_for(domain, bc, args.level, args.k)
+    mesh, space, _, M, pairs = _solve_for(domain, bc, args.level, args.k)
     try:
         exact = refmod.exact_eigenpair(domain, bc).lam
     except refmod.UnsupportedDomainError:
@@ -226,8 +226,8 @@ def cmd_gradient(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     k = 1 if bc is BoundaryCondition.DIRICHLET else 6
-    _, space, M, pairs = _solve_for(domain, bc, args.level, k)
-    pair = pick_target(pairs, M, Target.first())
+    _, space, A, M, pairs = _solve_for(domain, bc, args.level, k)
+    pair = pick_target(pairs, A, M, Target.first())
     if shapegrad.Formula(args.formula) is shapegrad.Formula.VOLUME:
         value = shapegrad.volume_gradients(space, pair, (fld,))[0]
     else:

@@ -118,7 +118,7 @@ def run_levels(cfg: StudyConfig) -> tuple[list[StudyRecord], refmod.ReferenceDer
         exact_nodal = None
         if cfg.target.kind is TargetKind.MATCH_EXACT:
             exact_nodal = space.interpolate(refmod.exact_eigenpair(cfg.domain, cfg.bc).value)
-        pair = pick_target(pairs, M, cfg.target, exact_nodal=exact_nodal,
+        pair = pick_target(pairs, A, M, cfg.target, exact_nodal=exact_nodal,
                            rel_gap=cfg.cluster_rel_gap)
         K = gramian(basis, mesh)
         vol = shapegrad.volume_gradients(space, pair, basis.fields)

@@ -139,10 +139,14 @@ def align_sign(pair: EigenPair, reference_nodal_values: np.ndarray, M) -> EigenP
     return pair
 
 
-def pick_target(pairs: list[EigenPair], M, target: Target,
+def pick_target(pairs: list[EigenPair], A, M, target: Target,
                 exact_nodal: np.ndarray | None = None,
                 rel_gap: float = 1e-6) -> EigenPair:
-    """Select the study eigenpair, skipping flagged zero modes."""
+    """Select the study eigenpair, skipping flagged zero modes.
+
+    A cluster member is a re-orthonormalised combination of the computed
+    pairs, so its residual is measured afresh against the pencil (A, M).
+    """
     live = [p for p in pairs if not p.zero_mode]
     if not live:
         raise ValueError("no nonzero eigenpairs available")
@@ -161,7 +165,8 @@ def pick_target(pairs: list[EigenPair], M, target: Target,
             f"0..{len(clusters) - 1}, member in 0..m-1 with multiplicities m = "
             f"{[c.multiplicity for c in clusters]}")
     cl = clusters[ci]
-    return EigenPair(float(cl.lambdas[member]), cl.basis[:, member], residual=0.0)
+    lam, u = float(cl.lambdas[member]), cl.basis[:, member]
+    return EigenPair(lam, u, _residual(A, M, lam, u, abs(lam)))
 
 
 def _check_pencil(A, M, k: int, tol: float) -> int:
@@ -187,11 +192,9 @@ def _package(A, M, vals, vecs, bc, tol) -> list[EigenPair]:
     pairs = []
     for lam, u in zip(vals, vecs.T):
         u = u / np.sqrt(float(u @ (M @ u)))
-        r = A @ u - lam * (M @ u)
         # near-zero modes are measured against the spectrum scale
         scale = abs(lam) if abs(lam) > _ZERO_MODE_REL * lam_ref else lam_ref
-        residual = float(np.linalg.norm(r)) / scale
-        pairs.append(EigenPair(float(lam), u, residual))
+        pairs.append(EigenPair(float(lam), u, _residual(A, M, lam, u, scale)))
     worst = max(p.residual for p in pairs)
     if worst > tol:
         raise NonConvergenceError("residual tolerance not met", worst)
@@ -199,3 +202,8 @@ def _package(A, M, vals, vecs, bc, tol) -> list[EigenPair]:
         cutoff = _ZERO_MODE_REL * (abs(pairs[1].lam) if len(pairs) >= 2 else lam_ref)
         pairs = [replace(p, zero_mode=bool(abs(p.lam) < cutoff)) for p in pairs]
     return pairs
+
+
+def _residual(A, M, lam, u, scale) -> float:
+    """||A u - lam M u|| / scale."""
+    return float(np.linalg.norm(A @ u - lam * (M @ u))) / scale

@@ -10,6 +10,7 @@ mirrored.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,6 +52,15 @@ class FemSpace:
         values = np.asarray(f(self.mesh.vertices), dtype=float)
         return values[self.free_index >= 0]
 
+    @cached_property
+    def _gradients(self) -> np.ndarray:
+        """(nt, 3, 2) barycentric gradients, computed on first use.
+
+        Only element_gradients reads this; assembly does not fill it, so the
+        array is not held through the eigensolve.
+        """
+        return _barycentric_gradients(self.mesh)[0]
+
 
 def _barycentric_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """Gradients (nt, 3, 2) of the three barycentric coordinates, plus areas."""
@@ -70,25 +80,6 @@ def _barycentric_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     gref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
     grads = np.einsum("ij,tjk->tik", gref, binv)
     return grads, 0.5 * det
-
-
-def local_stiffness(coords: np.ndarray) -> np.ndarray:
-    """Element stiffness of a single triangle given as (3, 2) vertex coords."""
-    e1 = coords[1] - coords[0]
-    e2 = coords[2] - coords[0]
-    det = e1[0] * e2[1] - e1[1] * e2[0]
-    binv = np.array([[e2[1], -e2[0]], [-e1[1], e1[0]]]) / det
-    gref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    g = gref @ binv
-    return 0.5 * det * (g @ g.T)
-
-
-def local_mass(coords: np.ndarray) -> np.ndarray:
-    """Exact element mass (area/12) * [[2,1,1],[1,2,1],[1,1,2]]."""
-    e1 = coords[1] - coords[0]
-    e2 = coords[2] - coords[0]
-    area = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
-    return (area / 12.0) * (np.ones((3, 3)) + np.eye(3))
 
 
 def assemble_stiffness(space: FemSpace) -> sp.csr_matrix:
@@ -119,10 +110,6 @@ def _assemble(space: FemSpace, local: np.ndarray) -> sp.csr_matrix:
 
 def element_gradients(space: FemSpace, coeffs: np.ndarray) -> np.ndarray:
     """Constant P1 gradient on every triangle, shape (nt, 2)."""
-    grads, _ = _barycentric_gradients(space.mesh)
+    grads = space._gradients
     nodal = space.nodal_values(coeffs)[space.mesh.triangles]  # (nt, 3)
     return np.einsum("ti,tik->tk", nodal, grads)
-
-
-def element_gradient(space: FemSpace, coeffs: np.ndarray, triangle: int) -> np.ndarray:
-    return element_gradients(space, coeffs)[triangle]

@@ -80,19 +80,16 @@ def refine(mesh: Mesh) -> Mesh:
     circle before connectivity is built.
     """
     tris = mesh.triangles
-    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    keys = np.sort(edges, axis=1)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-
-    mids = 0.5 * (mesh.vertices[uniq[:, 0]] + mesh.vertices[uniq[:, 1]])
-    if mesh.domain is Domain.UNIT_DISK:
-        bnd = {(min(a, b), max(a, b)) for a, b, _ in mesh.boundary_edges}
-        on_bnd = np.array([(int(a), int(b)) in bnd for a, b in uniq], dtype=bool)
-        if on_bnd.any():
-            r = np.linalg.norm(mids[on_bnd], axis=1)
-            mids[on_bnd] = mids[on_bnd] / r[:, None]
-
     nv = mesh.num_vertices
+    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    keys, inverse, counts = _unique_edges(edges, nv)
+    lo, hi = np.divmod(keys, nv)
+
+    mids = 0.5 * (mesh.vertices[lo] + mesh.vertices[hi])
+    if mesh.domain is Domain.UNIT_DISK:
+        on_bnd = counts == 1  # only a boundary edge has a single triangle
+        mids[on_bnd] /= np.linalg.norm(mids[on_bnd], axis=1)[:, None]
+
     mid_idx = inverse.reshape(3, -1).T + nv  # columns: edge 01, 12, 20
     a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
     mab, mbc, mca = mid_idx[:, 0], mid_idx[:, 1], mid_idx[:, 2]
@@ -104,18 +101,6 @@ def refine(mesh: Mesh) -> Mesh:
     ])
     verts = np.vstack([mesh.vertices, mids])
     return _finish(verts, children, mesh.domain, mesh.level + 1)
-
-
-def boundary_normal(mesh: Mesh, edge) -> np.ndarray:
-    """Outward unit normal of a boundary edge given as a vertex-index pair."""
-    v0, v1 = int(edge[0]), int(edge[1])
-    key = (min(v0, v1), max(v0, v1))
-    for a, b, _ in mesh.boundary_edges:
-        if (min(a, b), max(a, b)) == key:
-            t = mesh.vertices[b] - mesh.vertices[a]
-            n = np.array([t[1], -t[0]])
-            return n / np.linalg.norm(n)
-    raise ValueError(f"edge {edge} is not a boundary edge")
 
 
 def boundary_normals(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -184,20 +169,18 @@ def _square_grid(n: int, ox: float, oy: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _merge_parts(parts) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate (vertices, triangles) pairs, unifying exactly equal vertices."""
-    index: dict[tuple[float, float], int] = {}
-    verts: list[tuple[float, float]] = []
-    tris = []
-    for pverts, ptris, in parts:
-        remap = np.empty(len(pverts), dtype=np.int64)
-        for k, (x, y) in enumerate(pverts):
-            key = (float(x), float(y))
-            if key not in index:
-                index[key] = len(verts)
-                verts.append(key)
-            remap[k] = index[key]
-        tris.append(remap[ptris])
-    return np.array(verts), np.concatenate(tris)
+    """Concatenate (vertices, triangles) pairs, unifying exactly equal vertices.
+
+    Vertices are numbered in order of first appearance.
+    """
+    offsets = np.cumsum([0] + [len(pverts) for pverts, _ in parts[:-1]])
+    verts = np.concatenate([pverts for pverts, _ in parts])
+    tris = np.concatenate([ptris + off for (_, ptris), off in zip(parts, offsets)])
+    _, first, inverse = np.unique(verts, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return verts[first[order]], rank[inverse.ravel()][tris]
 
 
 def _disk_fan() -> Mesh:
@@ -212,16 +195,26 @@ def _disk_fan() -> Mesh:
 def _finish(verts: np.ndarray, tris: np.ndarray, domain: Domain, level: int) -> Mesh:
     verts = np.ascontiguousarray(verts, dtype=np.float64)
     tris = np.ascontiguousarray(tris, dtype=np.int64)
-    return Mesh(verts, tris, _boundary_edges(tris), domain, level)
+    return Mesh(verts, tris, _boundary_edges(tris, len(verts)), domain, level)
 
 
-def _boundary_edges(tris: np.ndarray) -> np.ndarray:
+def _unique_edges(edges: np.ndarray, nv: int):
+    """np.unique of undirected edges, each encoded as the int64 key a * nv + b
+    with a < b; for vertex indices below nv the keys sort like the (a, b) rows.
+
+    Returns (keys, inverse, counts).
+    """
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    return np.unique(lo * nv + hi, return_inverse=True, return_counts=True)
+
+
+def _boundary_edges(tris: np.ndarray, nv: int) -> np.ndarray:
     """Directed edges adjacent to exactly one triangle, with that triangle."""
     nt = tris.shape[0]
     directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
     owner = np.tile(np.arange(nt), 3)
-    keys = np.sort(directed, axis=1)
-    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    _, inverse, counts = _unique_edges(directed, nv)
     single = counts[inverse] == 1
     out = np.column_stack([directed[single], owner[single]])
     return np.ascontiguousarray(out[np.lexsort((out[:, 1], out[:, 0]))], dtype=np.int64)

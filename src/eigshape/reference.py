@@ -260,7 +260,7 @@ def finemesh_reference(domain: Domain, bc: BoundaryCondition, basis: VelocityBas
         exact_nodal = None
         if target.kind is TargetKind.MATCH_EXACT:
             exact_nodal = space.interpolate(exact_eigenpair(domain, bc).value)
-        pair = pick_target(pairs, M, target, exact_nodal=exact_nodal)
+        pair = pick_target(pairs, A, M, target, exact_nodal=exact_nodal)
         per_level.append(shapegrad.volume_gradients(space, pair, basis.fields))
         lams.append(pair.lam)
 

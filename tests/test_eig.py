@@ -165,14 +165,26 @@ def test_pick_target_match_exact_neumann_square():
     pairs = solve_lowest(A, M, 8, BoundaryCondition.NEUMANN)
     exact = exact_eigenpair(Domain.UNIT_SQUARE, BoundaryCondition.NEUMANN)
     nodal = space.interpolate(exact.value)
-    pair = pick_target(pairs, M, Target.match_exact(), exact_nodal=nodal)
+    pair = pick_target(pairs, A, M, Target.match_exact(), exact_nodal=nodal)
     assert pair.lam == pytest.approx(2 * PI2, rel=0.02)
-    first = pick_target(pairs, M, Target.first())
+    first = pick_target(pairs, A, M, Target.first())
     assert first.lam == pytest.approx(PI2, rel=0.05)
-    within = pick_target(pairs, M, Target.index_within_cluster(0, 1), rel_gap=0.01)
+    within = pick_target(pairs, A, M, Target.index_within_cluster(0, 1), rel_gap=0.01)
     assert within.lam == pytest.approx(PI2, rel=0.05)
-    simple = pick_target(pairs, M, Target.index_within_cluster(1), rel_gap=0.01)
+    simple = pick_target(pairs, A, M, Target.index_within_cluster(1), rel_gap=0.01)
     assert simple.lam == pytest.approx(2 * PI2, rel=0.05)
+
+
+def test_pick_target_cluster_member_has_measured_residual(square_dirichlet_space):
+    _, A, M = square_dirichlet_space
+    pairs = solve_lowest(A, M, 4, BoundaryCondition.DIRICHLET)
+    assert cluster(pairs, M, rel_gap=0.05)[1].multiplicity == 2
+    pair = pick_target(pairs, A, M, Target.index_within_cluster(1, 0), rel_gap=0.05)
+    u = pair.coeffs
+    direct = float(np.linalg.norm(A @ u - pair.lam * (M @ u))) / pair.lam
+    assert pair.residual > 0.0
+    assert pair.residual == pytest.approx(direct, rel=1e-12)
+    assert pair.residual <= 1e-10
 
 
 def test_dimension_and_argument_validation():

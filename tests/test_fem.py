@@ -2,12 +2,36 @@ import numpy as np
 import pytest
 
 from eigshape.fem import (BoundaryCondition, FemSpace, assemble_mass,
-                          assemble_stiffness, element_gradient,
-                          element_gradients, local_mass, local_stiffness)
+                          assemble_stiffness, element_gradients)
 from eigshape.mesh import Domain, Mesh, generate, signed_areas
 from eigshape.reference import exact_eigenpair
 
 from conftest import assembled
+
+
+# Single-element oracles, computed one triangle at a time.
+
+def local_stiffness(coords: np.ndarray) -> np.ndarray:
+    """Element stiffness of a single triangle given as (3, 2) vertex coords."""
+    e1 = coords[1] - coords[0]
+    e2 = coords[2] - coords[0]
+    det = e1[0] * e2[1] - e1[1] * e2[0]
+    binv = np.array([[e2[1], -e2[0]], [-e1[1], e1[0]]]) / det
+    gref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    g = gref @ binv
+    return 0.5 * det * (g @ g.T)
+
+
+def local_mass(coords: np.ndarray) -> np.ndarray:
+    """Exact element mass (area/12) * [[2,1,1],[1,2,1],[1,1,2]]."""
+    e1 = coords[1] - coords[0]
+    e2 = coords[2] - coords[0]
+    area = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
+    return (area / 12.0) * (np.ones((3, 3)) + np.eye(3))
+
+
+def element_gradient(space: FemSpace, coeffs: np.ndarray, triangle: int) -> np.ndarray:
+    return element_gradients(space, coeffs)[triangle]
 
 
 def test_local_stiffness_unit_right_triangle():
@@ -21,6 +45,18 @@ def test_local_mass_exact_pattern():
     area = 3.0
     expected = (area / 12.0) * np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]])
     assert np.allclose(local_mass(coords), expected, atol=1e-15)
+
+
+def test_assembly_matches_element_oracles():
+    mesh, _, A, M = assembled(Domain.L_SHAPE, BoundaryCondition.NEUMANN, 1)
+    A_ref = np.zeros(A.shape)
+    M_ref = np.zeros(M.shape)
+    for tri in mesh.triangles:
+        idx = np.ix_(tri, tri)
+        A_ref[idx] += local_stiffness(mesh.vertices[tri])
+        M_ref[idx] += local_mass(mesh.vertices[tri])
+    assert np.abs(A.toarray() - A_ref).max() <= 1e-14
+    assert np.abs(M.toarray() - M_ref).max() <= 1e-14
 
 
 def test_neumann_constants_in_stiffness_kernel():
@@ -61,6 +97,7 @@ def test_element_gradient_linear_reproduction():
     mesh, space, A, _ = assembled(Domain.L_SHAPE, BoundaryCondition.NEUMANN, 2)
     b = np.array([0.7, -1.3])
     coeffs = space.interpolate(lambda p: 1.5 + p @ b)
+    assert "_gradients" not in vars(space)  # assembly leaves the cache empty
     grads = element_gradients(space, coeffs)
     assert np.abs(grads - b).max() <= 1e-13
     area = float(signed_areas(mesh).sum())

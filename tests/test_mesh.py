@@ -1,17 +1,115 @@
 import numpy as np
 import pytest
 
-from eigshape.mesh import (Domain, boundary_normal, boundary_normals,
-                           boundary_vertex_mask, diameters, export_text,
-                           generate, mesh_size, refine, signed_areas)
+from eigshape.mesh import (Domain, Mesh, _disk_fan, _square_grid,
+                           boundary_normals, boundary_vertex_mask, diameters,
+                           export_text, generate, mesh_size, refine,
+                           signed_areas)
 
 from conftest import DOMAINS
+
+
+# Loop-based oracles: the row-sorted np.unique(axis=0) edge table, the
+# dict-based seam merge and the set-scan boundary detection. The library's
+# vectorised mesh code must reproduce their numbering exactly.
+
+def oracle_boundary_edges(tris):
+    nt = tris.shape[0]
+    directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    owner = np.tile(np.arange(nt), 3)
+    keys = np.sort(directed, axis=1)
+    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    single = counts[inverse.ravel()] == 1
+    out = np.column_stack([directed[single], owner[single]])
+    return np.ascontiguousarray(out[np.lexsort((out[:, 1], out[:, 0]))], dtype=np.int64)
+
+
+def oracle_finish(verts, tris, domain, level):
+    verts = np.ascontiguousarray(verts, dtype=np.float64)
+    tris = np.ascontiguousarray(tris, dtype=np.int64)
+    return Mesh(verts, tris, oracle_boundary_edges(tris), domain, level)
+
+
+def oracle_merge_parts(parts):
+    index = {}
+    verts = []
+    tris = []
+    for pverts, ptris in parts:
+        remap = np.empty(len(pverts), dtype=np.int64)
+        for k, (x, y) in enumerate(pverts):
+            key = (float(x), float(y))
+            if key not in index:
+                index[key] = len(verts)
+                verts.append(key)
+            remap[k] = index[key]
+        tris.append(remap[ptris])
+    return np.array(verts), np.concatenate(tris)
+
+
+def oracle_refine(mesh):
+    tris = mesh.triangles
+    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    keys = np.sort(edges, axis=1)
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    mids = 0.5 * (mesh.vertices[uniq[:, 0]] + mesh.vertices[uniq[:, 1]])
+    if mesh.domain is Domain.UNIT_DISK:
+        bnd = {(min(a, b), max(a, b)) for a, b, _ in mesh.boundary_edges}
+        on_bnd = np.array([(int(a), int(b)) in bnd for a, b in uniq], dtype=bool)
+        r = np.linalg.norm(mids[on_bnd], axis=1)
+        mids[on_bnd] = mids[on_bnd] / r[:, None]
+    mid_idx = inverse.reshape(3, -1).T + mesh.num_vertices
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    mab, mbc, mca = mid_idx[:, 0], mid_idx[:, 1], mid_idx[:, 2]
+    children = np.concatenate([
+        np.stack([a, mab, mca], axis=1),
+        np.stack([mab, b, mbc], axis=1),
+        np.stack([mca, mbc, c], axis=1),
+        np.stack([mab, mbc, mca], axis=1),
+    ])
+    verts = np.vstack([mesh.vertices, mids])
+    return oracle_finish(verts, children, mesh.domain, mesh.level + 1)
+
+
+def oracle_generate(domain, level):
+    n = 2 ** (level + 1)
+    if domain is Domain.UNIT_SQUARE:
+        return oracle_finish(*_square_grid(n, 0.0, 0.0), domain, level)
+    if domain is Domain.L_SHAPE:
+        parts = [_square_grid(n, ox, oy) for ox, oy in ((-1.0, -1.0), (0.0, -1.0), (-1.0, 0.0))]
+        return oracle_finish(*oracle_merge_parts(parts), domain, level)
+    fan = _disk_fan()
+    mesh = oracle_finish(fan.vertices, fan.triangles, domain, 0)
+    for _ in range(level):
+        mesh = oracle_refine(mesh)
+    return mesh
+
+
+def boundary_normal(mesh, edge):
+    """Outward unit normal of a boundary edge given as a vertex-index pair."""
+    v0, v1 = int(edge[0]), int(edge[1])
+    key = (min(v0, v1), max(v0, v1))
+    for a, b, _ in mesh.boundary_edges:
+        if (min(a, b), max(a, b)) == key:
+            t = mesh.vertices[b] - mesh.vertices[a]
+            n = np.array([t[1], -t[0]])
+            return n / np.linalg.norm(n)
+    raise ValueError(f"edge {edge} is not a boundary edge")
 
 
 def all_edges(mesh):
     tris = mesh.triangles
     edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
     return np.sort(edges, axis=1)
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("level", range(6))
+def test_numbering_matches_loop_oracle(domain, level):
+    expected = oracle_generate(domain, level)
+    got = generate(domain, level)
+    for mesh, oracle in ((got, expected), (refine(got), oracle_refine(expected))):
+        for name in ("vertices", "triangles", "boundary_edges"):
+            assert np.array_equal(getattr(mesh, name), getattr(oracle, name)), name
 
 
 def test_square_level1_counts():
@@ -77,9 +175,11 @@ def test_refine_halves_mesh_size(domain):
 
 def test_boundary_normal_square_sides():
     m = generate(Domain.UNIT_SQUARE, 1)
-    for a, b, _ in m.boundary_edges:
+    normals, _ = boundary_normals(m)
+    for row, (a, b, _) in enumerate(m.boundary_edges):
         pa, pb = m.vertices[a], m.vertices[b]
         n = boundary_normal(m, (a, b))
+        assert np.allclose(normals[row], n, rtol=0.0, atol=1e-15)
         if pa[1] == 0.0 and pb[1] == 0.0:
             assert np.allclose(n, [0.0, -1.0])
         if pa[0] == 1.0 and pb[0] == 1.0:
