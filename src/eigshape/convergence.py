@@ -51,6 +51,8 @@ class StudyConfig:
             raise ValueError("min_level must not exceed max_level")
         if self.reference is refmod.Provenance.ANALYTIC and self.domain is Domain.L_SHAPE:
             raise ValueError("analytic reference exists only for square and disk")
+        if self.target.kind is TargetKind.MATCH_EXACT and self.domain is Domain.L_SHAPE:
+            refmod.exact_eigenpair(self.domain, self.bc)  # raises UnsupportedDomainError
         if self.reference is refmod.Provenance.FINE_MESH:
             if self.reference_level is None:
                 raise ValueError("fine-mesh reference needs reference_level")

@@ -8,7 +8,7 @@ ordering but flagged so downstream target selection can skip it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -39,8 +39,17 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class EigenCluster:
+    """Near-equal eigenvalues and an M-orthonormal basis of their span, held as
+    read-only copies so the moment tables shapegrad caches in _tables stay valid."""
+
     lambdas: np.ndarray
     basis: np.ndarray  # (dof, l), M-orthonormal
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("lambdas", "basis"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
+            getattr(self, name).setflags(write=False)
 
     @property
     def multiplicity(self) -> int:
@@ -129,16 +138,6 @@ def cluster(pairs: list[EigenPair], M, rel_gap: float = 1e-6) -> list[EigenClust
     return clusters
 
 
-def align_sign(pair: EigenPair, reference_nodal_values: np.ndarray, M) -> EigenPair:
-    """Flip the eigenvector sign so its M-inner product with the reference is >= 0."""
-    ref = np.asarray(reference_nodal_values, dtype=float)
-    if not np.any(ref):
-        raise ValueError("reference vector must be nonzero")
-    if float(pair.coeffs @ (M @ ref)) < 0.0:
-        return replace(pair, coeffs=-pair.coeffs)
-    return pair
-
-
 def pick_target(pairs: list[EigenPair], A, M, target: Target,
                 exact_nodal: np.ndarray | None = None,
                 rel_gap: float = 1e-6) -> EigenPair:
@@ -163,7 +162,9 @@ def pick_target(pairs: list[EigenPair], A, M, target: Target,
         raise ValueError(
             f"target cluster:{ci},{member} is out of range: cluster index must be in "
             f"0..{len(clusters) - 1}, member in 0..m-1 with multiplicities m = "
-            f"{[c.multiplicity for c in clusters]}")
+            f"{[c.multiplicity for c in clusters]} at rel_gap = {rel_gap:g}; a multiple "
+            "eigenvalue split by the mesh needs a larger cluster_rel_gap (the unit "
+            "square's 5 pi^2 pair is split by about 1% at level 3)")
     cl = clusters[ci]
     lam, u = float(cl.lambdas[member]), cl.basis[:, member]
     return EigenPair(lam, u, _residual(A, M, lam, u, abs(lam)))

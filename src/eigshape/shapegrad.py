@@ -15,7 +15,8 @@ directional derivatives. A simple eigenpair is the one-member cluster.
 
 Both forms are linear in V and DV, so each is computed as moment tables of
 the eigenfunction data (quadrature.moments), one per matrix entry, contracted
-against the fields' coefficient stacks (velocity.coefficient_stack).
+against the fields' coefficient stacks (velocity.coefficient_stack). A cluster
+keeps its tables, so directional_matrix builds them once per field degree.
 """
 
 from __future__ import annotations
@@ -51,24 +52,14 @@ def volume_gradient(space: FemSpace, pair: EigenPair, field: VelocityField) -> f
 
 def volume_gradients(space: FemSpace, pair: EigenPair, fields) -> np.ndarray:
     """Volume-form derivative for each field, sharing one set of tables."""
-    return _volume_entries(space, pair.coeffs[:, None], pair.lam, fields)[:, 0]
-
-
-def boundary_gradient_dirichlet(space: FemSpace, pair: EigenPair, field: VelocityField) -> float:
-    if space.bc is not BoundaryCondition.DIRICHLET:
-        raise ValueError("Dirichlet boundary formula called with a Neumann space")
-    return float(boundary_gradients(space, pair, (field,))[0])
-
-
-def boundary_gradient_neumann(space: FemSpace, pair: EigenPair, field: VelocityField) -> float:
-    if space.bc is not BoundaryCondition.NEUMANN:
-        raise ValueError("Neumann boundary formula called with a Dirichlet space")
-    return float(boundary_gradients(space, pair, (field,))[0])
+    T = _volume_tables(space, pair.coeffs[:, None], pair.lam, _size(fields))
+    return _contract(Formula.VOLUME, fields, T)[:, 0]
 
 
 def boundary_gradients(space: FemSpace, pair: EigenPair, fields) -> np.ndarray:
     """Boundary-form derivative for each field (dispatches on the space's bc)."""
-    return _boundary_entries(space, pair.coeffs[:, None], pair.lam, fields)[:, 0]
+    T = _boundary_tables(space, pair.coeffs[:, None], pair.lam, _size(fields))
+    return _contract(Formula.BOUNDARY, fields, T)[:, 0]
 
 
 def directional_matrix(space: FemSpace, cl: EigenCluster, field: VelocityField,
@@ -76,10 +67,15 @@ def directional_matrix(space: FemSpace, cl: EigenCluster, field: VelocityField,
     """Directional-derivative matrix of a multiple eigenvalue, with eigenvalues.
 
     The continuous formulas use the (single) continuous eigenvalue; here it
-    is replaced by the cluster-mean discrete eigenvalue.
+    is replaced by the cluster-mean discrete eigenvalue. The tables are cached
+    on the cluster per (space, formula, field degree).
     """
-    entries = _volume_entries if formula is Formula.VOLUME else _boundary_entries
-    values = entries(space, cl.basis, cl.mean, (field,))[0]
+    size = field.degree + 1
+    key = (space, formula, size)
+    if key not in cl._tables:
+        build = _volume_tables if formula is Formula.VOLUME else _boundary_tables
+        cl._tables[key] = build(space, cl.basis, cl.mean, size)
+    values = _contract(formula, (field,), cl._tables[key])[0]
     mat = np.empty((cl.multiplicity, cl.multiplicity))
     i, j = np.triu_indices(cl.multiplicity)
     mat[i, j] = values
@@ -106,18 +102,33 @@ def boundary_form(fields, points: np.ndarray, weights: np.ndarray, normals: np.n
     points (n, npts, 2) and weights (n, npts) hold the rule, normals is
     (n, npts, 2) or (n, 1, 2), density is (e, n, npts) or (e, n, 1).
     """
-    size = max(f.degree for f in fields) + 1
+    T = _boundary_form_tables(points, weights, normals, density, _size(fields))
+    return _contract(Formula.BOUNDARY, fields, T)
+
+
+def _size(fields) -> int:
+    return max(f.degree for f in fields) + 1
+
+
+def _contract(formula: Formula, fields, T: np.ndarray) -> np.ndarray:
+    """out[f, e]: the fields' V (boundary) or DV (volume) against the tables."""
+    C = coefficient_stack(fields, T.shape[-1])
+    if formula is Formula.VOLUME:
+        return np.einsum("fcbpq,ecbpq->fe", C[:, :, 1:], T)
+    return np.einsum("fcpq,ecpq->fe", C[:, :, 0], T)
+
+
+def _boundary_form_tables(points, weights, normals, density, size: int) -> np.ndarray:
+    """T[e, c, p, q]: moments x^p y^q of density_e n_c, for boundary_form."""
     values = density[:, None] * np.moveaxis(normals, -1, 0)  # (e, 2, n, npts or 1)
     e = density.shape[0]
     T = moments(points, weights, values.reshape((2 * e,) + values.shape[2:]), size - 1)
-    C = coefficient_stack(fields, size)[:, :, 0]
-    return np.einsum("fcpq,ecpq->fe", C, T.reshape(e, 2, size, size))
+    return T.reshape(e, 2, size, size)
 
 
-def _volume_entries(space: FemSpace, basis: np.ndarray, lam: float, fields) -> np.ndarray:
-    """Volume form per field (rows) and per entry i <= j of the (dof, l)
-    eigenvector basis (columns, row-major upper triangle)."""
-    size = max(f.degree for f in fields) + 1
+def _volume_tables(space: FemSpace, basis: np.ndarray, lam: float, size: int) -> np.ndarray:
+    """T[e, c, b, p, q]: per entry i <= j of the (dof, l) basis (row-major upper
+    triangle), the moments x^p y^q multiplying the x_b-derivative of V_c."""
     points, weights, bary = physical_points(space.mesh, max(_BASE_DEGREE, size + 1))
     nt = points.shape[0]
     i, j = np.triu_indices(basis.shape[1])
@@ -129,22 +140,20 @@ def _volume_entries(space: FemSpace, basis: np.ndarray, lam: float, fields) -> n
     G = moments(points, weights, gg.transpose(0, 2, 3, 1).reshape(-1, nt, 1), size - 1)
     G = G.reshape(len(i), 2, 2, size, size)
     U = moments(points, weights, uvals[i] * uvals[j], size - 1)
-    # T[e, c, b] multiplies the x_b-derivative of V_c
     T = -(G + G.transpose(0, 2, 1, 3, 4))
     scalar = G[:, 0, 0] + G[:, 1, 1] - lam * U
     T[:, 0, 0] += scalar
     T[:, 1, 1] += scalar
-    C = coefficient_stack(fields, size)[:, :, 1:]
-    return np.einsum("fcbpq,ecbpq->fe", C, T)
+    return T
 
 
-def _boundary_entries(space: FemSpace, basis: np.ndarray, lam: float, fields) -> np.ndarray:
-    """Boundary form per field and per basis entry, as in _volume_entries."""
+def _boundary_tables(space: FemSpace, basis: np.ndarray, lam: float, size: int) -> np.ndarray:
+    """T[e, c, p, q] per basis entry as in _volume_tables; density by the space's bc."""
     mesh = space.mesh
     edges = mesh.boundary_edges
     normals, lengths = boundary_normals(mesh)
     dirichlet = space.bc is BoundaryCondition.DIRICHLET
-    t, w = edge_rule(max(f.degree for f in fields) + (0 if dirichlet else 2))
+    t, w = edge_rule(size - 1 + (0 if dirichlet else 2))
     p0 = mesh.vertices[edges[:, 0]]
     p1 = mesh.vertices[edges[:, 1]]
     points = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
@@ -160,4 +169,4 @@ def _boundary_entries(space: FemSpace, basis: np.ndarray, lam: float, fields) ->
         trace = nodal[:, edges[:, 0], None] * (1.0 - t) + nodal[:, edges[:, 1], None] * t
         tt = np.einsum("lea,lea->le", tang[i], tang[j])
         density = tt[:, :, None] - lam * trace[i] * trace[j]
-    return boundary_form(fields, points, weights, normals[:, None, :], density)
+    return _boundary_form_tables(points, weights, normals[:, None, :], density, size)

@@ -63,6 +63,23 @@ def test_cluster_target_out_of_range_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cluster:1,5" in err and "cluster index must be in 0.." in err
     assert "multiplicities" in err
+    # the message names the gap in effect and the remedy for a mesh-split pair
+    assert "rel_gap = 1e-06" in err and "larger cluster_rel_gap" in err
+
+
+def test_match_exact_on_lshape_is_rejected_before_any_solve(tmp_path, capsys, monkeypatch):
+    from eigshape import cli, convergence, eig, reference
+
+    def never(*args, **kwargs):
+        raise AssertionError("solve_lowest called")
+
+    for module in (cli, convergence, eig, reference):
+        monkeypatch.setattr(module, "solve_lowest", never)
+    cfg = tmp_path / "lshape.cfg"
+    cfg.write_text("[study]\ndomain = lshape\nbc = dirichlet\nmin_level = 1\n"
+                   "max_level = 3\ntarget = match_exact\nreference = finemesh:5\n")
+    assert run_cli("study", str(cfg), "--out", str(tmp_path)) == 2
+    assert "no analytic eigenpair on lshape" in capsys.readouterr().err
 
 
 def test_invalid_domain_is_usage_error():

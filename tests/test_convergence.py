@@ -61,6 +61,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 1, 3,
                     reference=Provenance.FINE_MESH)
+    with pytest.raises(ValueError, match="no analytic eigenpair on lshape"):
+        StudyConfig(Domain.L_SHAPE, BoundaryCondition.DIRICHLET, 1, 3,
+                    target=Target.match_exact(), reference=Provenance.FINE_MESH,
+                    reference_level=5)
 
 
 def test_gamma_zero_study_has_exact_volume_nullspace():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,15 +7,27 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigshape.eig import (EigenPair, NonConvergenceError, Target, align_sign,
+from eigshape.eig import (EigenCluster, EigenPair, NonConvergenceError, Target,
                           cluster, pick_target, solve_lowest, solve_lowest_dense)
 from eigshape.fem import BoundaryCondition, FemSpace, assemble_mass, assemble_stiffness
 from eigshape.mesh import Domain, generate, refine
 from eigshape.reference import exact_eigenpair
+from eigshape.shapegrad import Formula, directional_matrix
+from eigshape.velocity import monomial_field
 
 from conftest import assembled
 
 PI2 = np.pi ** 2
+
+
+def align_sign(pair, reference_nodal_values, M):
+    """Oracle: flip the eigenvector sign so its M-inner product with the reference is >= 0."""
+    ref = np.asarray(reference_nodal_values, dtype=float)
+    if not np.any(ref):
+        raise ValueError("reference vector must be nonzero")
+    if float(pair.coeffs @ (M @ ref)) < 0.0:
+        return replace(pair, coeffs=-pair.coeffs)
+    return pair
 
 
 def test_diagonal_pencil():
@@ -134,6 +148,28 @@ def test_cluster_requires_sorted_pairs():
              EigenPair(2.0, np.array([1.0, 0.0]), 0.0)]
     with pytest.raises(ValueError):
         cluster(pairs, M)
+
+
+def test_cluster_arrays_are_read_only_copies(square_dirichlet_space):
+    space, A, M = square_dirichlet_space
+    cl = cluster(solve_lowest(A, M, 4, BoundaryCondition.DIRICHLET), M, rel_gap=0.05)[1]
+    with pytest.raises(ValueError):
+        cl.basis[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        cl.lambdas[0] = 1.0
+    lambdas, basis = cl.lambdas.copy(), cl.basis.copy()
+    mine = EigenCluster(lambdas, basis)
+    field = monomial_field(1, 0, 0)
+    before = directional_matrix(space, mine, field, Formula.VOLUME)
+    lambdas[:] = 1.0
+    basis[:] = 0.0  # the caller's arrays, not the cluster's
+    assert np.array_equal(mine.basis, cl.basis)
+    assert np.array_equal(mine.lambdas, cl.lambdas)
+    after = directional_matrix(space, mine, field, Formula.VOLUME)
+    assert np.array_equal(after.matrix, before.matrix)
+    fresh = directional_matrix(space, EigenCluster(cl.lambdas, cl.basis), field, Formula.VOLUME)
+    assert np.array_equal(fresh.matrix, before.matrix)
+    assert mine._tables and replace(mine)._tables == {}
 
 
 def test_align_sign():

@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
+from eigshape import shapegrad
 from eigshape.eig import EigenCluster, cluster, solve_lowest
 from eigshape.fem import BoundaryCondition
 from eigshape.mesh import Domain, generate, refine
-from eigshape.shapegrad import (Formula, boundary_gradient_dirichlet,
-                                boundary_gradient_neumann, boundary_gradients,
-                                directional_matrix, volume_gradient,
-                                volume_gradients, weyl_bound)
+from eigshape.shapegrad import (Formula, boundary_gradients, directional_matrix,
+                                volume_gradient, volume_gradients, weyl_bound)
 from eigshape.velocity import (VelocityBasis, VelocityField, build_basis, constant_field,
                                identity_field, monomial_field, rotation_field)
 from eigshape import reference as refmod
@@ -19,6 +18,20 @@ from eigshape.mesh import boundary_normals
 from eigshape.quadrature import edge_rule, physical_points
 
 from conftest import BCS, DOMAINS, assembled, first_nonzero_pair
+
+
+def boundary_gradient_dirichlet(space, pair, field):
+    """Oracle: the Dirichlet boundary form of one field; rejects a Neumann space."""
+    if space.bc is not BoundaryCondition.DIRICHLET:
+        raise ValueError("Dirichlet boundary formula called with a Neumann space")
+    return float(boundary_gradients(space, pair, (field,))[0])
+
+
+def boundary_gradient_neumann(space, pair, field):
+    """Oracle: the Neumann boundary form of one field; rejects a Dirichlet space."""
+    if space.bc is not BoundaryCondition.NEUMANN:
+        raise ValueError("Neumann boundary formula called with a Dirichlet space")
+    return float(boundary_gradients(space, pair, (field,))[0])
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
@@ -227,6 +240,62 @@ def test_directional_matrix_invariant_under_orthogonal_recombination():
             rotated = EigenCluster(cl.lambdas, cl.basis @ Q)
             sig = directional_matrix(space, rotated, field, formula).eigenvalues
             assert np.abs(sig - base).max() <= 1e-10 * np.abs(base).max()
+
+
+# -- moment tables cached on the cluster ---------------------------------------
+
+def _test_cluster(domain, bc):
+    """The largest cluster of the level-3 spectrum at rel_gap 0.05: a pair near
+    5 pi^2 (square Dirichlet) or pi^2 (square and L-shape Neumann), the disk's
+    first double eigenvalue, the simple first L-shape Dirichlet eigenvalue."""
+    _, space, A, M = assembled(domain, bc, 3)
+    live = [p for p in solve_lowest(A, M, 6, bc) if not p.zero_mode]
+    return space, max(cluster(live, M, rel_gap=0.05), key=lambda c: c.multiplicity)
+
+
+def _fresh(space, cl, field, formula):
+    """directional_matrix on an uncached copy of the cluster: tables built for this field."""
+    return directional_matrix(space, EigenCluster(cl.lambdas, cl.basis), field, formula)
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("bc", BCS)
+def test_cached_tables_match_uncached_calls_in_any_field_order(domain, bc):
+    space, cl = _test_cluster(domain, bc)
+    fields = sorted(build_basis(3).fields, key=lambda f: f.degree)
+    ascending = list(range(len(fields)))
+    shuffled = list(np.random.default_rng(5).permutation(len(fields)))
+    expected = {(k, formula): _fresh(space, cl, fields[k], formula)
+                for k in ascending for formula in Formula}
+    for order in (ascending, ascending[::-1], shuffled):
+        cached = EigenCluster(cl.lambdas, cl.basis)
+        for formula in Formula:
+            for k in order:
+                got = directional_matrix(space, cached, fields[k], formula)
+                want = expected[k, formula]
+                assert np.array_equal(got.matrix, want.matrix)
+                assert np.array_equal(got.eigenvalues, want.eigenvalues)
+
+
+def test_tables_built_once_per_space_formula_and_degree(monkeypatch):
+    space, cl = _test_cluster(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET)
+    builds = []
+    for name in ("_volume_tables", "_boundary_tables"):
+        def counted(space, basis, lam, size, build=getattr(shapegrad, name), name=name):
+            builds.append((space, name, size))
+            return build(space, basis, lam, size)
+        monkeypatch.setattr(shapegrad, name, counted)
+    fields = build_basis(3).fields
+    degrees = {f.degree for f in fields}
+    first = [directional_matrix(space, cl, f, formula).matrix
+             for formula in Formula for f in fields]
+    assert len(builds) == len(set(builds)) == 2 * len(degrees)
+    # the same cluster on a second space over the same mesh builds its own tables
+    other = FemSpace(space.mesh, space.bc)
+    second = [directional_matrix(other, cl, f, formula).matrix
+              for formula in Formula for f in fields]
+    assert len(builds) == len(set(builds)) == 4 * len(degrees)
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
 def test_weyl_bound_trivial_cases():
