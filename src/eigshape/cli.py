@@ -92,15 +92,9 @@ def parse_config(path: Path) -> tuple[conv.StudyConfig, dict]:
         raw[key] = value
         lines_seen[key] = lineno
 
-    def take(key, convert, default=None, required=False):
-        if key not in raw:
-            if required:
-                raise ConfigError("missing required key", key=key)
-            return default
+    def take(key, convert):
         try:
             return convert(raw.pop(key))
-        except ConfigError:
-            raise
         except Exception as exc:
             raise ConfigError(f"bad value: {exc}", line=lines_seen[key], key=key) from exc
 
@@ -124,31 +118,24 @@ def parse_config(path: Path) -> tuple[conv.StudyConfig, dict]:
             return Target.index_within_cluster(i, j)
         raise ValueError("expected first | match_exact | cluster:i,j")
 
-    kwargs = dict(
-        domain=take("domain", to_domain, required=True),
-        bc=take("bc", to_bc, required=True),
-        min_level=take("min_level", int, required=True),
-        max_level=take("max_level", int, required=True),
-        gamma=take("gamma", int, default=3),
-        target=take("target", to_target, default=Target.first()),
-        cluster_rel_gap=take("cluster_rel_gap", float, default=1e-6),
-        num_pairs=take("num_pairs", int, default=None),
-        fit_window=take("fit_window", int, default=4),
-        output_dir=take("output_dir", str, default=None),
-    )
-    refspec = take("reference", str, default="analytic")
-    if refspec == "analytic":
-        kwargs["reference"] = refmod.Provenance.ANALYTIC
-    elif refspec.startswith("finemesh:"):
-        kwargs["reference"] = refmod.Provenance.FINE_MESH
-        try:
-            kwargs["reference_level"] = int(refspec[len("finemesh:"):])
-        except ValueError as exc:
-            raise ConfigError(f"bad value: {exc}", line=lines_seen["reference"],
-                              key="reference") from exc
-    else:
-        raise ConfigError("expected analytic | finemesh:<level>",
-                          line=lines_seen["reference"], key="reference")
+    def to_reference(v):
+        if v == "analytic":
+            return refmod.Provenance.ANALYTIC, None
+        if v.startswith("finemesh:"):
+            return refmod.Provenance.FINE_MESH, int(v[len("finemesh:"):])
+        raise ValueError("expected analytic | finemesh:<level>")
+
+    for key in ("domain", "bc", "min_level", "max_level"):
+        if key not in raw:
+            raise ConfigError("missing required key", key=key)
+    # keys absent from the file take StudyConfig's defaults
+    converters = {"domain": to_domain, "bc": to_bc, "min_level": int, "max_level": int,
+                  "gamma": int, "target": to_target, "cluster_rel_gap": float,
+                  "num_pairs": int, "fit_window": int, "output_dir": str,
+                  "reference": to_reference}
+    kwargs = {key: take(key, convert) for key, convert in converters.items() if key in raw}
+    if "reference" in kwargs:
+        kwargs["reference"], kwargs["reference_level"] = kwargs["reference"]
     if raw:
         key = sorted(raw)[0]
         raise ConfigError("unknown key", line=lines_seen[key], key=key)

@@ -5,7 +5,8 @@ Each level refines the previous mesh, solves the target eigenpair, evaluates
 the volume and boundary derivatives for every basis field, and measures the
 error vector against the (analytic or fine-mesh) reference in the dual norm
 E = sqrt(w^T K^{-1} w). The reference is the same for both formulas: the two
-continuous Eulerian derivatives coincide.
+continuous Eulerian derivatives coincide. A fine-mesh reference solves the
+same target eigenpair as the study levels, through the same level solve.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import reference as refmod
 from . import shapegrad
-from .eig import Target, TargetKind, pick_target, solve_lowest
+from .eig import EigenPair, Target, TargetKind, pick_target, solve_lowest
 from .fem import BoundaryCondition, FemSpace, assemble_mass, assemble_stiffness
 from .mesh import Domain, generate, mesh_size, refine
 from .velocity import build_basis, dual_norm, gramian
@@ -29,6 +30,7 @@ class DegenerateFitError(RuntimeError):
 
 
 _DEGENERATE_FLOOR = 1e-12  # dual-norm values below this are roundoff of an exact zero
+_REFERENCE_DOF_BUDGET = 1_500_000  # most vertices a fine-mesh reference level may have
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,10 @@ class StudyConfig:
     def __post_init__(self):
         if self.min_level > self.max_level:
             raise ValueError("min_level must not exceed max_level")
+        if self.max_level - self.min_level < 2:
+            raise ValueError("a study needs at least 3 levels to fit a rate")
+        if self.fit_window < 3:
+            raise ValueError("fit_window must be at least 3 to fit a rate")
         if self.reference is refmod.Provenance.ANALYTIC and self.domain is Domain.L_SHAPE:
             raise ValueError("analytic reference exists only for square and disk")
         if self.target.kind is TargetKind.MATCH_EXACT and self.domain is Domain.L_SHAPE:
@@ -95,14 +101,39 @@ def _num_pairs(cfg: StudyConfig) -> int:
         return 10
     if cfg.target.kind is TargetKind.INDEX_WITHIN_CLUSTER:
         return max(6, cfg.target.cluster_index + 4)
-    return 1 if cfg.bc is BoundaryCondition.DIRICHLET else 6
+    return 1 if cfg.bc is BoundaryCondition.DIRICHLET else 10
+
+
+def _solve_level(cfg: StudyConfig, mesh) -> tuple[FemSpace, EigenPair]:
+    """The study's target eigenpair on one mesh; study and reference levels alike."""
+    space = FemSpace(mesh, cfg.bc)
+    A = assemble_stiffness(space)
+    M = assemble_mass(space)
+    pairs = solve_lowest(A, M, min(_num_pairs(cfg), space.dof_count), cfg.bc)
+    exact_nodal = None
+    if cfg.target.kind is TargetKind.MATCH_EXACT:
+        exact_nodal = space.interpolate(refmod.exact_eigenpair(cfg.domain, cfg.bc).value)
+    return space, pick_target(pairs, A, M, cfg.target, exact_nodal=exact_nodal,
+                              rel_gap=cfg.cluster_rel_gap)
 
 
 def reference_derivatives_for(cfg: StudyConfig, basis) -> refmod.ReferenceDerivatives:
+    """Analytic reference, or volume-form derivatives on the three finest
+    reference levels, Richardson-extrapolated."""
     if cfg.reference is refmod.Provenance.ANALYTIC:
         return refmod.continuous_derivatives(cfg.domain, cfg.bc, basis)
-    return refmod.finemesh_reference(cfg.domain, cfg.bc, basis, cfg.reference_level,
-                                     target=cfg.target, max_study_level=cfg.max_level)
+    values, lams = [], []
+    for lv in range(cfg.reference_level - 2, cfg.reference_level + 1):
+        mesh = generate(cfg.domain, lv)
+        if mesh.num_vertices > _REFERENCE_DOF_BUDGET:
+            raise refmod.ReferenceBudgetError(
+                f"level {lv} has {mesh.num_vertices} vertices, "
+                f"budget {_REFERENCE_DOF_BUDGET}")
+        space, pair = _solve_level(cfg, mesh)
+        values.append(shapegrad.volume_gradients(space, pair, basis.fields))
+        lams.append(pair.lam)
+    return refmod.extrapolated_reference(values, lams, cfg.domain, cfg.bc,
+                                         cfg.reference_level)
 
 
 def run_levels(cfg: StudyConfig) -> tuple[list[StudyRecord], refmod.ReferenceDerivatives]:
@@ -113,15 +144,7 @@ def run_levels(cfg: StudyConfig) -> tuple[list[StudyRecord], refmod.ReferenceDer
     for level in range(cfg.min_level, cfg.max_level + 1):
         if level > cfg.min_level:
             mesh = refine(mesh)
-        space = FemSpace(mesh, cfg.bc)
-        A = assemble_stiffness(space)
-        M = assemble_mass(space)
-        pairs = solve_lowest(A, M, _num_pairs(cfg), cfg.bc)
-        exact_nodal = None
-        if cfg.target.kind is TargetKind.MATCH_EXACT:
-            exact_nodal = space.interpolate(refmod.exact_eigenpair(cfg.domain, cfg.bc).value)
-        pair = pick_target(pairs, A, M, cfg.target, exact_nodal=exact_nodal,
-                           rel_gap=cfg.cluster_rel_gap)
+        space, pair = _solve_level(cfg, mesh)
         K = gramian(basis, mesh)
         vol = shapegrad.volume_gradients(space, pair, basis.fields)
         bnd = shapegrad.boundary_gradients(space, pair, basis.fields)

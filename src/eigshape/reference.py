@@ -4,7 +4,8 @@ Exact eigenpairs exist on the square and the disk; their Eulerian
 derivatives are evaluated with the boundary formula by composite Gauss
 quadrature on the true boundary (per-side panels for the square, parametric
 arcs of the true circle for the disk). The L-shape has no closed form, so a
-fine-mesh run of the volume formula, Richardson-extrapolated, stands in.
+fine-mesh run of the volume formula, Richardson-extrapolated, stands in; the
+convergence module solves its levels and this module extrapolates them.
 
 Bessel J0 and J1 are evaluated from their integral representation
 J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt with a fixed Gauss-Legendre
@@ -24,9 +25,8 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from . import shapegrad
-from .eig import Target, TargetKind, pick_target, solve_lowest
-from .fem import BoundaryCondition, FemSpace, assemble_mass, assemble_stiffness
-from .mesh import Domain, generate
+from .fem import BoundaryCondition
+from .mesh import Domain
 from .velocity import VelocityBasis
 
 
@@ -228,51 +228,19 @@ def continuous_derivatives(domain: Domain, bc: BoundaryCondition, basis: Velocit
 
 # -- fine-mesh (extrapolated) references ------------------------------------
 
-def finemesh_reference(domain: Domain, bc: BoundaryCondition, basis: VelocityBasis,
-                       reference_level: int, target: Target = Target.first(),
-                       richardson: bool = True, max_study_level: int | None = None,
-                       dof_budget: int = 1_500_000) -> ReferenceDerivatives:
-    """Volume-form derivatives on a fine mesh, Richardson-extrapolated.
+def extrapolated_reference(values, lams, domain: Domain, bc: BoundaryCondition,
+                           reference_level: int) -> ReferenceDerivatives:
+    """Richardson extrapolation of volume-form derivatives and eigenvalues
+    solved on the three finest fine-mesh levels, coarsest first.
 
-    With richardson=True the three finest levels are solved; the local
-    per-field rate (median across fields, clamped to [0.5, 3]) cancels the
+    The local rate (median across fields, clamped to [0.5, 3]) cancels the
     leading error term.
     """
-    if max_study_level is not None and reference_level < max_study_level + 2:
-        raise ValueError("reference level must be at least 2 above the study levels")
-    levels = [reference_level - 2, reference_level - 1, reference_level] if richardson \
-        else [reference_level]
-    if min(levels) < 0:
-        raise ValueError("reference level too small for extrapolation")
+    def extrapolate(v0, v1, v2):
+        return v2 + (v2 - v1) / (2.0 ** _local_rate(v0, v1, v2) - 1.0)
 
-    per_level = []
-    lams = []
-    for lv in levels:
-        mesh = generate(domain, lv)
-        if mesh.num_vertices > dof_budget:
-            raise ReferenceBudgetError(
-                f"level {lv} has {mesh.num_vertices} vertices, budget {dof_budget}")
-        space = FemSpace(mesh, bc)
-        A = assemble_stiffness(space)
-        M = assemble_mass(space)
-        k = 1 if (bc is BoundaryCondition.DIRICHLET and target.kind is TargetKind.FIRST) else 10
-        pairs = solve_lowest(A, M, k, bc)
-        exact_nodal = None
-        if target.kind is TargetKind.MATCH_EXACT:
-            exact_nodal = space.interpolate(exact_eigenpair(domain, bc).value)
-        pair = pick_target(pairs, A, M, target, exact_nodal=exact_nodal)
-        per_level.append(shapegrad.volume_gradients(space, pair, basis.fields))
-        lams.append(pair.lam)
-
-    if not richardson:
-        return ReferenceDerivatives(per_level[0], Provenance.FINE_MESH, lams[0],
-                                    domain, bc, reference_level)
-    v0, v1, v2 = per_level
-    rate = _local_rate(v0, v1, v2)
-    values = v2 + (v2 - v1) / (2.0 ** rate - 1.0)
-    lam_rate = _local_rate(np.array([lams[0]]), np.array([lams[1]]), np.array([lams[2]]))
-    lam = lams[2] + (lams[2] - lams[1]) / (2.0 ** lam_rate - 1.0)
-    return ReferenceDerivatives(values, Provenance.FINE_MESH, float(lam),
+    lam = extrapolate(*(np.array([x]) for x in lams))[0]
+    return ReferenceDerivatives(extrapolate(*values), Provenance.FINE_MESH, float(lam),
                                 domain, bc, reference_level)
 
 

@@ -58,7 +58,7 @@ def test_solve_neumann_single_pair_is_the_zero_mode(capsys):
 def test_cluster_target_out_of_range_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cluster.cfg"
     cfg.write_text(MINI_CONFIG.replace("min_level = 1", "min_level = 2")
-                   + "target = cluster:1,5\n")
+                   .replace("max_level = 3", "max_level = 4") + "target = cluster:1,5\n")
     assert run_cli("study", str(cfg), "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert "cluster:1,5" in err and "cluster index must be in 0.." in err
@@ -68,18 +68,44 @@ def test_cluster_target_out_of_range_is_usage_error(tmp_path, capsys):
 
 
 def test_match_exact_on_lshape_is_rejected_before_any_solve(tmp_path, capsys, monkeypatch):
-    from eigshape import cli, convergence, eig, reference
+    from eigshape import cli, convergence, eig
 
     def never(*args, **kwargs):
         raise AssertionError("solve_lowest called")
 
-    for module in (cli, convergence, eig, reference):
+    for module in (cli, convergence, eig):
         monkeypatch.setattr(module, "solve_lowest", never)
     cfg = tmp_path / "lshape.cfg"
     cfg.write_text("[study]\ndomain = lshape\nbc = dirichlet\nmin_level = 1\n"
                    "max_level = 3\ntarget = match_exact\nreference = finemesh:5\n")
     assert run_cli("study", str(cfg), "--out", str(tmp_path)) == 2
     assert "no analytic eigenpair on lshape" in capsys.readouterr().err
+
+
+def test_too_few_levels_is_rejected_before_any_solve(tmp_path, capsys, monkeypatch):
+    from eigshape import convergence
+
+    def never(*args, **kwargs):
+        raise AssertionError("solve_lowest called")
+
+    monkeypatch.setattr(convergence, "solve_lowest", never)
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(MINI_CONFIG.replace("min_level = 1", "min_level = 5")
+                   .replace("max_level = 3", "max_level = 6"))
+    out = tmp_path / "results"
+    assert run_cli("study", str(cfg), "--out", str(out)) == 2
+    assert "at least 3 levels" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["first", "match_exact"])
+def test_neumann_study_from_level_zero(tmp_path, target):
+    # level 0 has 9 dofs, fewer than the 10 pairs either target asks for
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text(MINI_CONFIG.replace("bc = dirichlet", "bc = neumann")
+                   .replace("min_level = 1", "min_level = 0")
+                   .replace("max_level = 3", "max_level = 2") + f"target = {target}\n")
+    assert run_cli("study", str(cfg), "--out", str(tmp_path)) == 0
 
 
 def test_invalid_domain_is_usage_error():
@@ -195,6 +221,24 @@ def test_config_error_unknown_key(tmp_path):
                    "max_level = 2\nwibble = 3\n")
     with pytest.raises(ConfigError, match="wibble"):
         parse_config(cfg)
+
+
+def test_config_with_required_keys_only_takes_study_defaults(tmp_path, monkeypatch):
+    from eigshape import convergence
+    from eigshape.convergence import StudyConfig
+    from eigshape.fem import BoundaryCondition
+    from eigshape.mesh import Domain
+
+    cfg = tmp_path / "required.cfg"
+    cfg.write_text("[study]\ndomain = square\nbc = dirichlet\nmin_level = 1\n"
+                   "max_level = 3\n")
+    expected = StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 1, 3)
+    assert parse_config(cfg)[0] == expected
+    passed = []
+    monkeypatch.setattr(convergence, "StudyConfig",
+                        lambda **kwargs: passed.append(sorted(kwargs)) or StudyConfig(**kwargs))
+    parse_config(cfg)
+    assert passed == [["bc", "domain", "max_level", "min_level"]]
 
 
 def test_config_parse_full(tmp_path):

@@ -65,6 +65,11 @@ def test_config_validation():
         StudyConfig(Domain.L_SHAPE, BoundaryCondition.DIRICHLET, 1, 3,
                     target=Target.match_exact(), reference=Provenance.FINE_MESH,
                     reference_level=5)
+    # a rate fit needs three levels, so neither config could ever report one
+    with pytest.raises(ValueError, match="at least 3 levels"):
+        StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 5, 6)
+    with pytest.raises(ValueError, match="fit_window must be at least 3"):
+        StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 1, 3, fit_window=2)
 
 
 def test_gamma_zero_study_has_exact_volume_nullspace():
@@ -115,6 +120,34 @@ def test_reference_consistency_analytic_vs_finemesh():
                                reference_level=6))
     assert abs(ana.volume_fit.slope - fm.volume_fit.slope) <= 0.1
     assert abs(ana.boundary_fit.slope - fm.boundary_fit.slope) <= 0.1
+
+
+def test_finemesh_reference_tracks_the_study_cluster():
+    # the 8 pi^2 eigenvalue is cluster 2 once the mesh-split 5 pi^2 pair is grouped
+    cfg = StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 1, 3, gamma=1,
+                      target=Target.index_within_cluster(2, 0), cluster_rel_gap=0.05,
+                      reference=Provenance.FINE_MESH, reference_level=5)
+    result = run_study(cfg)
+    assert result.reference.lam == pytest.approx(8 * np.pi ** 2, rel=1e-3)
+    assert result.records[-1].lambda_h == pytest.approx(8 * np.pi ** 2, rel=0.1)
+
+
+def test_study_and_reference_levels_ask_for_the_same_pair_count(monkeypatch):
+    from eigshape import convergence, eig, reference
+
+    requested = []
+
+    def recording(A, M, k, bc, **kwargs):
+        requested.append(k)
+        return eig.solve_lowest(A, M, k, bc, **kwargs)
+
+    # every module that could solve a level records, whether or not it binds the solver
+    for module in (convergence, reference):
+        monkeypatch.setattr(module, "solve_lowest", recording, raising=False)
+    run_study(StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 1, 3, gamma=1,
+                          num_pairs=4, reference=Provenance.FINE_MESH,
+                          reference_level=5))
+    assert requested == [4] * 6
 
 
 def test_gamma_sensitivity_reports_rows():

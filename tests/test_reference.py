@@ -3,13 +3,14 @@ import pytest
 import scipy.special
 from scipy.special import roots_legendre
 
+from eigshape import convergence
+from eigshape.convergence import StudyConfig, reference_derivatives_for
 from eigshape.fem import BoundaryCondition
 from eigshape.mesh import Domain
 from eigshape.reference import (Provenance, UnsupportedDomainError, bessel_j0,
                                 bessel_j0_first_zero, bessel_j1,
                                 bessel_j1_first_zero, continuous_derivatives,
-                                exact_eigenpair, finemesh_reference,
-                                golden_values, ReferenceBudgetError)
+                                exact_eigenpair, golden_values, ReferenceBudgetError)
 from eigshape.velocity import (VelocityBasis, build_basis, constant_field,
                                identity_field, rotation_field)
 
@@ -130,11 +131,17 @@ def test_continuous_derivatives_panel_doubling():
     assert np.abs(a.values - b.values).max() <= 1e-9 * scale
 
 
+def _finemesh_config(max_level, reference_level):
+    return StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, max_level - 2,
+                       max_level, reference=Provenance.FINE_MESH,
+                       reference_level=reference_level)
+
+
 @pytest.mark.slow
 def test_finemesh_square_cross_check_against_analytic():
     basis = build_basis(3)
     ana = continuous_derivatives(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, basis)
-    fm = finemesh_reference(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, basis, 8)
+    fm = reference_derivatives_for(_finemesh_config(6, 8), basis)
     assert fm.provenance is Provenance.FINE_MESH
     assert fm.reference_level == 8
     assert np.abs(fm.values - ana.values).max() <= 5e-5
@@ -150,18 +157,10 @@ def test_finemesh_lshape_identity_and_lambda(lshape_dirichlet_study):
     assert v_id == pytest.approx(-2.0 * ref.lam, rel=5e-4)
 
 
-def test_finemesh_budget_error():
-    basis = build_basis(1)
+def test_finemesh_budget_error(monkeypatch):
+    monkeypatch.setattr(convergence, "_REFERENCE_DOF_BUDGET", 1000)
     with pytest.raises(ReferenceBudgetError):
-        finemesh_reference(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, basis, 7,
-                           dof_budget=1000)
-
-
-def test_finemesh_level_guard():
-    basis = build_basis(1)
-    with pytest.raises(ValueError):
-        finemesh_reference(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, basis, 5,
-                           max_study_level=4)
+        reference_derivatives_for(_finemesh_config(5, 7), build_basis(1))
 
 
 def test_golden_values_content():
