@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -19,7 +20,7 @@ from . import __version__
 from . import convergence as conv
 from . import reference as refmod
 from . import shapegrad
-from .eig import NonConvergenceError, Target, pick_target, solve_lowest
+from .eig import NonConvergenceError, Target, TargetKind, solve_lowest, solve_target
 from .fem import BoundaryCondition, FemSpace, assemble_mass, assemble_stiffness
 from .mesh import Domain, export_text, generate, mesh_size
 from .velocity import (FactorizationError, VelocityField, constant_field,
@@ -60,9 +61,13 @@ def parse_field(spec: str) -> VelocityField:
         return rotation_field()
     if spec.startswith("const:"):
         a, b = (float(s) for s in spec[len("const:"):].split(","))
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"field spec {spec!r} needs finite components")
         return constant_field(a, b)
     if spec.startswith("mono:"):
         b1, b2, comp = (int(s) for s in spec[len("mono:"):].split(","))
+        if min(b1, b2) < 0 or comp not in (0, 1):
+            raise ValueError(f"field spec {spec!r} needs exponents >= 0 and comp 0 or 1")
         return monomial_field(b1, b2, comp)
     raise ValueError(f"unknown field spec {spec!r} "
                      "(use const:a,b | identity | rot | mono:b1,b2,comp)")
@@ -118,11 +123,11 @@ def parse_config(path: Path) -> tuple[conv.StudyConfig, dict]:
             return Target.index_within_cluster(i, j)
         raise ValueError("expected first | match_exact | cluster:i,j")
 
-    def to_reference(v):
+    def to_reference_level(v):
         if v == "analytic":
-            return refmod.Provenance.ANALYTIC, None
+            return None
         if v.startswith("finemesh:"):
-            return refmod.Provenance.FINE_MESH, int(v[len("finemesh:"):])
+            return int(v[len("finemesh:"):])
         raise ValueError("expected analytic | finemesh:<level>")
 
     for key in ("domain", "bc", "min_level", "max_level"):
@@ -131,11 +136,10 @@ def parse_config(path: Path) -> tuple[conv.StudyConfig, dict]:
     # keys absent from the file take StudyConfig's defaults
     converters = {"domain": to_domain, "bc": to_bc, "min_level": int, "max_level": int,
                   "gamma": int, "target": to_target, "cluster_rel_gap": float,
-                  "num_pairs": int, "fit_window": int, "output_dir": str,
-                  "reference": to_reference}
+                  "fit_window": int, "reference": to_reference_level}
     kwargs = {key: take(key, convert) for key, convert in converters.items() if key in raw}
     if "reference" in kwargs:
-        kwargs["reference"], kwargs["reference_level"] = kwargs["reference"]
+        kwargs["reference_level"] = kwargs.pop("reference")
     if raw:
         key = sorted(raw)[0]
         raise ConfigError("unknown key", line=lines_seen[key], key=key)
@@ -148,8 +152,6 @@ def parse_config(path: Path) -> tuple[conv.StudyConfig, dict]:
 
 def _snapshot(cfg: conv.StudyConfig) -> dict:
     """Config as config-file values; feeding these back reproduces the run."""
-    from .eig import TargetKind
-
     if cfg.target.kind is TargetKind.INDEX_WITHIN_CLUSTER:
         target = f"cluster:{cfg.target.cluster_index},{cfg.target.member}"
     else:
@@ -161,25 +163,23 @@ def _snapshot(cfg: conv.StudyConfig) -> dict:
         "max_level": cfg.max_level,
         "gamma": cfg.gamma,
         "target": target,
-        "reference": (cfg.reference.value if cfg.reference_level is None
-                      else f"{cfg.reference.value}:{cfg.reference_level}"),
+        "reference": ("analytic" if cfg.reference_level is None
+                      else f"finemesh:{cfg.reference_level}"),
         "cluster_rel_gap": cfg.cluster_rel_gap,
-        "num_pairs": cfg.num_pairs,
         "fit_window": cfg.fit_window,
     }
 
 
-def _solve_for(domain: Domain, bc: BoundaryCondition, level: int, k: int):
+def _pencil(domain: Domain, bc: BoundaryCondition, level: int):
     mesh = generate(domain, level)
     space = FemSpace(mesh, bc)
-    A = assemble_stiffness(space)
-    M = assemble_mass(space)
-    return mesh, space, A, M, solve_lowest(A, M, k, bc)
+    return mesh, space, assemble_stiffness(space), assemble_mass(space)
 
 
 def cmd_solve(args) -> int:
     domain, bc = _DOMAINS[args.domain], _BCS[args.bc]
-    mesh, space, _, M, pairs = _solve_for(domain, bc, args.level, args.k)
+    mesh, space, A, M = _pencil(domain, bc, args.level)
+    pairs = solve_lowest(A, M, args.k, bc)
     try:
         exact = refmod.exact_eigenpair(domain, bc).lam
     except refmod.UnsupportedDomainError:
@@ -207,14 +207,9 @@ def cmd_solve(args) -> int:
 
 def cmd_gradient(args) -> int:
     domain, bc = _DOMAINS[args.domain], _BCS[args.bc]
-    try:
-        fld = parse_field(args.field)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    k = 1 if bc is BoundaryCondition.DIRICHLET else 6
-    _, space, A, M, pairs = _solve_for(domain, bc, args.level, k)
-    pair = pick_target(pairs, A, M, Target.first())
+    fld = parse_field(args.field)  # a bad spec is a ValueError: exit 2 from main
+    _, space, A, M = _pencil(domain, bc, args.level)
+    pair = solve_target(A, M, bc, Target.first())
     if shapegrad.Formula(args.formula) is shapegrad.Formula.VOLUME:
         value = shapegrad.volume_gradients(space, pair, (fld,))[0]
     else:
@@ -229,12 +224,8 @@ def cmd_study(args) -> int:
     if not cfg_path.exists():
         print(f"error: config file {cfg_path} not found", file=sys.stderr)
         return 2
-    try:
-        cfg, snapshot = parse_config(cfg_path)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out or cfg.output_dir or ".")
+    cfg, snapshot = parse_config(cfg_path)  # a ConfigError is a ValueError: exit 2
+    out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     result = conv.run_study(cfg)
     stem = cfg_path.stem
@@ -304,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("study", help="run a convergence study from a config file")
     p.add_argument("config")
-    p.add_argument("--out", help="output directory (default from config or cwd)")
+    p.add_argument("--out", help="output directory (default cwd)")
     p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("golden", help="emit golden reference values")

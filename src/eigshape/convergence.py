@@ -19,7 +19,7 @@ import numpy as np
 
 from . import reference as refmod
 from . import shapegrad
-from .eig import EigenPair, Target, TargetKind, pick_target, solve_lowest
+from .eig import DEFAULT_REL_GAP, EigenPair, Target, TargetKind, solve_target
 from .fem import BoundaryCondition, FemSpace, assemble_mass, assemble_stiffness
 from .mesh import Domain, generate, mesh_size, refine
 from .velocity import build_basis, dual_norm, gramian
@@ -41,12 +41,9 @@ class StudyConfig:
     max_level: int
     gamma: int = 3
     target: Target = field(default_factory=Target.first)
-    reference: refmod.Provenance = refmod.Provenance.ANALYTIC
-    reference_level: int | None = None
-    cluster_rel_gap: float = 1e-6
-    num_pairs: int | None = None
+    reference_level: int | None = None  # None: analytic reference, else fine-mesh level
+    cluster_rel_gap: float = DEFAULT_REL_GAP
     fit_window: int = 4
-    output_dir: str | None = None
 
     def __post_init__(self):
         if self.min_level > self.max_level:
@@ -55,15 +52,12 @@ class StudyConfig:
             raise ValueError("a study needs at least 3 levels to fit a rate")
         if self.fit_window < 3:
             raise ValueError("fit_window must be at least 3 to fit a rate")
-        if self.reference is refmod.Provenance.ANALYTIC and self.domain is Domain.L_SHAPE:
+        if self.reference_level is None and self.domain is Domain.L_SHAPE:
             raise ValueError("analytic reference exists only for square and disk")
         if self.target.kind is TargetKind.MATCH_EXACT and self.domain is Domain.L_SHAPE:
             refmod.exact_eigenpair(self.domain, self.bc)  # raises UnsupportedDomainError
-        if self.reference is refmod.Provenance.FINE_MESH:
-            if self.reference_level is None:
-                raise ValueError("fine-mesh reference needs reference_level")
-            if self.reference_level < self.max_level + 2:
-                raise ValueError("reference_level must be at least max_level + 2")
+        if self.reference_level is not None and self.reference_level < self.max_level + 2:
+            raise ValueError("reference_level must be at least max_level + 2")
 
 
 @dataclass(frozen=True)
@@ -94,41 +88,30 @@ class StudyResult:
     reference: refmod.ReferenceDerivatives
 
 
-def _num_pairs(cfg: StudyConfig) -> int:
-    if cfg.num_pairs is not None:
-        return cfg.num_pairs
-    if cfg.target.kind is TargetKind.MATCH_EXACT:
-        return 10
-    if cfg.target.kind is TargetKind.INDEX_WITHIN_CLUSTER:
-        return max(6, cfg.target.cluster_index + 4)
-    return 1 if cfg.bc is BoundaryCondition.DIRICHLET else 10
-
-
 def _solve_level(cfg: StudyConfig, mesh) -> tuple[FemSpace, EigenPair]:
     """The study's target eigenpair on one mesh; study and reference levels alike."""
     space = FemSpace(mesh, cfg.bc)
-    A = assemble_stiffness(space)
-    M = assemble_mass(space)
-    pairs = solve_lowest(A, M, min(_num_pairs(cfg), space.dof_count), cfg.bc)
     exact_nodal = None
     if cfg.target.kind is TargetKind.MATCH_EXACT:
         exact_nodal = space.interpolate(refmod.exact_eigenpair(cfg.domain, cfg.bc).value)
-    return space, pick_target(pairs, A, M, cfg.target, exact_nodal=exact_nodal,
-                              rel_gap=cfg.cluster_rel_gap)
+    return space, solve_target(assemble_stiffness(space), assemble_mass(space), cfg.bc,
+                               cfg.target, cfg.cluster_rel_gap, exact_nodal=exact_nodal)
 
 
 def reference_derivatives_for(cfg: StudyConfig, basis) -> refmod.ReferenceDerivatives:
     """Analytic reference, or volume-form derivatives on the three finest
     reference levels, Richardson-extrapolated."""
-    if cfg.reference is refmod.Provenance.ANALYTIC:
+    if cfg.reference_level is None:
         return refmod.continuous_derivatives(cfg.domain, cfg.bc, basis)
+    # the finest level is the largest, so its budget check comes before any solve
+    finest = generate(cfg.domain, cfg.reference_level)
+    if finest.num_vertices > _REFERENCE_DOF_BUDGET:
+        raise refmod.ReferenceBudgetError(
+            f"level {cfg.reference_level} has {finest.num_vertices} vertices, "
+            f"budget {_REFERENCE_DOF_BUDGET}")
     values, lams = [], []
     for lv in range(cfg.reference_level - 2, cfg.reference_level + 1):
-        mesh = generate(cfg.domain, lv)
-        if mesh.num_vertices > _REFERENCE_DOF_BUDGET:
-            raise refmod.ReferenceBudgetError(
-                f"level {lv} has {mesh.num_vertices} vertices, "
-                f"budget {_REFERENCE_DOF_BUDGET}")
+        mesh = finest if lv == cfg.reference_level else generate(cfg.domain, lv)
         space, pair = _solve_level(cfg, mesh)
         values.append(shapegrad.volume_gradients(space, pair, basis.fields))
         lams.append(pair.lam)

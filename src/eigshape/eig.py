@@ -21,6 +21,7 @@ from .fem import BoundaryCondition
 _START_SEED = 20240817
 _NEUMANN_SIGMA = 0.1
 _ZERO_MODE_REL = 1e-8
+DEFAULT_REL_GAP = 1e-6  # consecutive eigenvalues this close (relative) form one cluster
 
 
 class NonConvergenceError(RuntimeError):
@@ -115,7 +116,7 @@ def solve_lowest_dense(A, M, k: int, bc: BoundaryCondition, tol: float = 1e-10) 
     return _package(A, M, vals, vecs, bc, tol)
 
 
-def cluster(pairs: list[EigenPair], M, rel_gap: float = 1e-6) -> list[EigenCluster]:
+def cluster(pairs: list[EigenPair], M, rel_gap: float = DEFAULT_REL_GAP) -> list[EigenCluster]:
     """Greedy grouping of consecutive near-equal eigenvalues.
 
     Bases are re-orthonormalized in the M inner product within each cluster.
@@ -140,7 +141,7 @@ def cluster(pairs: list[EigenPair], M, rel_gap: float = 1e-6) -> list[EigenClust
 
 def pick_target(pairs: list[EigenPair], A, M, target: Target,
                 exact_nodal: np.ndarray | None = None,
-                rel_gap: float = 1e-6) -> EigenPair:
+                rel_gap: float = DEFAULT_REL_GAP) -> EigenPair:
     """Select the study eigenpair, skipping flagged zero modes.
 
     A cluster member is a re-orthonormalised combination of the computed
@@ -168,6 +169,34 @@ def pick_target(pairs: list[EigenPair], A, M, target: Target,
     cl = clusters[ci]
     lam, u = float(cl.lambdas[member]), cl.basis[:, member]
     return EigenPair(lam, u, _residual(A, M, lam, u, abs(lam)))
+
+
+def solve_target(A, M, bc: BoundaryCondition, target: Target,
+                 rel_gap: float = DEFAULT_REL_GAP,
+                 exact_nodal: np.ndarray | None = None) -> EigenPair:
+    """Solve as many of the lowest pairs as the target needs, then pick it.
+
+    The one pair-count rule: 1 for a Dirichlet `first`, 10 for a Neumann
+    `first` and for `match_exact`, max(6, i + 4) for `cluster:i,j`, at most
+    the dof count. A target cluster that is missing, or ends at the last
+    computed pair while more remain, is solved once more with twice the
+    count; still open then, it is out of range.
+    """
+    n = A.shape[0]
+    if target.kind is TargetKind.INDEX_WITHIN_CLUSTER:
+        k = max(6, target.cluster_index + 4)
+    else:
+        k = 1 if target.kind is TargetKind.FIRST and bc is BoundaryCondition.DIRICHLET else 10
+    for k in (min(k, n), min(2 * k, n)):
+        pairs = solve_lowest(A, M, k, bc)
+        live = [p for p in pairs if not p.zero_mode]
+        if (target.kind is not TargetKind.INDEX_WITHIN_CLUSTER or k == n
+                or target.cluster_index < len(cluster(live, M, rel_gap)) - 1):
+            return pick_target(pairs, A, M, target, exact_nodal=exact_nodal, rel_gap=rel_gap)
+    raise ValueError(
+        f"target cluster:{target.cluster_index},{target.member} is out of range: its "
+        f"cluster could not be closed within the {k} lowest of {n} eigenpairs at "
+        f"rel_gap = {rel_gap:g}")
 
 
 def _check_pencil(A, M, k: int, tol: float) -> int:

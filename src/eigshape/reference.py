@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -27,6 +26,7 @@ from scipy.special import roots_legendre
 from . import shapegrad
 from .fem import BoundaryCondition
 from .mesh import Domain
+from .quadrature import edge_rule
 from .velocity import VelocityBasis
 
 
@@ -36,11 +36,6 @@ class UnsupportedDomainError(ValueError):
 
 class ReferenceBudgetError(RuntimeError):
     """The reference mesh exceeds the configured dof budget."""
-
-
-class Provenance(Enum):
-    ANALYTIC = "analytic"
-    FINE_MESH = "finemesh"
 
 
 @dataclass(frozen=True)
@@ -55,11 +50,10 @@ class ExactEigenpair:
 @dataclass(frozen=True)
 class ReferenceDerivatives:
     values: np.ndarray
-    provenance: Provenance
     lam: float
     domain: Domain
     bc: BoundaryCondition
-    reference_level: int | None = None
+    reference_level: int | None = None  # None for the analytic reference
 
 
 # -- Bessel evaluation ------------------------------------------------------
@@ -173,9 +167,7 @@ def exact_eigenpair(domain: Domain, bc: BoundaryCondition) -> ExactEigenpair:
 
 def _boundary_quadrature(domain: Domain, panels: int, npts: int):
     """(points, outward normals, weights) on the true boundary."""
-    x, w = roots_legendre(npts)
-    t = 0.5 * (x + 1.0)
-    wt = 0.5 * w
+    t, wt = edge_rule(2 * npts - 1)
     if domain is Domain.UNIT_SQUARE:
         corners = [((0.0, 0.0), (1.0, 0.0), (0.0, -1.0)),
                    ((1.0, 0.0), (1.0, 1.0), (1.0, 0.0)),
@@ -223,7 +215,7 @@ def continuous_derivatives(domain: Domain, bc: BoundaryCondition, basis: Velocit
         density = np.einsum("na,na->n", tang, tang) - pair.lam * u ** 2
     values = shapegrad.boundary_form(basis.fields, pts[:, None, :], w[:, None],
                                      normals[:, None, :], density[None, :, None])[:, 0]
-    return ReferenceDerivatives(values, Provenance.ANALYTIC, pair.lam, domain, bc)
+    return ReferenceDerivatives(values, pair.lam, domain, bc)
 
 
 # -- fine-mesh (extrapolated) references ------------------------------------
@@ -240,8 +232,8 @@ def extrapolated_reference(values, lams, domain: Domain, bc: BoundaryCondition,
         return v2 + (v2 - v1) / (2.0 ** _local_rate(v0, v1, v2) - 1.0)
 
     lam = extrapolate(*(np.array([x]) for x in lams))[0]
-    return ReferenceDerivatives(extrapolate(*values), Provenance.FINE_MESH, float(lam),
-                                domain, bc, reference_level)
+    return ReferenceDerivatives(extrapolate(*values), float(lam), domain, bc,
+                                reference_level)
 
 
 def _local_rate(v0, v1, v2) -> float:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from numpy.polynomial import polynomial as npoly
 
 from .mesh import Mesh
 from .quadrature import moments, physical_points
@@ -41,24 +40,6 @@ class VelocityField:
     def degree(self) -> int:
         return max(d for c in (self.coeffs_x, self.coeffs_y)
                    for d in [_total_degree(c)])
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        x, y = points[..., 0], points[..., 1]
-        return np.stack([npoly.polyval2d(x, y, self.coeffs_x),
-                         npoly.polyval2d(x, y, self.coeffs_y)], axis=-1)
-
-    def jacobian(self, points: np.ndarray) -> np.ndarray:
-        x, y = points[..., 0], points[..., 1]
-        out = np.empty(points.shape[:-1] + (2, 2))
-        for row, c in enumerate((self.coeffs_x, self.coeffs_y)):
-            out[..., row, 0] = npoly.polyval2d(x, y, npoly.polyder(c, axis=0))
-            out[..., row, 1] = npoly.polyval2d(x, y, npoly.polyder(c, axis=1))
-        return out
-
-    def divergence(self, points: np.ndarray) -> np.ndarray:
-        x, y = points[..., 0], points[..., 1]
-        return (npoly.polyval2d(x, y, npoly.polyder(self.coeffs_x, axis=0))
-                + npoly.polyval2d(x, y, npoly.polyder(self.coeffs_y, axis=1)))
 
 
 def monomial_field(b1: int, b2: int, component: int) -> VelocityField:

@@ -1,10 +1,16 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigshape.cli import ConfigError, main, parse_config, parse_field
 from eigshape.velocity import VelocityField
+
+from conftest import field_value, patch_solve_lowest
 
 MINI_CONFIG = """\
 # smallest useful study
@@ -67,14 +73,12 @@ def test_cluster_target_out_of_range_is_usage_error(tmp_path, capsys):
     assert "rel_gap = 1e-06" in err and "larger cluster_rel_gap" in err
 
 
+def never_solve(*args, **kwargs):
+    raise AssertionError("solve_lowest called")
+
+
 def test_match_exact_on_lshape_is_rejected_before_any_solve(tmp_path, capsys, monkeypatch):
-    from eigshape import cli, convergence, eig
-
-    def never(*args, **kwargs):
-        raise AssertionError("solve_lowest called")
-
-    for module in (cli, convergence, eig):
-        monkeypatch.setattr(module, "solve_lowest", never)
+    patch_solve_lowest(monkeypatch, never_solve)
     cfg = tmp_path / "lshape.cfg"
     cfg.write_text("[study]\ndomain = lshape\nbc = dirichlet\nmin_level = 1\n"
                    "max_level = 3\ntarget = match_exact\nreference = finemesh:5\n")
@@ -83,12 +87,7 @@ def test_match_exact_on_lshape_is_rejected_before_any_solve(tmp_path, capsys, mo
 
 
 def test_too_few_levels_is_rejected_before_any_solve(tmp_path, capsys, monkeypatch):
-    from eigshape import convergence
-
-    def never(*args, **kwargs):
-        raise AssertionError("solve_lowest called")
-
-    monkeypatch.setattr(convergence, "solve_lowest", never)
+    patch_solve_lowest(monkeypatch, never_solve)
     cfg = tmp_path / "short.cfg"
     cfg.write_text(MINI_CONFIG.replace("min_level = 1", "min_level = 5")
                    .replace("max_level = 3", "max_level = 6"))
@@ -149,11 +148,17 @@ def test_gradient_bad_field_spec(capsys):
 def test_parse_field_specs():
     f = parse_field("const:2,-1")
     assert isinstance(f, VelocityField)
-    assert np.allclose(f.evaluate(np.array([[0.5, 0.5]])), [[2.0, -1.0]])
+    assert np.allclose(field_value(f, np.array([[0.5, 0.5]])), [[2.0, -1.0]])
     g = parse_field("mono:1,2,1")
-    assert np.allclose(g.evaluate(np.array([[2.0, 3.0]])), [[0.0, 18.0]])
+    assert np.allclose(field_value(g, np.array([[2.0, 3.0]])), [[0.0, 18.0]])
     with pytest.raises(ValueError):
         parse_field("mono:1,2")
+    for spec in ("mono:-1,0,0", "mono:0,-1,1", "mono:1,0,2"):
+        with pytest.raises(ValueError, match="exponents >= 0 and comp 0 or 1"):
+            parse_field(spec)
+    for spec in ("const:nan,1", "const:1,inf"):
+        with pytest.raises(ValueError, match="finite components"):
+            parse_field(spec)
 
 
 def test_study_command_outputs(tmp_path, capsys):
@@ -251,6 +256,102 @@ def test_config_parse_full(tmp_path):
     assert parsed.reference_level == 7
     assert parsed.fit_window == 3
     assert snapshot["reference"] == "finemesh:7"
+
+
+@pytest.mark.parametrize("key,value", [("num_pairs", "4"), ("output_dir", "results")])
+def test_removed_config_keys_are_unknown(tmp_path, capsys, key, value):
+    cfg = tmp_path / "removed.cfg"
+    cfg.write_text(MINI_CONFIG + f"{key} = {value}\n")
+    assert run_cli("study", str(cfg), "--out", str(tmp_path)) == 2
+    assert f"unknown key (key '{key}', line 8)" in capsys.readouterr().err
+
+
+def test_gradient_prints_the_study_level_value(capsys):
+    # the command and the study solve the same number of pairs for a Neumann first target
+    from eigshape import convergence, shapegrad
+    from eigshape.fem import BoundaryCondition
+    from eigshape.mesh import Domain, generate
+
+    cfg = convergence.StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.NEUMANN, 3, 5)
+    space, pair = convergence._solve_level(cfg, generate(cfg.domain, cfg.min_level))
+    study = shapegrad.volume_gradients(space, pair, (parse_field("mono:1,1,0"),))[0]
+    assert run_cli("gradient", "--domain", "square", "--bc", "neumann", "--level", "3",
+                   "--field", "mono:1,1,0", "--formula", "volume") == 0
+    lines = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+    assert lines == {"lambda_h": repr(pair.lam), "value": repr(float(study))}
+
+
+# -- every input exits 0, 1 or 2 -------------------------------------------------
+
+# a valid study config with up to two faults: a listed bad value for a key (or a
+# removed or unknown key), digit-free text as a value, or digit-free text as a line;
+# levels stay at or below 3 (finemesh at or below 5), so every study is small
+_NO_DIGITS = st.text(alphabet="abnxz:,.-_ =[]#", max_size=8)
+_VALID = {
+    "domain": ["square", "disk", "lshape"],
+    "bc": ["dirichlet", "neumann"],
+    "min_level": ["0", "1"],
+    "max_level": ["2", "3"],
+    "gamma": ["0", "1", "3"],
+    "target": ["first", "match_exact", "cluster:0,0", "cluster:1,1", "cluster:5,1",
+               "cluster:40,0"],
+    "reference": ["analytic", "finemesh:4", "finemesh:5"],
+    "cluster_rel_gap": ["1e-6", "0.05", "10"],
+    "fit_window": ["3", "10"],
+}
+_BAD = {
+    "min_level": ["-1", "1.5", "3"],
+    "gamma": ["7", "-1"],
+    "target": ["cluster:-1,0", "cluster:1", "cluster:a,b", "last"],
+    "reference": ["finemesh:2", "finemesh:", "finemesh:x", "fine"],
+    "cluster_rel_gap": ["0", "-1", "nan", "inf"],
+    "fit_window": ["2"],
+    "num_pairs": ["4"],
+    "output_dir": ["results"],
+    "wibble": ["1"],
+}
+_REQUIRED = ("domain", "bc", "min_level", "max_level")
+_fault = st.one_of(
+    st.sampled_from([(k, v) for k, vs in _BAD.items() for v in vs]),
+    st.tuples(st.sampled_from(sorted(_VALID)), _NO_DIGITS),
+    st.tuples(st.none(), _NO_DIGITS))
+
+
+def _config_text(settings_, faults) -> str:
+    lines = [f"{k} = {v}" for k, v in {**settings_, **{k: v for k, v in faults if k}}.items()]
+    return "\n".join(["[study]", *lines, *(v for k, v in faults if k is None)]) + "\n"
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        return exc.code
+
+
+@given(settings_=st.fixed_dictionaries(
+           {k: st.sampled_from(_VALID[k]) for k in _REQUIRED},
+           optional={k: st.sampled_from(v) for k, v in _VALID.items() if k not in _REQUIRED}),
+       faults=st.lists(_fault, max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_any_study_config_exits_0_1_or_2(settings_, faults):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "any.cfg"
+        cfg.write_text(_config_text(settings_, faults))
+        assert _exit_code(["study", str(cfg), "--out", tmp]) in (0, 1, 2)
+
+
+@given(domain=st.sampled_from(["square", "disk", "lshape"] * 3 + ["hexagon"]),
+       bc=st.sampled_from(["dirichlet", "neumann"] * 3 + ["robin"]),
+       level=st.integers(-1, 3),
+       field=st.sampled_from(["identity", "rot", "const:1,0", "const:nan,1", "mono:1,1,0",
+                              "mono:-1,0,0", "mono:0,1,2", "mono:1,2", "const:a,b"]),
+       formula=st.sampled_from(["volume", "boundary"] * 3 + ["both"]))
+@settings(max_examples=60, deadline=None)
+def test_any_gradient_arguments_exit_0_1_or_2(domain, bc, level, field, formula):
+    argv = ["gradient", "--domain", domain, "--bc", bc, "--level", str(level),
+            "--field", field, "--formula", formula]
+    assert _exit_code(argv) in (0, 1, 2)
 
 
 def test_golden_command(tmp_path, capsys):

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from eigshape.convergence import (DegenerateFitError, RateFit, StudyConfig,
-                                  StudyRecord, fit_rate, gamma_sensitivity,
+                                  StudyRecord, _solve_level, fit_rate, gamma_sensitivity,
                                   loglog_svg, run_levels, run_study, write_csv)
-from eigshape.eig import Target
-from eigshape.fem import BoundaryCondition
-from eigshape.mesh import Domain
-from eigshape.reference import Provenance
+from eigshape.eig import Target, cluster, solve_lowest
+from eigshape.fem import BoundaryCondition, FemSpace, assemble_mass, assemble_stiffness
+from eigshape.mesh import Domain, generate
 from eigshape.shapegrad import Formula
+
+from conftest import record_pair_counts
 
 
 def synthetic_records(E_of_h, levels=(2, 3, 4, 5)):
@@ -57,14 +58,10 @@ def test_config_validation():
         StudyConfig(Domain.L_SHAPE, BoundaryCondition.DIRICHLET, 1, 3)
     with pytest.raises(ValueError):
         StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 1, 3,
-                    reference=Provenance.FINE_MESH, reference_level=4)
-    with pytest.raises(ValueError):
-        StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 1, 3,
-                    reference=Provenance.FINE_MESH)
+                    reference_level=4)
     with pytest.raises(ValueError, match="no analytic eigenpair on lshape"):
         StudyConfig(Domain.L_SHAPE, BoundaryCondition.DIRICHLET, 1, 3,
-                    target=Target.match_exact(), reference=Provenance.FINE_MESH,
-                    reference_level=5)
+                    target=Target.match_exact(), reference_level=5)
     # a rate fit needs three levels, so neither config could ever report one
     with pytest.raises(ValueError, match="at least 3 levels"):
         StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 5, 6)
@@ -116,8 +113,7 @@ def test_reference_consistency_analytic_vs_finemesh():
     base = StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 2, 4, gamma=2)
     ana = run_study(base)
     fm = run_study(StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 2, 4,
-                               gamma=2, reference=Provenance.FINE_MESH,
-                               reference_level=6))
+                               gamma=2, reference_level=6))
     assert abs(ana.volume_fit.slope - fm.volume_fit.slope) <= 0.1
     assert abs(ana.boundary_fit.slope - fm.boundary_fit.slope) <= 0.1
 
@@ -126,28 +122,32 @@ def test_finemesh_reference_tracks_the_study_cluster():
     # the 8 pi^2 eigenvalue is cluster 2 once the mesh-split 5 pi^2 pair is grouped
     cfg = StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 1, 3, gamma=1,
                       target=Target.index_within_cluster(2, 0), cluster_rel_gap=0.05,
-                      reference=Provenance.FINE_MESH, reference_level=5)
+                      reference_level=5)
     result = run_study(cfg)
     assert result.reference.lam == pytest.approx(8 * np.pi ** 2, rel=1e-3)
     assert result.records[-1].lambda_h == pytest.approx(8 * np.pi ** 2, rel=0.1)
 
 
 def test_study_and_reference_levels_ask_for_the_same_pair_count(monkeypatch):
-    from eigshape import convergence, eig, reference
-
-    requested = []
-
-    def recording(A, M, k, bc, **kwargs):
-        requested.append(k)
-        return eig.solve_lowest(A, M, k, bc, **kwargs)
-
-    # every module that could solve a level records, whether or not it binds the solver
-    for module in (convergence, reference):
-        monkeypatch.setattr(module, "solve_lowest", recording, raising=False)
-    run_study(StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 1, 3, gamma=1,
-                          num_pairs=4, reference=Provenance.FINE_MESH,
+    requested = record_pair_counts(monkeypatch)
+    run_study(StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.NEUMANN, 1, 3, gamma=1,
                           reference_level=5))
-    assert requested == [4] * 6
+    assert requested == [10] * 6
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_cluster_target_is_solved_past_the_end_of_its_cluster(level):
+    # max(6, 5 + 4) = 9 pairs end inside the mesh-split 17 pi^2 pair at these levels
+    cfg = StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 2, 4,
+                      target=Target.index_within_cluster(5, 1), cluster_rel_gap=0.05)
+    mesh = generate(Domain.UNIT_SQUARE, level)
+    _, pair = _solve_level(cfg, mesh)
+    space = FemSpace(mesh, cfg.bc)
+    M = assemble_mass(space)
+    clusters = cluster(solve_lowest(assemble_stiffness(space), M, 18, cfg.bc), M, 0.05)
+    assert clusters[5].multiplicity == 2
+    assert pair.lam == pytest.approx(clusters[5].lambdas[1], rel=1e-10)
+    assert pair.lam == pytest.approx(17 * np.pi ** 2, rel=0.1)
 
 
 def test_gamma_sensitivity_reports_rows():

@@ -7,15 +7,16 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigshape.eig import (EigenCluster, EigenPair, NonConvergenceError, Target,
-                          cluster, pick_target, solve_lowest, solve_lowest_dense)
+from eigshape.eig import (DEFAULT_REL_GAP, EigenCluster, EigenPair, NonConvergenceError,
+                          Target, cluster, pick_target, solve_lowest, solve_lowest_dense,
+                          solve_target)
 from eigshape.fem import BoundaryCondition, FemSpace, assemble_mass, assemble_stiffness
 from eigshape.mesh import Domain, generate, refine
 from eigshape.reference import exact_eigenpair
 from eigshape.shapegrad import Formula, directional_matrix
 from eigshape.velocity import monomial_field
 
-from conftest import assembled
+from conftest import assembled, record_pair_counts
 
 PI2 = np.pi ** 2
 
@@ -221,6 +222,51 @@ def test_pick_target_cluster_member_has_measured_residual(square_dirichlet_space
     assert pair.residual > 0.0
     assert pair.residual == pytest.approx(direct, rel=1e-12)
     assert pair.residual <= 1e-10
+
+
+@pytest.mark.parametrize("bc,target,rel_gap,expected", [
+    (BoundaryCondition.DIRICHLET, Target.first(), DEFAULT_REL_GAP, [1]),
+    (BoundaryCondition.NEUMANN, Target.first(), DEFAULT_REL_GAP, [10]),
+    (BoundaryCondition.NEUMANN, Target.match_exact(), DEFAULT_REL_GAP, [10]),
+    (BoundaryCondition.DIRICHLET, Target.index_within_cluster(0), DEFAULT_REL_GAP, [6]),
+    (BoundaryCondition.DIRICHLET, Target.index_within_cluster(5), DEFAULT_REL_GAP, [9]),
+    # 9 pairs end inside the mesh-split 17 pi^2 pair, so the count doubles once
+    (BoundaryCondition.DIRICHLET, Target.index_within_cluster(5, 1), 0.05, [9, 18]),
+])
+def test_solve_target_pair_count(monkeypatch, bc, target, rel_gap, expected):
+    _, space, A, M = assembled(Domain.UNIT_SQUARE, bc, 3)
+    exact_nodal = space.interpolate(exact_eigenpair(Domain.UNIT_SQUARE, bc).value)
+    requested = record_pair_counts(monkeypatch)
+    pair = solve_target(A, M, bc, target, rel_gap, exact_nodal=exact_nodal)
+    assert requested == expected
+    assert pair.residual <= 1e-10 and not pair.zero_mode
+
+
+def test_solve_target_caps_the_count_at_the_dof_count(monkeypatch):
+    _, space, A, M = assembled(Domain.UNIT_SQUARE, BoundaryCondition.NEUMANN, 0)
+    requested = record_pair_counts(monkeypatch)
+    solve_target(A, M, BoundaryCondition.NEUMANN, Target.first())
+    assert requested == [space.dof_count] == [9]
+
+
+def test_solve_target_cluster_closed_by_the_whole_spectrum(monkeypatch):
+    # a gap this wide makes one cluster of every pair; all 9 pairs close it
+    _, space, A, M = assembled(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 1)
+    requested = record_pair_counts(monkeypatch)
+    pair = solve_target(A, M, BoundaryCondition.DIRICHLET, Target.index_within_cluster(0, 8),
+                        rel_gap=10.0)
+    assert requested == [6, 9] and space.dof_count == 9
+    assert pair.residual <= 1e-10
+
+
+def test_solve_target_open_cluster_is_out_of_range(monkeypatch, square_dirichlet_space):
+    _, A, M = square_dirichlet_space
+    requested = record_pair_counts(monkeypatch)
+    with pytest.raises(ValueError, match="cluster:0,0 is out of range: its cluster could "
+                                         "not be closed within the 12 lowest of 225"):
+        solve_target(A, M, BoundaryCondition.DIRICHLET, Target.index_within_cluster(0),
+                     rel_gap=10.0)
+    assert requested == [6, 12]
 
 
 def test_dimension_and_argument_validation():

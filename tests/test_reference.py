@@ -7,12 +7,14 @@ from eigshape import convergence
 from eigshape.convergence import StudyConfig, reference_derivatives_for
 from eigshape.fem import BoundaryCondition
 from eigshape.mesh import Domain
-from eigshape.reference import (Provenance, UnsupportedDomainError, bessel_j0,
+from eigshape.reference import (UnsupportedDomainError, bessel_j0,
                                 bessel_j0_first_zero, bessel_j1,
                                 bessel_j1_first_zero, continuous_derivatives,
                                 exact_eigenpair, golden_values, ReferenceBudgetError)
 from eigshape.velocity import (VelocityBasis, build_basis, constant_field,
                                identity_field, rotation_field)
+
+from conftest import record_pair_counts
 
 ALL_EXACT = [(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET),
              (Domain.UNIT_SQUARE, BoundaryCondition.NEUMANN),
@@ -114,7 +116,7 @@ def test_continuous_derivatives_symmetries(domain, bc):
     probe = VelocityBasis(1, (constant_field(1.0, 0.0), constant_field(0.0, 1.0),
                               identity_field(), rotation_field()))
     ref = continuous_derivatives(domain, bc, probe)
-    assert ref.provenance is Provenance.ANALYTIC
+    assert ref.reference_level is None
     assert abs(ref.values[0]) <= 1e-10
     assert abs(ref.values[1]) <= 1e-10
     assert ref.values[2] == pytest.approx(-2.0 * ref.lam, rel=1e-9)
@@ -133,8 +135,7 @@ def test_continuous_derivatives_panel_doubling():
 
 def _finemesh_config(max_level, reference_level):
     return StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, max_level - 2,
-                       max_level, reference=Provenance.FINE_MESH,
-                       reference_level=reference_level)
+                       max_level, reference_level=reference_level)
 
 
 @pytest.mark.slow
@@ -142,14 +143,13 @@ def test_finemesh_square_cross_check_against_analytic():
     basis = build_basis(3)
     ana = continuous_derivatives(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, basis)
     fm = reference_derivatives_for(_finemesh_config(6, 8), basis)
-    assert fm.provenance is Provenance.FINE_MESH
     assert fm.reference_level == 8
     assert np.abs(fm.values - ana.values).max() <= 5e-5
 
 
 def test_finemesh_lshape_identity_and_lambda(lshape_dirichlet_study):
     ref = lshape_dirichlet_study.reference
-    assert ref.provenance is Provenance.FINE_MESH
+    assert ref.reference_level == 7
     assert ref.lam == pytest.approx(9.6397, abs=2e-3)
     # identity = (x1,0) + (0,x2): the derivative is linear in the field
     names = [f.name for f in build_basis(3).fields]
@@ -161,6 +161,15 @@ def test_finemesh_budget_error(monkeypatch):
     monkeypatch.setattr(convergence, "_REFERENCE_DOF_BUDGET", 1000)
     with pytest.raises(ReferenceBudgetError):
         reference_derivatives_for(_finemesh_config(5, 7), build_basis(1))
+
+
+def test_finemesh_budget_is_checked_before_any_solve(monkeypatch):
+    solved = record_pair_counts(monkeypatch)
+    # levels 5 and 6 fit in the budget; level 7 (66049 vertices) does not
+    monkeypatch.setattr(convergence, "_REFERENCE_DOF_BUDGET", 20000)
+    with pytest.raises(ReferenceBudgetError, match="level 7 has 66049 vertices"):
+        reference_derivatives_for(_finemesh_config(5, 7), build_basis(1))
+    assert solved == []
 
 
 def test_golden_values_content():

@@ -17,7 +17,8 @@ from eigshape.fem import FemSpace, assemble_mass, assemble_stiffness, element_gr
 from eigshape.mesh import boundary_normals
 from eigshape.quadrature import edge_rule, physical_points
 
-from conftest import BCS, DOMAINS, assembled, first_nonzero_pair
+from conftest import (BCS, DOMAINS, assembled, field_divergence, field_jacobian, field_value,
+                      first_nonzero_pair)
 
 
 def boundary_gradient_dirichlet(space, pair, field):
@@ -339,7 +340,7 @@ GENERAL_FIELDS = (
 def _pointwise_volume(space, U, lam, field):
     """Oracle: volume-form matrix of the basis columns U, fields evaluated pointwise."""
     pts, w, bary = physical_points(space.mesh, max(6, field.degree + 2))
-    DV, div = field.jacobian(pts), field.divergence(pts)
+    DV, div = field_jacobian(field, pts), field_divergence(field, pts)
     grads = [element_gradients(space, u) for u in U.T]
     uvals = [space.nodal_values(u)[space.mesh.triangles] @ bary.T for u in U.T]
     l = U.shape[1]
@@ -364,7 +365,7 @@ def _pointwise_boundary(space, U, lam, field):
     p0, p1 = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
     pts = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
     w = lengths[:, None] * wt[None, :]
-    vn = np.einsum("ema,ea->em", field.evaluate(pts), normals)
+    vn = np.einsum("ema,ea->em", field_value(field, pts), normals)
     grads = [element_gradients(space, u)[edges[:, 2]] for u in U.T]
     dudn = [np.einsum("ea,ea->e", g, normals) for g in grads]
     tang = [g - d[:, None] * normals for g, d in zip(grads, dudn)]
@@ -421,6 +422,6 @@ def test_general_fields_continuous_reference_matches_pointwise_evaluation(domain
     else:
         tang = grad - dudn[:, None] * normals
         density = np.einsum("na,na->n", tang, tang) - exact.lam * exact.value(pts) ** 2
-    oracle = [np.sum(w * density * np.einsum("na,na->n", f.evaluate(pts), normals))
+    oracle = [np.sum(w * density * np.einsum("na,na->n", field_value(f, pts), normals))
               for f in GENERAL_FIELDS]
     _assert_close(ref.values, oracle)

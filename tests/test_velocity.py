@@ -10,6 +10,8 @@ from eigshape.velocity import (FactorizationError, Gramian, VelocityBasis, Veloc
                                _factorize, build_basis, constant_field, dual_norm,
                                gramian, identity_field, monomial_field, rotation_field)
 
+from conftest import field_divergence, field_jacobian, field_value
+
 _CHUNK = 200_000  # quadrature points per oracle evaluation chunk
 
 
@@ -23,8 +25,8 @@ def _gramian_generic(basis, mesh):
     K = np.zeros((q, q))
     for lo in range(0, flat.shape[0], _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, flat.shape[0]))
-        V = np.stack([f.evaluate(flat[sl]) for f in basis.fields])        # (q, m, 2)
-        D = np.stack([f.jacobian(flat[sl]) for f in basis.fields])        # (q, m, 2, 2)
+        V = np.stack([field_value(f, flat[sl]) for f in basis.fields])        # (q, m, 2)
+        D = np.stack([field_jacobian(f, flat[sl]) for f in basis.fields])        # (q, m, 2, 2)
         K += np.einsum("imc,jmc,m->ij", V, V, w[sl], optimize=True)
         K += np.einsum("imab,jmab,m->ij", D, D, w[sl], optimize=True)
     return K
@@ -47,7 +49,8 @@ def test_basis_ordering_deterministic():
 def eval_field(field, point):
     """(V, DV, div V) at a single point."""
     p = np.asarray(point, dtype=float)
-    return field.evaluate(p), field.jacobian(p), float(field.divergence(p))
+    return (field_value(field, p), field_jacobian(field, p),
+            float(field_divergence(field, p)))
 
 
 def test_eval_simple_fields():
