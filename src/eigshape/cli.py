@@ -209,7 +209,7 @@ def cmd_gradient(args) -> int:
     domain, bc = _DOMAINS[args.domain], _BCS[args.bc]
     fld = parse_field(args.field)  # a bad spec is a ValueError: exit 2 from main
     _, space, A, M = _pencil(domain, bc, args.level)
-    pair = solve_target(A, M, bc, Target.first())
+    pair, _ = solve_target(A, M, bc, Target.first())
     if shapegrad.Formula(args.formula) is shapegrad.Formula.VOLUME:
         value = shapegrad.volume_gradients(space, pair, (fld,))[0]
     else:
@@ -315,7 +315,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (NonConvergenceError, FactorizationError, conv.DegenerateFitError,
-            refmod.ReferenceBudgetError) as exc:
+            conv.TrackingError, refmod.ReferenceBudgetError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

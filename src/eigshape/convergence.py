@@ -29,6 +29,10 @@ class DegenerateFitError(RuntimeError):
     """An E value in the fit window is zero up to roundoff (exact-identity field set)."""
 
 
+class TrackingError(RuntimeError):
+    """The tracked eigenvalue is not the one the analytic reference belongs to."""
+
+
 _DEGENERATE_FLOOR = 1e-12  # dual-norm values below this are roundoff of an exact zero
 _REFERENCE_DOF_BUDGET = 1_500_000  # most vertices a fine-mesh reference level may have
 
@@ -88,14 +92,14 @@ class StudyResult:
     reference: refmod.ReferenceDerivatives
 
 
-def _solve_level(cfg: StudyConfig, mesh) -> tuple[FemSpace, EigenPair]:
-    """The study's target eigenpair on one mesh; study and reference levels alike."""
+def _solve_level(cfg: StudyConfig, mesh) -> tuple[FemSpace, EigenPair, np.ndarray]:
+    """Target pair and nonzero eigenvalues on one mesh; study and reference levels alike."""
     space = FemSpace(mesh, cfg.bc)
     exact_nodal = None
     if cfg.target.kind is TargetKind.MATCH_EXACT:
         exact_nodal = space.interpolate(refmod.exact_eigenpair(cfg.domain, cfg.bc).value)
-    return space, solve_target(assemble_stiffness(space), assemble_mass(space), cfg.bc,
-                               cfg.target, cfg.cluster_rel_gap, exact_nodal=exact_nodal)
+    return (space, *solve_target(assemble_stiffness(space), assemble_mass(space), cfg.bc,
+                                 cfg.target, cfg.cluster_rel_gap, exact_nodal=exact_nodal))
 
 
 def reference_derivatives_for(cfg: StudyConfig, basis) -> refmod.ReferenceDerivatives:
@@ -112,7 +116,7 @@ def reference_derivatives_for(cfg: StudyConfig, basis) -> refmod.ReferenceDeriva
     values, lams = [], []
     for lv in range(cfg.reference_level - 2, cfg.reference_level + 1):
         mesh = finest if lv == cfg.reference_level else generate(cfg.domain, lv)
-        space, pair = _solve_level(cfg, mesh)
+        space, pair, _ = _solve_level(cfg, mesh)
         values.append(shapegrad.volume_gradients(space, pair, basis.fields))
         lams.append(pair.lam)
     return refmod.extrapolated_reference(values, lams, cfg.domain, cfg.bc,
@@ -127,7 +131,7 @@ def run_levels(cfg: StudyConfig) -> tuple[list[StudyRecord], refmod.ReferenceDer
     for level in range(cfg.min_level, cfg.max_level + 1):
         if level > cfg.min_level:
             mesh = refine(mesh)
-        space, pair = _solve_level(cfg, mesh)
+        space, pair, lams = _solve_level(cfg, mesh)
         K = gramian(basis, mesh)
         vol = shapegrad.volume_gradients(space, pair, basis.fields)
         bnd = shapegrad.boundary_gradients(space, pair, basis.fields)
@@ -135,6 +139,14 @@ def run_levels(cfg: StudyConfig) -> tuple[list[StudyRecord], refmod.ReferenceDer
             level=level, h=mesh_size(mesh), dof=space.dof_count, lambda_h=pair.lam,
             E_volume=dual_norm(ref.values - vol, K),
             E_boundary=dual_norm(ref.values - bnd, K)))
+    if cfg.reference_level is None:  # the analytic reference is nearest the tracked lam_h
+        others = np.delete(lams, np.argmin(np.abs(lams - pair.lam)))
+        nearest = others[np.argmin(np.abs(others - ref.lam))] if others.size else pair.lam
+        if abs(nearest - ref.lam) < abs(pair.lam - ref.lam):
+            raise TrackingError(
+                f"the study tracks lambda_h = {pair.lam!r} at level {level}, but the analytic "
+                f"reference lambda = {ref.lam!r} is nearer the computed eigenvalue "
+                f"{float(nearest)!r}: the target does not follow the reference eigenpair")
     return records, ref
 
 

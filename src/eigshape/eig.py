@@ -173,8 +173,9 @@ def pick_target(pairs: list[EigenPair], A, M, target: Target,
 
 def solve_target(A, M, bc: BoundaryCondition, target: Target,
                  rel_gap: float = DEFAULT_REL_GAP,
-                 exact_nodal: np.ndarray | None = None) -> EigenPair:
-    """Solve as many of the lowest pairs as the target needs, then pick it.
+                 exact_nodal: np.ndarray | None = None) -> tuple[EigenPair, np.ndarray]:
+    """Solve as many of the lowest pairs as the target needs, then pick it;
+    returns the pair and the computed nonzero eigenvalues, ascending.
 
     The one pair-count rule: 1 for a Dirichlet `first`, 10 for a Neumann
     `first` and for `match_exact`, max(6, i + 4) for `cluster:i,j`, at most
@@ -192,7 +193,8 @@ def solve_target(A, M, bc: BoundaryCondition, target: Target,
         live = [p for p in pairs if not p.zero_mode]
         if (target.kind is not TargetKind.INDEX_WITHIN_CLUSTER or k == n
                 or target.cluster_index < len(cluster(live, M, rel_gap)) - 1):
-            return pick_target(pairs, A, M, target, exact_nodal=exact_nodal, rel_gap=rel_gap)
+            pair = pick_target(pairs, A, M, target, exact_nodal=exact_nodal, rel_gap=rel_gap)
+            return pair, np.array([p.lam for p in live])
     raise ValueError(
         f"target cluster:{target.cluster_index},{target.member} is out of range: its "
         f"cluster could not be closed within the {k} lowest of {n} eigenpairs at "

@@ -74,6 +74,17 @@ def physical_points(mesh: Mesh, degree: int) -> tuple[np.ndarray, np.ndarray, np
     return pts, wts, bary
 
 
+def boundary_points(mesh: Mesh, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge-rule points (ne, npts, 2), weights (ne, npts) and edge parameters t
+    (npts,), from v0 (t = 0) to v1, over the boundary edges in row order."""
+    t, w = edge_rule(degree)
+    p0 = mesh.vertices[mesh.boundary_edges[:, 0]]
+    p1 = mesh.vertices[mesh.boundary_edges[:, 1]]
+    pts = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
+    wts = np.linalg.norm(p1 - p0, axis=1)[:, None] * w[None, :]
+    return pts, wts, t
+
+
 def moments(points: np.ndarray, weights: np.ndarray, values: np.ndarray,
             degree: int) -> np.ndarray:
     """Weighted monomial moments out[k, p, q] = sum of w * values[k] * x1^p x2^q.

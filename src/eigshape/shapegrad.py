@@ -29,7 +29,7 @@ import numpy as np
 from .eig import EigenCluster, EigenPair
 from .fem import BoundaryCondition, FemSpace, element_gradients
 from .mesh import boundary_normals
-from .quadrature import edge_rule, moments, physical_points
+from .quadrature import boundary_points, moments, physical_points
 from .velocity import VelocityField, coefficient_stack
 
 _BASE_DEGREE = 6  # volume rule exact for degree max(6, field degree + 2)
@@ -151,13 +151,9 @@ def _boundary_tables(space: FemSpace, basis: np.ndarray, lam: float, size: int) 
     """T[e, c, p, q] per basis entry as in _volume_tables; density by the space's bc."""
     mesh = space.mesh
     edges = mesh.boundary_edges
-    normals, lengths = boundary_normals(mesh)
+    normals, _ = boundary_normals(mesh)
     dirichlet = space.bc is BoundaryCondition.DIRICHLET
-    t, w = edge_rule(size - 1 + (0 if dirichlet else 2))
-    p0 = mesh.vertices[edges[:, 0]]
-    p1 = mesh.vertices[edges[:, 1]]
-    points = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
-    weights = lengths[:, None] * w[None, :]
+    points, weights, t = boundary_points(mesh, size - 1 + (0 if dirichlet else 2))
     i, j = np.triu_indices(basis.shape[1])
     grads = np.stack([element_gradients(space, u)[edges[:, 2]] for u in basis.T])  # (l, ne, 2)
     dudn = np.einsum("lea,ea->le", grads, normals)

@@ -6,7 +6,8 @@ derivative coefficients) is contracted against moment tables. The basis spans
 both components of every monomial of total degree <= gamma, giving
 q = 2*C(gamma+2, 2) fields.
 The dual norm of an error vector w is sqrt(w^T K^{-1} w) with K the H1
-Gramian of the basis over the (discrete) domain.
+Gramian of the basis over the (discrete) domain, built from the domain's
+monomial moments as boundary-edge integrals (Green's theorem).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .mesh import Mesh
-from .quadrature import moments, physical_points
+from .mesh import Mesh, boundary_normals
+from .quadrature import boundary_points, moments
 
 log = logging.getLogger(__name__)
 
@@ -124,14 +125,19 @@ def gramian(basis: VelocityBasis, mesh: Mesh) -> Gramian:
 
     K[f, g] sums the integrals of V_f . V_g and DV_f : DV_g. Both are sums of
     monomial products, so K contracts the coefficient stack twice against the
-    Hankel array H[i, j, k, l] = mom[i + k, j + l] of the mesh moments, taken
-    with a triangle rule exact for twice the largest field degree. Any
-    polynomial basis works.
+    Hankel array H[i, j, k, l] = mom[i + k, j + l] of the moments
+    mom[p, q] = int x1^p x2^q, p + q <= d, d twice the largest field degree.
+    By Green's theorem mom[p, q] = oint x1^(p+1) x2^q n_x ds / (p + 1), and
+    edge_rule(d + 1) on the straight boundary edges is exact for it: O(boundary
+    edges) work, exact on the polygonal mesh domain (for the disk, the
+    inscribed polygon). Any polynomial basis works.
     """
     size = max(f.degree for f in basis.fields) + 1
     degree = 2 * (size - 1)
-    pts, wts, _ = physical_points(mesh, degree)
-    mom = moments(pts, wts, np.ones((1, pts.shape[0], 1)), degree)[0]
+    pts, wts, _ = boundary_points(mesh, degree + 1)
+    n_x = boundary_normals(mesh)[0][:, 0]
+    flux = moments(pts, wts, n_x[None, :, None], degree + 1)[0]
+    mom = flux[1:, :-1] / np.arange(1, degree + 2)[:, None]
     idx = np.arange(size)
     hankel = mom[idx[:, None, None, None] + idx[None, None, :, None],
                  idx[None, :, None, None] + idx[None, None, None, :]]

@@ -97,14 +97,37 @@ def test_too_few_levels_is_rejected_before_any_solve(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
-@pytest.mark.parametrize("target", ["first", "match_exact"])
-def test_neumann_study_from_level_zero(tmp_path, target):
-    # level 0 has 9 dofs, fewer than the 10 pairs either target asks for
+@pytest.mark.parametrize("target,reference", [("first", "finemesh:4"),
+                                              ("match_exact", "analytic")],
+                         ids=["first", "match_exact"])
+def test_neumann_study_from_level_zero(tmp_path, target, reference):
+    # level 0 has 9 dofs, fewer than the 10 pairs either target asks for; `first`
+    # tracks pi^2, and the square's analytic Neumann reference is the 2 pi^2 mode
     cfg = tmp_path / "coarse.cfg"
     cfg.write_text(MINI_CONFIG.replace("bc = dirichlet", "bc = neumann")
                    .replace("min_level = 1", "min_level = 0")
-                   .replace("max_level = 3", "max_level = 2") + f"target = {target}\n")
+                   .replace("max_level = 3", "max_level = 2")
+                   + f"target = {target}\nreference = {reference}\n")
     assert run_cli("study", str(cfg), "--out", str(tmp_path)) == 0
+
+
+@pytest.mark.parametrize("bc,target,tracked", [
+    ("dirichlet", "cluster:1,0\ncluster_rel_gap = 0.05", "lambda_h = 49.399"),
+    ("dirichlet", "cluster:30,0", "lambda_h = 498.6"),
+    ("neumann", "first", "lambda_h = 9.87"),
+], ids=["dirichlet_cluster_1_0_gap_0.05", "dirichlet_cluster_30_0", "neumann_first"])
+def test_analytic_reference_of_another_eigenvalue_is_numerical_failure(
+        tmp_path, capsys, bc, target, tracked):
+    # the square's analytic reference is 2 pi^2 for both bcs; these targets track
+    # 5 pi^2, about 499 and pi^2, so each would fit a rate against the wrong pair
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text(MINI_CONFIG.replace("bc = dirichlet", f"bc = {bc}")
+                   .replace("min_level = 1", "min_level = 3")
+                   .replace("max_level = 3", "max_level = 5") + f"target = {target}\n")
+    assert run_cli("study", str(cfg), "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert tracked in err and "analytic reference lambda = 19.7392088021787" in err
+    assert not (tmp_path / "other.csv").exists()
 
 
 def test_invalid_domain_is_usage_error():
@@ -273,7 +296,7 @@ def test_gradient_prints_the_study_level_value(capsys):
     from eigshape.mesh import Domain, generate
 
     cfg = convergence.StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.NEUMANN, 3, 5)
-    space, pair = convergence._solve_level(cfg, generate(cfg.domain, cfg.min_level))
+    space, pair, _ = convergence._solve_level(cfg, generate(cfg.domain, cfg.min_level))
     study = shapegrad.volume_gradients(space, pair, (parse_field("mono:1,1,0"),))[0]
     assert run_cli("gradient", "--domain", "square", "--bc", "neumann", "--level", "3",
                    "--field", "mono:1,1,0", "--formula", "volume") == 0

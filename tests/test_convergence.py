@@ -141,7 +141,7 @@ def test_cluster_target_is_solved_past_the_end_of_its_cluster(level):
     cfg = StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 2, 4,
                       target=Target.index_within_cluster(5, 1), cluster_rel_gap=0.05)
     mesh = generate(Domain.UNIT_SQUARE, level)
-    _, pair = _solve_level(cfg, mesh)
+    _, pair, _ = _solve_level(cfg, mesh)
     space = FemSpace(mesh, cfg.bc)
     M = assemble_mass(space)
     clusters = cluster(solve_lowest(assemble_stiffness(space), M, 18, cfg.bc), M, 0.05)

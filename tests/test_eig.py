@@ -237,9 +237,11 @@ def test_solve_target_pair_count(monkeypatch, bc, target, rel_gap, expected):
     _, space, A, M = assembled(Domain.UNIT_SQUARE, bc, 3)
     exact_nodal = space.interpolate(exact_eigenpair(Domain.UNIT_SQUARE, bc).value)
     requested = record_pair_counts(monkeypatch)
-    pair = solve_target(A, M, bc, target, rel_gap, exact_nodal=exact_nodal)
+    pair, lams = solve_target(A, M, bc, target, rel_gap, exact_nodal=exact_nodal)
     assert requested == expected
     assert pair.residual <= 1e-10 and not pair.zero_mode
+    # the computed nonzero eigenvalues come back with the pair, the tracked one among them
+    assert np.all(lams > 0.0) and np.all(np.diff(lams) >= 0.0) and pair.lam in lams
 
 
 def test_solve_target_caps_the_count_at_the_dof_count(monkeypatch):
@@ -253,8 +255,8 @@ def test_solve_target_cluster_closed_by_the_whole_spectrum(monkeypatch):
     # a gap this wide makes one cluster of every pair; all 9 pairs close it
     _, space, A, M = assembled(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 1)
     requested = record_pair_counts(monkeypatch)
-    pair = solve_target(A, M, BoundaryCondition.DIRICHLET, Target.index_within_cluster(0, 8),
-                        rel_gap=10.0)
+    pair, _ = solve_target(A, M, BoundaryCondition.DIRICHLET, Target.index_within_cluster(0, 8),
+                           rel_gap=10.0)
     assert requested == [6, 9] and space.dof_count == 9
     assert pair.residual <= 1e-10
 

@@ -1,10 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigshape.mesh import Domain, generate
+from eigshape import quadrature
+from eigshape.mesh import Domain, Mesh, generate, signed_areas
 from eigshape.quadrature import physical_points
 from eigshape.velocity import (FactorizationError, Gramian, VelocityBasis, VelocityField,
                                _factorize, build_basis, constant_field, dual_norm,
@@ -111,6 +114,51 @@ def test_gramian_multi_term_basis_matches_pointwise_oracle(domain):
     oracle = _gramian_generic(basis, m)
     oracle = 0.5 * (oracle + oracle.T)
     assert np.abs(K - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def _boundary_fan(mesh):
+    """The mesh's polygon as the fan of triangles (origin, v0, v1) over its boundary
+    edges. With signed areas the fan integrates exactly over the polygon for any
+    apex, with O(boundary edges) triangles instead of the mesh's."""
+    verts = np.vstack([[0.0, 0.0], mesh.vertices])
+    apex = np.zeros((len(mesh.boundary_edges), 1), dtype=np.int64)
+    tris = np.hstack([apex, mesh.boundary_edges[:, :2] + 1])
+    return Mesh(verts, tris, np.empty((0, 3), dtype=np.int64), mesh.domain, mesh.level)
+
+
+@pytest.mark.parametrize("gamma", range(7))
+@pytest.mark.parametrize("level", range(6))
+@pytest.mark.parametrize("domain", [Domain.UNIT_SQUARE, Domain.UNIT_DISK, Domain.L_SHAPE])
+def test_gramian_matches_pointwise_oracle_on_the_mesh_polygon(domain, level, gamma):
+    # the oracle runs on the boundary fan, which covers the same polygon as the
+    # mesh: on the mesh itself level 5 at gamma 6 takes seconds and a gigabyte
+    m = generate(domain, level)
+    K = gramian(build_basis(gamma), m)
+    oracle = _gramian_generic(build_basis(gamma), _boundary_fan(m))
+    oracle = 0.5 * (oracle + oracle.T)
+    assert np.abs(K.matrix - oracle).max() <= 1e-13 * np.abs(oracle).max()
+    assert K.condition == pytest.approx(np.linalg.cond(oracle), rel=1e-8)
+
+
+@pytest.mark.parametrize("level", range(6))
+@pytest.mark.parametrize("domain", [Domain.UNIT_SQUARE, Domain.UNIT_DISK, Domain.L_SHAPE])
+def test_gramian_boundary_moments_give_the_mesh_area(domain, level):
+    # with gamma = 0, K = int 1 * identity; the triangle areas sum to the same
+    m = generate(domain, level)
+    area = signed_areas(m).sum()
+    assert gramian(build_basis(0), m).matrix[0, 0] == pytest.approx(area, rel=1e-14)
+
+
+def test_gramian_does_not_visit_the_triangles(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("physical_points called")
+
+    original = quadrature.physical_points
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "eigshape" and vars(module).get("physical_points") is original:
+            monkeypatch.setattr(module, "physical_points", refuse)
+    K = gramian(build_basis(3), generate(Domain.L_SHAPE, 3))
+    assert K.matrix[0, 0] == pytest.approx(3.0, rel=1e-14)
 
 
 def test_gramian_generic_path_for_custom_basis():
