@@ -225,9 +225,9 @@ def cmd_study(args) -> int:
         print(f"error: config file {cfg_path} not found", file=sys.stderr)
         return 2
     cfg, snapshot = parse_config(cfg_path)  # a ConfigError is a ValueError: exit 2
+    result = conv.run_study(cfg)  # a failed study leaves no --out directory behind
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = conv.run_study(cfg)
     stem = cfg_path.stem
     csv_path = out_dir / f"{stem}.csv"
     svg_path = out_dir / f"{stem}.svg"

@@ -7,10 +7,14 @@ area 1/2; physical weights are w * 2|K|.
 
 Every polynomial integral in the package goes through `moments`: weighted
 monomial moment tables that polynomial coefficients are contracted against.
+One call serves every value array on a rule, so each chunk of points builds
+its monomial table once: point-major, then copied to cell-major order for the
+contraction, which keeps every sum in the order that rounds as before.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -85,33 +89,43 @@ def boundary_points(mesh: Mesh, degree: int) -> tuple[np.ndarray, np.ndarray, np
     return pts, wts, t
 
 
-def moments(points: np.ndarray, weights: np.ndarray, values: np.ndarray,
-            degree: int) -> np.ndarray:
-    """Weighted monomial moments out[k, p, q] = sum of w * values[k] * x1^p x2^q.
+def moments(points: np.ndarray, weights: np.ndarray, values: Sequence[np.ndarray],
+            degree: int) -> list[np.ndarray]:
+    """Weighted monomial moments out[k, p, q] = sum of w * values[k] * x1^p x2^q,
+    one table per array in values.
 
     points (n, npts, 2) and weights (n, npts) hold a rule over n cells
-    (triangles or edges); values is (k, n, 1) when constant per cell or
-    (k, n, npts) per point. The table is square, p, q <= degree; entries
-    with p + q beyond the rule's exactness are left to the caller to ignore.
-    Cells are streamed in chunks so no (k, points, table) array is built.
+    (triangles or edges); each value array is (k, n, 1) when constant per
+    cell or (k, n, npts) per point. The tables are square, p, q <= degree;
+    entries with p + q beyond the rule's exactness are left to the caller to
+    ignore. Cells are streamed in chunks so no (k, points, table) array is
+    built. Each chunk builds its monomials once for all arrays, and sums them
+    over the points once if any array is cell-constant. Powers and products
+    are built point-major, (table, cells * npts), so numpy's inner loops run
+    over points, not over a table row of degree + 1; the product is copied
+    to (cells * npts, table) order before the sum and the matrix products,
+    which round differently on the transposed layout.
     """
-    k, n, nv = values.shape
-    npts = points.shape[1]
+    n, npts = points.shape[:2]
     size = degree + 1
-    out = np.zeros((k, size * size))
+    outs = [np.zeros((v.shape[0], size * size)) for v in values]
     step = max(1, _CHUNK_POINTS // npts)
     for lo in range(0, n, step):
         sl = slice(lo, min(lo + step, n))
+        m = sl.stop - lo
         # powers by repeated products: libm pow is slow on negative bases
-        xp = np.empty(points[sl].shape[:2] + (size,))
+        xp = np.empty((size, m * npts))
         yp = np.empty_like(xp)
-        xp[..., 0] = weights[sl]  # xp[..., p] = w x1^p
-        yp[..., 0] = 1.0
+        xp[0] = weights[sl].ravel()  # xp[p] = w x1^p
+        yp[0] = 1.0
+        x, y = points[sl, :, 0].ravel(), points[sl, :, 1].ravel()
         for d in range(1, size):
-            xp[..., d] = xp[..., d - 1] * points[sl, :, 0]
-            yp[..., d] = yp[..., d - 1] * points[sl, :, 1]
-        mono = (xp[..., :, None] * yp[..., None, :]).reshape(xp.shape[0], npts, -1)
-        if nv == 1:
-            mono = mono.sum(axis=1)
-        out += values[:, sl].reshape(k, -1) @ mono.reshape(-1, size * size)
-    return out.reshape(k, size, size)
+            xp[d] = xp[d - 1] * x
+            yp[d] = yp[d - 1] * y
+        monoT = (xp[:, None, :] * yp[None, :, :]).reshape(size * size, -1)
+        mono = np.ascontiguousarray(monoT.T).reshape(m, npts, -1)
+        summed = mono.sum(axis=1) if any(v.shape[2] == 1 for v in values) else None
+        for v, out in zip(values, outs):
+            table = summed if v.shape[2] == 1 else mono
+            out += v[:, sl].reshape(v.shape[0], -1) @ table.reshape(-1, size * size)
+    return [out.reshape(-1, size, size) for out in outs]

@@ -122,7 +122,7 @@ def _boundary_form_tables(points, weights, normals, density, size: int) -> np.nd
     """T[e, c, p, q]: moments x^p y^q of density_e n_c, for boundary_form."""
     values = density[:, None] * np.moveaxis(normals, -1, 0)  # (e, 2, n, npts or 1)
     e = density.shape[0]
-    T = moments(points, weights, values.reshape((2 * e,) + values.shape[2:]), size - 1)
+    [T] = moments(points, weights, [values.reshape((2 * e,) + values.shape[2:])], size - 1)
     return T.reshape(e, 2, size, size)
 
 
@@ -137,9 +137,9 @@ def _volume_tables(space: FemSpace, basis: np.ndarray, lam: float, size: int) ->
     uvals = np.stack([space.nodal_values(u)[tris] @ bary.T for u in basis.T])
     # G[e, a, b]: moments of g_i,a g_j,b (constant per triangle); U: of u_i u_j
     gg = grads[i, :, :, None] * grads[j, :, None, :]
-    G = moments(points, weights, gg.transpose(0, 2, 3, 1).reshape(-1, nt, 1), size - 1)
+    G, U = moments(points, weights,
+                   [gg.transpose(0, 2, 3, 1).reshape(-1, nt, 1), uvals[i] * uvals[j]], size - 1)
     G = G.reshape(len(i), 2, 2, size, size)
-    U = moments(points, weights, uvals[i] * uvals[j], size - 1)
     T = -(G + G.transpose(0, 2, 1, 3, 4))
     scalar = G[:, 0, 0] + G[:, 1, 1] - lam * U
     T[:, 0, 0] += scalar

@@ -124,10 +124,11 @@ def test_analytic_reference_of_another_eigenvalue_is_numerical_failure(
     cfg.write_text(MINI_CONFIG.replace("bc = dirichlet", f"bc = {bc}")
                    .replace("min_level = 1", "min_level = 3")
                    .replace("max_level = 3", "max_level = 5") + f"target = {target}\n")
-    assert run_cli("study", str(cfg), "--out", str(tmp_path)) == 1
+    out = tmp_path / "new" / "out"
+    assert run_cli("study", str(cfg), "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert tracked in err and "analytic reference lambda = 19.7392088021787" in err
-    assert not (tmp_path / "other.csv").exists()
+    assert not out.exists()  # a failed study writes nothing, not even --out
 
 
 def test_invalid_domain_is_usage_error():
