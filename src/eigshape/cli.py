@@ -20,7 +20,7 @@ from . import __version__
 from . import convergence as conv
 from . import reference as refmod
 from . import shapegrad
-from .eig import NonConvergenceError, Target, TargetKind, solve_lowest, solve_target
+from .eig import NonConvergenceError, Target, solve_lowest, solve_target
 from .fem import BoundaryCondition, FemSpace, assemble_mass, assemble_stiffness
 from .mesh import Domain, export_text, generate, mesh_size
 from .velocity import (FactorizationError, VelocityField, constant_field,
@@ -113,16 +113,6 @@ def parse_config(path: Path) -> tuple[conv.StudyConfig, dict]:
             raise ValueError(f"expected one of {sorted(_BCS)}")
         return _BCS[v]
 
-    def to_target(v):
-        if v == "first":
-            return Target.first()
-        if v == "match_exact":
-            return Target.match_exact()
-        if v.startswith("cluster:"):
-            i, j = (int(s) for s in v[len("cluster:"):].split(","))
-            return Target.index_within_cluster(i, j)
-        raise ValueError("expected first | match_exact | cluster:i,j")
-
     def to_reference_level(v):
         if v == "analytic":
             return None
@@ -135,8 +125,8 @@ def parse_config(path: Path) -> tuple[conv.StudyConfig, dict]:
             raise ConfigError("missing required key", key=key)
     # keys absent from the file take StudyConfig's defaults
     converters = {"domain": to_domain, "bc": to_bc, "min_level": int, "max_level": int,
-                  "gamma": int, "target": to_target, "cluster_rel_gap": float,
-                  "fit_window": int, "reference": to_reference_level}
+                  "gamma": int, "target": Target.parse, "fit_window": int,
+                  "reference": to_reference_level}
     kwargs = {key: take(key, convert) for key, convert in converters.items() if key in raw}
     if "reference" in kwargs:
         kwargs["reference_level"] = kwargs.pop("reference")
@@ -152,20 +142,15 @@ def parse_config(path: Path) -> tuple[conv.StudyConfig, dict]:
 
 def _snapshot(cfg: conv.StudyConfig) -> dict:
     """Config as config-file values; feeding these back reproduces the run."""
-    if cfg.target.kind is TargetKind.INDEX_WITHIN_CLUSTER:
-        target = f"cluster:{cfg.target.cluster_index},{cfg.target.member}"
-    else:
-        target = cfg.target.kind.value
     return {
         "domain": cfg.domain.value,
         "bc": cfg.bc.value,
         "min_level": cfg.min_level,
         "max_level": cfg.max_level,
         "gamma": cfg.gamma,
-        "target": target,
+        "target": str(cfg.target),
         "reference": ("analytic" if cfg.reference_level is None
                       else f"finemesh:{cfg.reference_level}"),
-        "cluster_rel_gap": cfg.cluster_rel_gap,
         "fit_window": cfg.fit_window,
     }
 

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import reference as refmod
 from . import shapegrad
-from .eig import DEFAULT_REL_GAP, EigenPair, Target, TargetKind, solve_target
+from .eig import EigenPair, Target, TargetKind, solve_target
 from .fem import BoundaryCondition, FemSpace, assemble_mass, assemble_stiffness
-from .mesh import Domain, generate, mesh_size, refine
+from .mesh import Domain, generate, mesh_size, refine, vertex_count
 from .velocity import build_basis, dual_norm, gramian
 
 
@@ -46,7 +46,6 @@ class StudyConfig:
     gamma: int = 3
     target: Target = field(default_factory=Target.first)
     reference_level: int | None = None  # None: analytic reference, else fine-mesh level
-    cluster_rel_gap: float = DEFAULT_REL_GAP
     fit_window: int = 4
 
     def __post_init__(self):
@@ -99,7 +98,7 @@ def _solve_level(cfg: StudyConfig, mesh) -> tuple[FemSpace, EigenPair, np.ndarra
     if cfg.target.kind is TargetKind.MATCH_EXACT:
         exact_nodal = space.interpolate(refmod.exact_eigenpair(cfg.domain, cfg.bc).value)
     return (space, *solve_target(assemble_stiffness(space), assemble_mass(space), cfg.bc,
-                                 cfg.target, cfg.cluster_rel_gap, exact_nodal=exact_nodal))
+                                 cfg.target, exact_nodal=exact_nodal))
 
 
 def reference_derivatives_for(cfg: StudyConfig, basis) -> refmod.ReferenceDerivatives:
@@ -107,20 +106,18 @@ def reference_derivatives_for(cfg: StudyConfig, basis) -> refmod.ReferenceDeriva
     reference levels, Richardson-extrapolated."""
     if cfg.reference_level is None:
         return refmod.continuous_derivatives(cfg.domain, cfg.bc, basis)
-    # the finest level is the largest, so its budget check comes before any solve
-    finest = generate(cfg.domain, cfg.reference_level)
-    if finest.num_vertices > _REFERENCE_DOF_BUDGET:
+    # the finest level is the largest, so its budget check comes before any mesh
+    vertices = vertex_count(cfg.domain, cfg.reference_level)
+    if vertices > _REFERENCE_DOF_BUDGET:
         raise refmod.ReferenceBudgetError(
-            f"level {cfg.reference_level} has {finest.num_vertices} vertices, "
+            f"level {cfg.reference_level} has {vertices} vertices, "
             f"budget {_REFERENCE_DOF_BUDGET}")
     values, lams = [], []
     for lv in range(cfg.reference_level - 2, cfg.reference_level + 1):
-        mesh = finest if lv == cfg.reference_level else generate(cfg.domain, lv)
-        space, pair, _ = _solve_level(cfg, mesh)
+        space, pair, _ = _solve_level(cfg, generate(cfg.domain, lv))
         values.append(shapegrad.volume_gradients(space, pair, basis.fields))
         lams.append(pair.lam)
-    return refmod.extrapolated_reference(values, lams, cfg.domain, cfg.bc,
-                                         cfg.reference_level)
+    return refmod.extrapolated_reference(values, lams, cfg.reference_level)
 
 
 def run_levels(cfg: StudyConfig) -> tuple[list[StudyRecord], refmod.ReferenceDerivatives]:

@@ -8,6 +8,7 @@ ordering but flagged so downstream target selection can skip it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -21,7 +22,6 @@ from .fem import BoundaryCondition
 _START_SEED = 20240817
 _NEUMANN_SIGMA = 0.1
 _ZERO_MODE_REL = 1e-8
-DEFAULT_REL_GAP = 1e-6  # consecutive eigenvalues this close (relative) form one cluster
 
 
 class NonConvergenceError(RuntimeError):
@@ -69,11 +69,35 @@ class TargetKind(Enum):
 
 @dataclass(frozen=True)
 class Target:
-    """Which eigenpair a study tracks across refinement levels."""
+    """Which eigenpair a study tracks across refinement levels; a cluster
+    target states the relative gap within which eigenvalues group."""
 
     kind: TargetKind = TargetKind.FIRST
     cluster_index: int = 0
     member: int = 0
+    rel_gap: float | None = None
+
+    def __post_init__(self):
+        if self.kind is TargetKind.INDEX_WITHIN_CLUSTER and not (
+                min(self.cluster_index, self.member) >= 0 and 0 < self.rel_gap < math.inf):
+            raise ValueError(f"target {self}: cluster index and member must be >= 0 "
+                             "and the gap finite and > 0")
+
+    def __str__(self) -> str:
+        if self.kind is TargetKind.INDEX_WITHIN_CLUSTER:
+            return f"cluster:{self.cluster_index},{self.member},{self.rel_gap!r}"
+        return self.kind.value
+
+    @staticmethod
+    def parse(text: str) -> "Target":
+        """The inverse of str(): first | match_exact | cluster:i,j,gap."""
+        if text in (TargetKind.FIRST.value, TargetKind.MATCH_EXACT.value):
+            return Target(TargetKind(text))
+        head, _, args = text.partition(":")
+        if head == "cluster" and args.count(",") == 2:
+            i, j, gap = args.split(",")
+            return Target.index_within_cluster(int(i), int(j), float(gap))
+        raise ValueError("expected first | match_exact | cluster:i,j,gap (e.g. cluster:1,0,0.05)")
 
     @staticmethod
     def first() -> "Target":
@@ -84,8 +108,8 @@ class Target:
         return Target(TargetKind.MATCH_EXACT)
 
     @staticmethod
-    def index_within_cluster(cluster_index: int, member: int = 0) -> "Target":
-        return Target(TargetKind.INDEX_WITHIN_CLUSTER, cluster_index, member)
+    def index_within_cluster(cluster_index: int, member: int, rel_gap: float) -> "Target":
+        return Target(TargetKind.INDEX_WITHIN_CLUSTER, cluster_index, member, rel_gap)
 
 
 def solve_lowest(A, M, k: int, bc: BoundaryCondition, tol: float = 1e-10) -> list[EigenPair]:
@@ -116,8 +140,8 @@ def solve_lowest_dense(A, M, k: int, bc: BoundaryCondition, tol: float = 1e-10) 
     return _package(A, M, vals, vecs, bc, tol)
 
 
-def cluster(pairs: list[EigenPair], M, rel_gap: float = DEFAULT_REL_GAP) -> list[EigenCluster]:
-    """Greedy grouping of consecutive near-equal eigenvalues.
+def cluster(pairs: list[EigenPair], M, rel_gap: float) -> list[EigenCluster]:
+    """Greedy grouping of consecutive eigenvalues within rel_gap (relative).
 
     Bases are re-orthonormalized in the M inner product within each cluster.
     """
@@ -140,8 +164,7 @@ def cluster(pairs: list[EigenPair], M, rel_gap: float = DEFAULT_REL_GAP) -> list
 
 
 def pick_target(pairs: list[EigenPair], A, M, target: Target,
-                exact_nodal: np.ndarray | None = None,
-                rel_gap: float = DEFAULT_REL_GAP) -> EigenPair:
+                exact_nodal: np.ndarray | None = None) -> EigenPair:
     """Select the study eigenpair, skipping flagged zero modes.
 
     A cluster member is a re-orthonormalised combination of the computed
@@ -157,22 +180,21 @@ def pick_target(pairs: list[EigenPair], A, M, target: Target,
             raise ValueError("match_exact target needs the exact nodal interpolant")
         scores = [abs(float(p.coeffs @ (M @ exact_nodal))) for p in live]
         return live[int(np.argmax(scores))]
-    clusters = cluster(live, M, rel_gap)
+    clusters = cluster(live, M, target.rel_gap)
     ci, member = target.cluster_index, target.member
-    if not (0 <= ci < len(clusters) and 0 <= member < clusters[ci].multiplicity):
+    if not (ci < len(clusters) and member < clusters[ci].multiplicity):
         raise ValueError(
-            f"target cluster:{ci},{member} is out of range: cluster index must be in "
+            f"target {target} is out of range: cluster index must be in "
             f"0..{len(clusters) - 1}, member in 0..m-1 with multiplicities m = "
-            f"{[c.multiplicity for c in clusters]} at rel_gap = {rel_gap:g}; a multiple "
-            "eigenvalue split by the mesh needs a larger cluster_rel_gap (the unit "
-            "square's 5 pi^2 pair is split by about 1% at level 3)")
+            f"{[c.multiplicity for c in clusters]}; a multiple eigenvalue split by the "
+            "mesh needs a larger gap (the unit square's 5 pi^2 pair is split by about 1% "
+            "at level 3)")
     cl = clusters[ci]
     lam, u = float(cl.lambdas[member]), cl.basis[:, member]
     return EigenPair(lam, u, _residual(A, M, lam, u, abs(lam)))
 
 
 def solve_target(A, M, bc: BoundaryCondition, target: Target,
-                 rel_gap: float = DEFAULT_REL_GAP,
                  exact_nodal: np.ndarray | None = None) -> tuple[EigenPair, np.ndarray]:
     """Solve as many of the lowest pairs as the target needs, then pick it;
     returns the pair and the computed nonzero eigenvalues, ascending.
@@ -192,13 +214,12 @@ def solve_target(A, M, bc: BoundaryCondition, target: Target,
         pairs = solve_lowest(A, M, k, bc)
         live = [p for p in pairs if not p.zero_mode]
         if (target.kind is not TargetKind.INDEX_WITHIN_CLUSTER or k == n
-                or target.cluster_index < len(cluster(live, M, rel_gap)) - 1):
-            pair = pick_target(pairs, A, M, target, exact_nodal=exact_nodal, rel_gap=rel_gap)
+                or target.cluster_index < len(cluster(live, M, target.rel_gap)) - 1):
+            pair = pick_target(pairs, A, M, target, exact_nodal=exact_nodal)
             return pair, np.array([p.lam for p in live])
     raise ValueError(
-        f"target cluster:{target.cluster_index},{target.member} is out of range: its "
-        f"cluster could not be closed within the {k} lowest of {n} eigenpairs at "
-        f"rel_gap = {rel_gap:g}")
+        f"target {target} is out of range: its cluster could not be closed within "
+        f"the {k} lowest of {n} eigenpairs")
 
 
 def _check_pencil(A, M, k: int, tol: float) -> int:

@@ -73,6 +73,14 @@ def generate(domain: Domain, level: int) -> Mesh:
     raise ValueError(f"unknown domain {domain!r}")
 
 
+def vertex_count(domain: Domain, level: int) -> int:
+    """generate(domain, level).num_vertices, without building the mesh."""
+    n = 2 ** (level + 1)
+    if domain is Domain.L_SHAPE:
+        return 3 * (n + 1) ** 2 - 2 * (n + 1)  # three squares sharing two seams
+    return (n + 1) ** 2
+
+
 def refine(mesh: Mesh) -> Mesh:
     """Quadrisect every triangle via edge midpoints.
 

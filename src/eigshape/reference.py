@@ -43,16 +43,12 @@ class ExactEigenpair:
     lam: float
     value: object        # callable, points (n, 2) -> (n,)
     gradient: object     # callable, points (n, 2) -> (n, 2)
-    domain: Domain
-    bc: BoundaryCondition
 
 
 @dataclass(frozen=True)
 class ReferenceDerivatives:
     values: np.ndarray
     lam: float
-    domain: Domain
-    bc: BoundaryCondition
     reference_level: int | None = None  # None for the analytic reference
 
 
@@ -137,7 +133,7 @@ def exact_eigenpair(domain: Domain, bc: BoundaryCondition) -> ExactEigenpair:
                 s1, c1 = np.sin(math.pi * p[..., 0]), np.cos(math.pi * p[..., 0])
                 s2, c2 = np.sin(math.pi * p[..., 1]), np.cos(math.pi * p[..., 1])
                 return -2.0 * math.pi * np.stack([s1 * c2, c1 * s2], axis=-1)
-        return ExactEigenpair(lam, value, grad, domain, bc)
+        return ExactEigenpair(lam, value, grad)
 
     if domain is Domain.UNIT_DISK:
         if bc is BoundaryCondition.DIRICHLET:
@@ -158,7 +154,7 @@ def exact_eigenpair(domain: Domain, bc: BoundaryCondition) -> ExactEigenpair:
             # d/dr J0(jr) = -j J1(jr); J1(z)/z -> 1/2 as z -> 0
             ratio = np.where(r > 1e-8, bessel_j1(j * safe) / safe, 0.5 * j)
             return (-norm * j * ratio)[..., None] * p
-        return ExactEigenpair(lam, value, grad, domain, bc)
+        return ExactEigenpair(lam, value, grad)
 
     raise UnsupportedDomainError(f"no analytic eigenpair on {domain.value}; use the fine-mesh path")
 
@@ -215,13 +211,12 @@ def continuous_derivatives(domain: Domain, bc: BoundaryCondition, basis: Velocit
         density = np.einsum("na,na->n", tang, tang) - pair.lam * u ** 2
     values = shapegrad.boundary_form(basis.fields, pts[:, None, :], w[:, None],
                                      normals[:, None, :], density[None, :, None])[:, 0]
-    return ReferenceDerivatives(values, pair.lam, domain, bc)
+    return ReferenceDerivatives(values, pair.lam)
 
 
 # -- fine-mesh (extrapolated) references ------------------------------------
 
-def extrapolated_reference(values, lams, domain: Domain, bc: BoundaryCondition,
-                           reference_level: int) -> ReferenceDerivatives:
+def extrapolated_reference(values, lams, reference_level: int) -> ReferenceDerivatives:
     """Richardson extrapolation of volume-form derivatives and eigenvalues
     solved on the three finest fine-mesh levels, coarsest first.
 
@@ -232,8 +227,7 @@ def extrapolated_reference(values, lams, domain: Domain, bc: BoundaryCondition,
         return v2 + (v2 - v1) / (2.0 ** _local_rate(v0, v1, v2) - 1.0)
 
     lam = extrapolate(*(np.array([x]) for x in lams))[0]
-    return ReferenceDerivatives(extrapolate(*values), float(lam), domain, bc,
-                                reference_level)
+    return ReferenceDerivatives(extrapolate(*values), float(lam), reference_level)
 
 
 def _local_rate(v0, v1, v2) -> float:

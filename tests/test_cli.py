@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigshape.cli import ConfigError, main, parse_config, parse_field
@@ -64,17 +64,33 @@ def test_solve_neumann_single_pair_is_the_zero_mode(capsys):
 def test_cluster_target_out_of_range_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cluster.cfg"
     cfg.write_text(MINI_CONFIG.replace("min_level = 1", "min_level = 2")
-                   .replace("max_level = 3", "max_level = 4") + "target = cluster:1,5\n")
+                   .replace("max_level = 3", "max_level = 4") + "target = cluster:1,5,1e-6\n")
     assert run_cli("study", str(cfg), "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
-    assert "cluster:1,5" in err and "cluster index must be in 0.." in err
-    assert "multiplicities" in err
-    # the message names the gap in effect and the remedy for a mesh-split pair
-    assert "rel_gap = 1e-06" in err and "larger cluster_rel_gap" in err
+    # the message spells the target with its gap, and the remedy for a mesh-split pair
+    assert "target cluster:1,5,1e-06 is out of range" in err
+    assert "cluster index must be in 0.." in err and "multiplicities" in err
+    assert "needs a larger gap" in err
 
 
 def never_solve(*args, **kwargs):
     raise AssertionError("solve_lowest called")
+
+
+@pytest.mark.parametrize("target,message", [
+    ("cluster:1,0", "expected first | match_exact | cluster:i,j,gap (e.g. cluster:1,0,0.05)"),
+    ("cluster:0,0,nan", "target cluster:0,0,nan: cluster index and member must be >= 0 "
+                        "and the gap finite and > 0"),
+    ("cluster:0,0,-1", "target cluster:0,0,-1.0: cluster index"),
+    ("cluster:-1,0,0.05", "target cluster:-1,0,0.05: cluster index"),
+])
+def test_bad_cluster_target_is_rejected_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                         target, message):
+    patch_solve_lowest(monkeypatch, never_solve)
+    cfg = tmp_path / "bad_target.cfg"
+    cfg.write_text(MINI_CONFIG + f"target = {target}\n")
+    assert run_cli("study", str(cfg), "--out", str(tmp_path)) == 2
+    assert f"bad value: {message}" in capsys.readouterr().err
 
 
 def test_match_exact_on_lshape_is_rejected_before_any_solve(tmp_path, capsys, monkeypatch):
@@ -112,8 +128,8 @@ def test_neumann_study_from_level_zero(tmp_path, target, reference):
 
 
 @pytest.mark.parametrize("bc,target,tracked", [
-    ("dirichlet", "cluster:1,0\ncluster_rel_gap = 0.05", "lambda_h = 49.399"),
-    ("dirichlet", "cluster:30,0", "lambda_h = 498.6"),
+    ("dirichlet", "cluster:1,0,0.05", "lambda_h = 49.399"),
+    ("dirichlet", "cluster:30,0,1e-6", "lambda_h = 498.6"),
     ("neumann", "first", "lambda_h = 9.87"),
 ], ids=["dirichlet_cluster_1_0_gap_0.05", "dirichlet_cluster_30_0", "neumann_first"])
 def test_analytic_reference_of_another_eigenvalue_is_numerical_failure(
@@ -282,7 +298,8 @@ def test_config_parse_full(tmp_path):
     assert snapshot["reference"] == "finemesh:7"
 
 
-@pytest.mark.parametrize("key,value", [("num_pairs", "4"), ("output_dir", "results")])
+@pytest.mark.parametrize("key,value", [("num_pairs", "4"), ("output_dir", "results"),
+                                       ("cluster_rel_gap", "0.05")])
 def test_removed_config_keys_are_unknown(tmp_path, capsys, key, value):
     cfg = tmp_path / "removed.cfg"
     cfg.write_text(MINI_CONFIG + f"{key} = {value}\n")
@@ -317,19 +334,19 @@ _VALID = {
     "min_level": ["0", "1"],
     "max_level": ["2", "3"],
     "gamma": ["0", "1", "3"],
-    "target": ["first", "match_exact", "cluster:0,0", "cluster:1,1", "cluster:5,1",
-               "cluster:40,0"],
+    "target": ["first", "match_exact", "cluster:0,0,1e-6", "cluster:1,1,0.05",
+               "cluster:5,1,0.05", "cluster:40,0,1e-6", "cluster:0,3,10"],
     "reference": ["analytic", "finemesh:4", "finemesh:5"],
-    "cluster_rel_gap": ["1e-6", "0.05", "10"],
     "fit_window": ["3", "10"],
 }
 _BAD = {
     "min_level": ["-1", "1.5", "3"],
     "gamma": ["7", "-1"],
-    "target": ["cluster:-1,0", "cluster:1", "cluster:a,b", "last"],
+    "target": ["cluster:0,0", "cluster:0,0,nan", "cluster:0,0,-1", "cluster:0,0,0",
+               "cluster:0,0,inf", "cluster:-1,0,0.05", "cluster:1", "cluster:a,b,c", "last"],
     "reference": ["finemesh:2", "finemesh:", "finemesh:x", "fine"],
-    "cluster_rel_gap": ["0", "-1", "nan", "inf"],
     "fit_window": ["2"],
+    "cluster_rel_gap": ["0.05", "nan"],
     "num_pairs": ["4"],
     "output_dir": ["results"],
     "wibble": ["1"],
@@ -353,16 +370,38 @@ def _exit_code(argv) -> int:
         return exc.code
 
 
-@given(settings_=st.fixed_dictionaries(
-           {k: st.sampled_from(_VALID[k]) for k in _REQUIRED},
-           optional={k: st.sampled_from(v) for k, v in _VALID.items() if k not in _REQUIRED}),
-       faults=st.lists(_fault, max_size=2))
+_SETTINGS = st.fixed_dictionaries(
+    {k: st.sampled_from(_VALID[k]) for k in _REQUIRED},
+    optional={k: st.sampled_from(v) for k, v in _VALID.items() if k not in _REQUIRED})
+_FAULTS = st.lists(_fault, max_size=2)
+
+
+@given(settings_=_SETTINGS, faults=_FAULTS)
 @settings(max_examples=60, deadline=None)
 def test_any_study_config_exits_0_1_or_2(settings_, faults):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "any.cfg"
         cfg.write_text(_config_text(settings_, faults))
         assert _exit_code(["study", str(cfg), "--out", tmp]) in (0, 1, 2)
+
+
+@given(settings_=_SETTINGS, faults=_FAULTS)
+# a NaN gap once parsed, and its snapshot put NaN, which is not JSON, in the manifest
+@example(settings_=dict(domain="square", bc="dirichlet", min_level="1", max_level="3"),
+         faults=[("cluster_rel_gap", "nan")])
+@settings(max_examples=200, deadline=None)
+def test_any_parsed_config_round_trips_through_its_snapshot(settings_, faults):
+    # the manifest's snapshot, written back as a config file, is the same study
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "any.cfg"
+        path.write_text(_config_text(settings_, faults))
+        try:
+            cfg, snapshot = parse_config(path)
+        except ConfigError:
+            return
+        json.dumps(snapshot, allow_nan=False)  # the manifest stays valid JSON
+        path.write_text(_config_text(snapshot, []))
+        assert parse_config(path) == (cfg, snapshot)
 
 
 @given(domain=st.sampled_from(["square", "disk", "lshape"] * 3 + ["hexagon"]),

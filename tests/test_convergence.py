@@ -121,8 +121,7 @@ def test_reference_consistency_analytic_vs_finemesh():
 def test_finemesh_reference_tracks_the_study_cluster():
     # the 8 pi^2 eigenvalue is cluster 2 once the mesh-split 5 pi^2 pair is grouped
     cfg = StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 1, 3, gamma=1,
-                      target=Target.index_within_cluster(2, 0), cluster_rel_gap=0.05,
-                      reference_level=5)
+                      target=Target.index_within_cluster(2, 0, 0.05), reference_level=5)
     result = run_study(cfg)
     assert result.reference.lam == pytest.approx(8 * np.pi ** 2, rel=1e-3)
     assert result.records[-1].lambda_h == pytest.approx(8 * np.pi ** 2, rel=0.1)
@@ -139,7 +138,7 @@ def test_study_and_reference_levels_ask_for_the_same_pair_count(monkeypatch):
 def test_cluster_target_is_solved_past_the_end_of_its_cluster(level):
     # max(6, 5 + 4) = 9 pairs end inside the mesh-split 17 pi^2 pair at these levels
     cfg = StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 2, 4,
-                      target=Target.index_within_cluster(5, 1), cluster_rel_gap=0.05)
+                      target=Target.index_within_cluster(5, 1, 0.05))
     mesh = generate(Domain.UNIT_SQUARE, level)
     _, pair, _ = _solve_level(cfg, mesh)
     space = FemSpace(mesh, cfg.bc)

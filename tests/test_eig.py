@@ -7,9 +7,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigshape.eig import (DEFAULT_REL_GAP, EigenCluster, EigenPair, NonConvergenceError,
-                          Target, cluster, pick_target, solve_lowest, solve_lowest_dense,
-                          solve_target)
+from eigshape.eig import (EigenCluster, EigenPair, NonConvergenceError, Target, cluster,
+                          pick_target, solve_lowest, solve_lowest_dense, solve_target)
 from eigshape.fem import BoundaryCondition, FemSpace, assemble_mass, assemble_stiffness
 from eigshape.mesh import Domain, generate, refine
 from eigshape.reference import exact_eigenpair
@@ -148,7 +147,7 @@ def test_cluster_requires_sorted_pairs():
     pairs = [EigenPair(3.0, np.array([0.0, 1.0]), 0.0),
              EigenPair(2.0, np.array([1.0, 0.0]), 0.0)]
     with pytest.raises(ValueError):
-        cluster(pairs, M)
+        cluster(pairs, M, rel_gap=1e-6)
 
 
 def test_cluster_arrays_are_read_only_copies(square_dirichlet_space):
@@ -206,9 +205,9 @@ def test_pick_target_match_exact_neumann_square():
     assert pair.lam == pytest.approx(2 * PI2, rel=0.02)
     first = pick_target(pairs, A, M, Target.first())
     assert first.lam == pytest.approx(PI2, rel=0.05)
-    within = pick_target(pairs, A, M, Target.index_within_cluster(0, 1), rel_gap=0.01)
+    within = pick_target(pairs, A, M, Target.index_within_cluster(0, 1, 0.01))
     assert within.lam == pytest.approx(PI2, rel=0.05)
-    simple = pick_target(pairs, A, M, Target.index_within_cluster(1), rel_gap=0.01)
+    simple = pick_target(pairs, A, M, Target.index_within_cluster(1, 0, 0.01))
     assert simple.lam == pytest.approx(2 * PI2, rel=0.05)
 
 
@@ -216,7 +215,7 @@ def test_pick_target_cluster_member_has_measured_residual(square_dirichlet_space
     _, A, M = square_dirichlet_space
     pairs = solve_lowest(A, M, 4, BoundaryCondition.DIRICHLET)
     assert cluster(pairs, M, rel_gap=0.05)[1].multiplicity == 2
-    pair = pick_target(pairs, A, M, Target.index_within_cluster(1, 0), rel_gap=0.05)
+    pair = pick_target(pairs, A, M, Target.index_within_cluster(1, 0, 0.05))
     u = pair.coeffs
     direct = float(np.linalg.norm(A @ u - pair.lam * (M @ u))) / pair.lam
     assert pair.residual > 0.0
@@ -224,20 +223,20 @@ def test_pick_target_cluster_member_has_measured_residual(square_dirichlet_space
     assert pair.residual <= 1e-10
 
 
-@pytest.mark.parametrize("bc,target,rel_gap,expected", [
-    (BoundaryCondition.DIRICHLET, Target.first(), DEFAULT_REL_GAP, [1]),
-    (BoundaryCondition.NEUMANN, Target.first(), DEFAULT_REL_GAP, [10]),
-    (BoundaryCondition.NEUMANN, Target.match_exact(), DEFAULT_REL_GAP, [10]),
-    (BoundaryCondition.DIRICHLET, Target.index_within_cluster(0), DEFAULT_REL_GAP, [6]),
-    (BoundaryCondition.DIRICHLET, Target.index_within_cluster(5), DEFAULT_REL_GAP, [9]),
+@pytest.mark.parametrize("bc,target,expected", [
+    (BoundaryCondition.DIRICHLET, Target.first(), [1]),
+    (BoundaryCondition.NEUMANN, Target.first(), [10]),
+    (BoundaryCondition.NEUMANN, Target.match_exact(), [10]),
+    (BoundaryCondition.DIRICHLET, Target.index_within_cluster(0, 0, 1e-6), [6]),
+    (BoundaryCondition.DIRICHLET, Target.index_within_cluster(5, 0, 1e-6), [9]),
     # 9 pairs end inside the mesh-split 17 pi^2 pair, so the count doubles once
-    (BoundaryCondition.DIRICHLET, Target.index_within_cluster(5, 1), 0.05, [9, 18]),
+    (BoundaryCondition.DIRICHLET, Target.index_within_cluster(5, 1, 0.05), [9, 18]),
 ])
-def test_solve_target_pair_count(monkeypatch, bc, target, rel_gap, expected):
+def test_solve_target_pair_count(monkeypatch, bc, target, expected):
     _, space, A, M = assembled(Domain.UNIT_SQUARE, bc, 3)
     exact_nodal = space.interpolate(exact_eigenpair(Domain.UNIT_SQUARE, bc).value)
     requested = record_pair_counts(monkeypatch)
-    pair, lams = solve_target(A, M, bc, target, rel_gap, exact_nodal=exact_nodal)
+    pair, lams = solve_target(A, M, bc, target, exact_nodal=exact_nodal)
     assert requested == expected
     assert pair.residual <= 1e-10 and not pair.zero_mode
     # the computed nonzero eigenvalues come back with the pair, the tracked one among them
@@ -255,8 +254,8 @@ def test_solve_target_cluster_closed_by_the_whole_spectrum(monkeypatch):
     # a gap this wide makes one cluster of every pair; all 9 pairs close it
     _, space, A, M = assembled(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 1)
     requested = record_pair_counts(monkeypatch)
-    pair, _ = solve_target(A, M, BoundaryCondition.DIRICHLET, Target.index_within_cluster(0, 8),
-                           rel_gap=10.0)
+    pair, _ = solve_target(A, M, BoundaryCondition.DIRICHLET,
+                           Target.index_within_cluster(0, 8, 10.0))
     assert requested == [6, 9] and space.dof_count == 9
     assert pair.residual <= 1e-10
 
@@ -264,10 +263,10 @@ def test_solve_target_cluster_closed_by_the_whole_spectrum(monkeypatch):
 def test_solve_target_open_cluster_is_out_of_range(monkeypatch, square_dirichlet_space):
     _, A, M = square_dirichlet_space
     requested = record_pair_counts(monkeypatch)
-    with pytest.raises(ValueError, match="cluster:0,0 is out of range: its cluster could "
-                                         "not be closed within the 12 lowest of 225"):
-        solve_target(A, M, BoundaryCondition.DIRICHLET, Target.index_within_cluster(0),
-                     rel_gap=10.0)
+    with pytest.raises(ValueError, match="cluster:0,0,10.0 is out of range: its cluster "
+                                         "could not be closed within the 12 lowest of 225"):
+        solve_target(A, M, BoundaryCondition.DIRICHLET,
+                     Target.index_within_cluster(0, 0, 10.0))
     assert requested == [6, 12]
 
 

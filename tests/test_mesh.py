@@ -4,7 +4,7 @@ import pytest
 from eigshape.mesh import (Domain, Mesh, _disk_fan, _square_grid,
                            boundary_normals, boundary_vertex_mask, diameters,
                            export_text, generate, mesh_size, refine,
-                           signed_areas)
+                           signed_areas, vertex_count)
 
 from conftest import DOMAINS
 
@@ -110,6 +110,12 @@ def test_numbering_matches_loop_oracle(domain, level):
     for mesh, oracle in ((got, expected), (refine(got), oracle_refine(expected))):
         for name in ("vertices", "triangles", "boundary_edges"):
             assert np.array_equal(getattr(mesh, name), getattr(oracle, name)), name
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_vertex_count_matches_generate(domain):
+    for level in range(7):
+        assert vertex_count(domain, level) == generate(domain, level).num_vertices
 
 
 def test_square_level1_counts():

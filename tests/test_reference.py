@@ -172,6 +172,16 @@ def test_finemesh_budget_is_checked_before_any_solve(monkeypatch):
     assert solved == []
 
 
+def test_finemesh_budget_is_checked_before_any_mesh(monkeypatch):
+    # square level 12 has 8193^2 vertices, several GB as a mesh: never build it
+    def no_mesh(domain, level):
+        raise AssertionError(f"generate({domain}, {level}) called")
+
+    monkeypatch.setattr(convergence, "generate", no_mesh)
+    with pytest.raises(ReferenceBudgetError, match="level 12 has 67125249 vertices"):
+        reference_derivatives_for(_finemesh_config(5, 12), build_basis(1))
+
+
 def test_golden_values_content():
     values = golden_values()
     assert values["bessel.j0_zero1"] == pytest.approx(2.404825557695773, abs=1e-12)

@@ -208,7 +208,7 @@ def test_directional_matrix_converges_to_exact_spectrum():
 def test_directional_matrix_singleton_reduces_to_simple_ops():
     _, space, A, M = assembled(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 3)
     pairs = solve_lowest(A, M, 1, BoundaryCondition.DIRICHLET)
-    cl = cluster(pairs, M)[0]
+    cl = cluster(pairs, M, rel_gap=1e-6)[0]
     field = monomial_field(1, 1, 0)
     dv = directional_matrix(space, cl, field, Formula.VOLUME)
     db = directional_matrix(space, cl, field, Formula.BOUNDARY)
