@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Commands: solve, gradient, study, golden, mesh-export. Exit codes: 0 ok,
-1 numerical failure, 2 usage error. Study configs are plain text with
-key = value lines inside a [study] section; parse errors name the offending
-key and line.
+1 numerical failure, 2 usage error (an unreadable or unwritable path is one).
+Study configs are plain text with key = value lines inside a [study] section;
+parse errors name the offending key and line.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,9 +25,6 @@ from .mesh import Domain, export_text, generate, mesh_size
 from .velocity import (FactorizationError, VelocityField, constant_field,
                        identity_field, monomial_field, rotation_field)
 
-_DOMAINS = {d.value: d for d in Domain}
-_BCS = {b.value: b for b in BoundaryCondition}
-
 
 class ConfigError(ValueError):
     def __init__(self, message: str, line: int | None = None, key: str | None = None):
@@ -41,17 +37,41 @@ class ConfigError(ValueError):
         super().__init__(message + suffix)
 
 
-@dataclass
-class RunManifest:
-    """Record of one `study` invocation: config snapshot and written outputs."""
+def _values(enum) -> list[str]:
+    return sorted(member.value for member in enum)
 
-    config: dict
-    version: str = __version__
-    timestamp: str = ""
-    outputs: list = field(default_factory=list)
 
-    def write(self, path: Path):
-        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+def _choice(enum):
+    """Parser for the values of enum; other text names them all."""
+    def parse(text: str):
+        try:
+            return enum(text)
+        except ValueError:
+            raise ValueError(f"expected one of {_values(enum)}") from None
+    return parse
+
+
+def _reference_level(text: str) -> int | None:
+    if text == "analytic":
+        return None
+    if text.startswith("finemesh:"):
+        return int(text[len("finemesh:"):])
+    raise ValueError("expected analytic | finemesh:<level>")
+
+
+# config key -> (StudyConfig field, parse the text, show the value as text);
+# the shown snapshot, fed back as a config file, reproduces the run
+_KEYS = {
+    "domain": ("domain", _choice(Domain), lambda d: d.value),
+    "bc": ("bc", _choice(BoundaryCondition), lambda b: b.value),
+    "min_level": ("min_level", int, int),
+    "max_level": ("max_level", int, int),
+    "gamma": ("gamma", int, int),
+    "target": ("target", Target.parse, str),
+    "reference": ("reference_level", _reference_level,
+                  lambda level: "analytic" if level is None else f"finemesh:{level}"),
+    "fit_window": ("fit_window", int, int),
+}
 
 
 def parse_field(spec: str) -> VelocityField:
@@ -74,7 +94,7 @@ def parse_field(spec: str) -> VelocityField:
 
 
 def parse_config(path: Path) -> tuple[conv.StudyConfig, dict]:
-    """Read a key = value study config; returns the config and its raw snapshot."""
+    """Read a key = value study config; returns the config and its config-file snapshot."""
     raw: dict[str, str] = {}
     lines_seen: dict[str, int] = {}
     section = None
@@ -97,39 +117,16 @@ def parse_config(path: Path) -> tuple[conv.StudyConfig, dict]:
         raw[key] = value
         lines_seen[key] = lineno
 
-    def take(key, convert):
-        try:
-            return convert(raw.pop(key))
-        except Exception as exc:
-            raise ConfigError(f"bad value: {exc}", line=lines_seen[key], key=key) from exc
-
-    def to_domain(v):
-        if v not in _DOMAINS:
-            raise ValueError(f"expected one of {sorted(_DOMAINS)}")
-        return _DOMAINS[v]
-
-    def to_bc(v):
-        if v not in _BCS:
-            raise ValueError(f"expected one of {sorted(_BCS)}")
-        return _BCS[v]
-
-    def to_reference_level(v):
-        if v == "analytic":
-            return None
-        if v.startswith("finemesh:"):
-            return int(v[len("finemesh:"):])
-        raise ValueError("expected analytic | finemesh:<level>")
-
     for key in ("domain", "bc", "min_level", "max_level"):
         if key not in raw:
             raise ConfigError("missing required key", key=key)
-    # keys absent from the file take StudyConfig's defaults
-    converters = {"domain": to_domain, "bc": to_bc, "min_level": int, "max_level": int,
-                  "gamma": int, "target": Target.parse, "fit_window": int,
-                  "reference": to_reference_level}
-    kwargs = {key: take(key, convert) for key, convert in converters.items() if key in raw}
-    if "reference" in kwargs:
-        kwargs["reference_level"] = kwargs.pop("reference")
+    kwargs = {}  # keys absent from the file take StudyConfig's defaults
+    for key, (name, parse, _) in _KEYS.items():
+        if key in raw:
+            try:
+                kwargs[name] = parse(raw.pop(key))
+            except Exception as exc:
+                raise ConfigError(f"bad value: {exc}", line=lines_seen[key], key=key) from exc
     if raw:
         key = sorted(raw)[0]
         raise ConfigError("unknown key", line=lines_seen[key], key=key)
@@ -137,22 +134,7 @@ def parse_config(path: Path) -> tuple[conv.StudyConfig, dict]:
         cfg = conv.StudyConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return cfg, _snapshot(cfg)
-
-
-def _snapshot(cfg: conv.StudyConfig) -> dict:
-    """Config as config-file values; feeding these back reproduces the run."""
-    return {
-        "domain": cfg.domain.value,
-        "bc": cfg.bc.value,
-        "min_level": cfg.min_level,
-        "max_level": cfg.max_level,
-        "gamma": cfg.gamma,
-        "target": str(cfg.target),
-        "reference": ("analytic" if cfg.reference_level is None
-                      else f"finemesh:{cfg.reference_level}"),
-        "fit_window": cfg.fit_window,
-    }
+    return cfg, {key: show(getattr(cfg, name)) for key, (name, _, show) in _KEYS.items()}
 
 
 def _pencil(domain: Domain, bc: BoundaryCondition, level: int):
@@ -162,7 +144,7 @@ def _pencil(domain: Domain, bc: BoundaryCondition, level: int):
 
 
 def cmd_solve(args) -> int:
-    domain, bc = _DOMAINS[args.domain], _BCS[args.bc]
+    domain, bc = Domain(args.domain), BoundaryCondition(args.bc)
     mesh, space, A, M = _pencil(domain, bc, args.level)
     pairs = solve_lowest(A, M, args.k, bc)
     try:
@@ -191,7 +173,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gradient(args) -> int:
-    domain, bc = _DOMAINS[args.domain], _BCS[args.bc]
+    domain, bc = Domain(args.domain), BoundaryCondition(args.bc)
     fld = parse_field(args.field)  # a bad spec is a ValueError: exit 2 from main
     _, space, A, M = _pencil(domain, bc, args.level)
     pair, _ = solve_target(A, M, bc, Target.first())
@@ -206,12 +188,11 @@ def cmd_gradient(args) -> int:
 
 def cmd_study(args) -> int:
     cfg_path = Path(args.config)
-    if not cfg_path.exists():
-        print(f"error: config file {cfg_path} not found", file=sys.stderr)
-        return 2
     cfg, snapshot = parse_config(cfg_path)  # a ConfigError is a ValueError: exit 2
-    result = conv.run_study(cfg)  # a failed study leaves no --out directory behind
     out_dir = Path(args.out or ".")
+    if any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
+        raise NotADirectoryError(f"--out {out_dir} is not a directory")  # before any solve
+    result = conv.run_study(cfg)  # a failed study leaves no --out directory behind
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = cfg_path.stem
     csv_path = out_dir / f"{stem}.csv"
@@ -219,11 +200,10 @@ def cmd_study(args) -> int:
     csv_path.write_text(conv.write_csv(result))
     svg_path.write_text(conv.loglog_svg(
         result, title=f"{cfg.domain.value} {cfg.bc.value} gamma={cfg.gamma}"))
-    manifest = RunManifest(config=snapshot,
-                           timestamp=datetime.now(timezone.utc).isoformat(),
-                           outputs=[str(csv_path), str(svg_path)])
+    manifest = {"config": snapshot, "outputs": [str(csv_path), str(svg_path)],
+                "timestamp": datetime.now(timezone.utc).isoformat(), "version": __version__}
     manifest_path = out_dir / f"{stem}.manifest.json"
-    manifest.write(manifest_path)
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {csv_path}")
     print(f"wrote {svg_path}")
     print(f"wrote {manifest_path}")
@@ -232,27 +212,23 @@ def cmd_study(args) -> int:
     return 0
 
 
-def cmd_golden(args) -> int:
-    values = refmod.golden_values()
-    lines = [f"{k} = {v!r}" for k, v in sorted(values.items())]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
+def _emit(text: str, out: str | None) -> int:
+    """Write text to the file out, or to stdout without one."""
+    if out:
+        Path(out).write_text(text)
+        print(f"wrote {out}")
     else:
         sys.stdout.write(text)
     return 0
+
+
+def cmd_golden(args) -> int:
+    lines = [f"{k} = {v!r}" for k, v in sorted(refmod.golden_values().items())]
+    return _emit("\n".join(lines) + "\n", args.out)
 
 
 def cmd_mesh_export(args) -> int:
-    mesh = generate(_DOMAINS[args.domain], args.level)
-    text = export_text(mesh)
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(export_text(generate(Domain(args.domain), args.level)), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_mesh_args(p):
-        p.add_argument("--domain", required=True, choices=sorted(_DOMAINS))
-        p.add_argument("--bc", required=True, choices=sorted(_BCS))
+        p.add_argument("--domain", required=True, choices=_values(Domain))
+        p.add_argument("--bc", required=True, choices=_values(BoundaryCondition))
         p.add_argument("--level", type=int, required=True)
 
     p = sub.add_parser("solve", help="solve the lowest eigenpairs")
@@ -275,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_mesh_args(p)
     p.add_argument("--field", required=True,
                    help="const:a,b | identity | rot | mono:b1,b2,comp")
-    p.add_argument("--formula", required=True, choices=["volume", "boundary"])
+    p.add_argument("--formula", required=True, choices=_values(shapegrad.Formula))
     p.set_defaults(func=cmd_gradient)
 
     p = sub.add_parser("study", help="run a convergence study from a config file")
@@ -288,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_golden)
 
     p = sub.add_parser("mesh-export", help="dump a mesh as plain text")
-    p.add_argument("--domain", required=True, choices=sorted(_DOMAINS))
+    p.add_argument("--domain", required=True, choices=_values(Domain))
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_mesh_export)
@@ -303,7 +279,7 @@ def main(argv=None) -> int:
             conv.TrackingError, refmod.ReferenceBudgetError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -55,9 +55,7 @@ class StudyConfig:
             raise ValueError("a study needs at least 3 levels to fit a rate")
         if self.fit_window < 3:
             raise ValueError("fit_window must be at least 3 to fit a rate")
-        if self.reference_level is None and self.domain is Domain.L_SHAPE:
-            raise ValueError("analytic reference exists only for square and disk")
-        if self.target.kind is TargetKind.MATCH_EXACT and self.domain is Domain.L_SHAPE:
+        if self.reference_level is None or self.target.kind is TargetKind.MATCH_EXACT:
             refmod.exact_eigenpair(self.domain, self.bc)  # raises UnsupportedDomainError
         if self.reference_level is not None and self.reference_level < self.max_level + 2:
             raise ValueError("reference_level must be at least max_level + 2")

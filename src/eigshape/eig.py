@@ -22,6 +22,7 @@ from .fem import BoundaryCondition
 _START_SEED = 20240817
 _NEUMANN_SIGMA = 0.1
 _ZERO_MODE_REL = 1e-8
+_RESIDUAL_TOL = 1e-10  # largest scaled residual a returned pair may have
 
 
 class NonConvergenceError(RuntimeError):
@@ -112,11 +113,11 @@ class Target:
         return Target(TargetKind.INDEX_WITHIN_CLUSTER, cluster_index, member, rel_gap)
 
 
-def solve_lowest(A, M, k: int, bc: BoundaryCondition, tol: float = 1e-10) -> list[EigenPair]:
+def solve_lowest(A, M, k: int, bc: BoundaryCondition) -> list[EigenPair]:
     """The k smallest eigenpairs, nondecreasing, M-orthonormal."""
-    n = _check_pencil(A, M, k, tol)
+    n = _check_pencil(A, M, k)
     if k >= n - 1:
-        return solve_lowest_dense(A, M, k, bc, tol=tol)
+        return solve_lowest_dense(A, M, k, bc)
 
     sigma = 0.0 if bc is BoundaryCondition.DIRICHLET else _NEUMANN_SIGMA
     v0 = np.random.default_rng(_START_SEED).standard_normal(n)
@@ -128,16 +129,16 @@ def solve_lowest(A, M, k: int, bc: BoundaryCondition, tol: float = 1e-10) -> lis
         if exc.eigenvalues is not None and len(exc.eigenvalues):
             best = float(np.min(np.abs(exc.eigenvalues)))
         raise NonConvergenceError("eigensolver iteration budget exhausted", best) from exc
-    return _package(A, M, vals, vecs, bc, tol)
+    return _package(A, M, vals, vecs, bc)
 
 
-def solve_lowest_dense(A, M, k: int, bc: BoundaryCondition, tol: float = 1e-10) -> list[EigenPair]:
+def solve_lowest_dense(A, M, k: int, bc: BoundaryCondition) -> list[EigenPair]:
     """Dense LAPACK route; independent oracle for the sparse path."""
-    n = _check_pencil(A, M, k, tol)
+    _check_pencil(A, M, k)
     Ad = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
     Md = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
     vals, vecs = scipy.linalg.eigh(Ad, Md, subset_by_index=(0, k - 1))
-    return _package(A, M, vals, vecs, bc, tol)
+    return _package(A, M, vals, vecs, bc)
 
 
 def cluster(pairs: list[EigenPair], M, rel_gap: float) -> list[EigenCluster]:
@@ -222,17 +223,15 @@ def solve_target(A, M, bc: BoundaryCondition, target: Target,
         f"the {k} lowest of {n} eigenpairs")
 
 
-def _check_pencil(A, M, k: int, tol: float) -> int:
+def _check_pencil(A, M, k: int) -> int:
     if A.shape != M.shape or A.shape[0] != A.shape[1]:
         raise ValueError(f"dimension mismatch: A {A.shape}, M {M.shape}")
     if k < 1 or k > A.shape[0]:
         raise ValueError(f"k={k} out of range for dimension {A.shape[0]}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     return A.shape[0]
 
 
-def _package(A, M, vals, vecs, bc, tol) -> list[EigenPair]:
+def _package(A, M, vals, vecs, bc) -> list[EigenPair]:
     order = np.argsort(vals)
     vals = vals[order]
     vecs = vecs[:, order]
@@ -249,7 +248,7 @@ def _package(A, M, vals, vecs, bc, tol) -> list[EigenPair]:
         scale = abs(lam) if abs(lam) > _ZERO_MODE_REL * lam_ref else lam_ref
         pairs.append(EigenPair(float(lam), u, _residual(A, M, lam, u, scale)))
     worst = max(p.residual for p in pairs)
-    if worst > tol:
+    if worst > _RESIDUAL_TOL:
         raise NonConvergenceError("residual tolerance not met", worst)
     if bc is BoundaryCondition.NEUMANN:
         cutoff = _ZERO_MODE_REL * (abs(pairs[1].lam) if len(pairs) >= 2 else lam_ref)

@@ -212,9 +212,15 @@ def test_study_command_outputs(tmp_path, capsys):
     assert csv_path.exists() and svg_path.exists() and manifest_path.exists()
     first = csv_path.read_bytes()
     assert first.decode().splitlines()[0] == "level,h,dof,lambda_h,E_volume,E_boundary"
-    manifest = json.loads(manifest_path.read_text())
+    text = manifest_path.read_text()
+    manifest = json.loads(text)
+    # the layout other tools read: sorted keys, two-space indent, one trailing newline
+    assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    assert sorted(manifest) == ["config", "outputs", "timestamp", "version"]
+    assert sorted(manifest["config"]) == ["bc", "domain", "fit_window", "gamma", "max_level",
+                                          "min_level", "reference", "target"]
     assert manifest["config"]["domain"] == "square"
-    assert str(csv_path) in manifest["outputs"]
+    assert manifest["outputs"] == [str(csv_path), str(svg_path)]
     assert manifest["version"]
     # deterministic bytes on rerun
     assert run_cli("study", str(cfg), "--out", str(out)) == 0
@@ -223,6 +229,26 @@ def test_study_command_outputs(tmp_path, capsys):
 
 def test_study_missing_config(tmp_path, capsys):
     assert run_cli("study", str(tmp_path / "nope.cfg")) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["study", "{tmp}"],
+    ["study", "{cfg}", "--out", "{cfg}"],
+    ["study", "{cfg}", "--out", "{cfg}/sub"],
+    ["golden", "--out", "{tmp}/missing/dir/x"],
+    ["mesh-export", "--domain", "square", "--level", "0", "--out", "{tmp}/missing/dir/x"],
+], ids=["study_config_is_a_directory", "study_out_is_a_file", "study_out_under_a_file",
+        "golden_out_in_missing_dir", "mesh_export_out_in_missing_dir"])
+def test_bad_paths_exit_2(tmp_path, capsys, monkeypatch, argv):
+    # a path that cannot be read or written is a usage error; an --out that is or
+    # lies under a file is rejected before any solve, and the file is left as it was
+    patch_solve_lowest(monkeypatch, never_solve)
+    cfg = tmp_path / "mini.cfg"
+    cfg.write_text(MINI_CONFIG)
+    assert run_cli(*(arg.format(tmp=tmp_path, cfg=cfg) for arg in argv)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert cfg.read_text() == MINI_CONFIG
+    assert not (tmp_path / "missing").exists()
 
 
 def test_manifest_snapshot_round_trips(tmp_path, capsys):

@@ -280,8 +280,6 @@ def test_dimension_and_argument_validation():
         solve_lowest(A, M, 0, BoundaryCondition.DIRICHLET)
     with pytest.raises(ValueError):
         solve_lowest(A, M, 5, BoundaryCondition.DIRICHLET)
-    with pytest.raises(ValueError):
-        solve_lowest(A, M, 1, BoundaryCondition.DIRICHLET, tol=0.0)
 
 
 def test_nonconvergence_translation(monkeypatch):
