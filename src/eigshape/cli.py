@@ -19,7 +19,7 @@ from . import __version__
 from . import convergence as conv
 from . import reference as refmod
 from . import shapegrad
-from .eig import NonConvergenceError, Target, solve_lowest, solve_target
+from .eig import NonConvergenceError, Target, solve_lowest
 from .fem import BoundaryCondition, FemSpace, assemble_mass, assemble_stiffness
 from .mesh import Domain, export_text, generate, mesh_size
 from .velocity import (FactorizationError, VelocityField, constant_field,
@@ -70,7 +70,6 @@ _KEYS = {
     "target": ("target", Target.parse, str),
     "reference": ("reference_level", _reference_level,
                   lambda level: "analytic" if level is None else f"finemesh:{level}"),
-    "fit_window": ("fit_window", int, int),
 }
 
 
@@ -137,16 +136,11 @@ def parse_config(path: Path) -> tuple[conv.StudyConfig, dict]:
     return cfg, {key: show(getattr(cfg, name)) for key, (name, _, show) in _KEYS.items()}
 
 
-def _pencil(domain: Domain, bc: BoundaryCondition, level: int):
-    mesh = generate(domain, level)
-    space = FemSpace(mesh, bc)
-    return mesh, space, assemble_stiffness(space), assemble_mass(space)
-
-
 def cmd_solve(args) -> int:
     domain, bc = Domain(args.domain), BoundaryCondition(args.bc)
-    mesh, space, A, M = _pencil(domain, bc, args.level)
-    pairs = solve_lowest(A, M, args.k, bc)
+    mesh = generate(domain, args.level)
+    space = FemSpace(mesh, bc)
+    pairs = solve_lowest(assemble_stiffness(space), assemble_mass(space), args.k, bc)
     try:
         exact = refmod.exact_eigenpair(domain, bc).lam
     except refmod.UnsupportedDomainError:
@@ -175,8 +169,7 @@ def cmd_solve(args) -> int:
 def cmd_gradient(args) -> int:
     domain, bc = Domain(args.domain), BoundaryCondition(args.bc)
     fld = parse_field(args.field)  # a bad spec is a ValueError: exit 2 from main
-    _, space, A, M = _pencil(domain, bc, args.level)
-    pair, _ = solve_target(A, M, bc, Target.first())
+    space, pair, _ = conv._solve_level(generate(domain, args.level), bc, Target.first())
     if shapegrad.Formula(args.formula) is shapegrad.Formula.VOLUME:
         value = shapegrad.volume_gradients(space, pair, (fld,))[0]
     else:

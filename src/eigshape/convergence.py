@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import reference as refmod
 from . import shapegrad
 from .eig import EigenPair, Target, TargetKind, solve_target
 from .fem import BoundaryCondition, FemSpace, assemble_mass, assemble_stiffness
-from .mesh import Domain, generate, mesh_size, refine, vertex_count
+from .mesh import Domain, Mesh, generate, mesh_size, refine, vertex_count
 from .velocity import build_basis, dual_norm, gramian
 
 
@@ -35,6 +35,7 @@ class TrackingError(RuntimeError):
 
 _DEGENERATE_FLOOR = 1e-12  # dual-norm values below this are roundoff of an exact zero
 _REFERENCE_DOF_BUDGET = 1_500_000  # most vertices a fine-mesh reference level may have
+_FIT_WINDOW = 4  # rates are fitted over this many finest levels
 
 
 @dataclass(frozen=True)
@@ -46,15 +47,12 @@ class StudyConfig:
     gamma: int = 3
     target: Target = field(default_factory=Target.first)
     reference_level: int | None = None  # None: analytic reference, else fine-mesh level
-    fit_window: int = 4
 
     def __post_init__(self):
-        if self.min_level > self.max_level:
-            raise ValueError("min_level must not exceed max_level")
+        if self.min_level < 0:
+            raise ValueError(f"min_level must be >= 0, got {self.min_level}")
         if self.max_level - self.min_level < 2:
             raise ValueError("a study needs at least 3 levels to fit a rate")
-        if self.fit_window < 3:
-            raise ValueError("fit_window must be at least 3 to fit a rate")
         if self.reference_level is None or self.target.kind is TargetKind.MATCH_EXACT:
             refmod.exact_eigenpair(self.domain, self.bc)  # raises UnsupportedDomainError
         if self.reference_level is not None and self.reference_level < self.max_level + 2:
@@ -89,14 +87,16 @@ class StudyResult:
     reference: refmod.ReferenceDerivatives
 
 
-def _solve_level(cfg: StudyConfig, mesh) -> tuple[FemSpace, EigenPair, np.ndarray]:
-    """Target pair and nonzero eigenvalues on one mesh; study and reference levels alike."""
-    space = FemSpace(mesh, cfg.bc)
+def _solve_level(mesh: Mesh, bc: BoundaryCondition,
+                 target: Target) -> tuple[FemSpace, EigenPair, np.ndarray]:
+    """Target pair and nonzero eigenvalues on one mesh: study levels, reference
+    levels and `eigshape gradient` alike."""
+    space = FemSpace(mesh, bc)
     exact_nodal = None
-    if cfg.target.kind is TargetKind.MATCH_EXACT:
-        exact_nodal = space.interpolate(refmod.exact_eigenpair(cfg.domain, cfg.bc).value)
-    return (space, *solve_target(assemble_stiffness(space), assemble_mass(space), cfg.bc,
-                                 cfg.target, exact_nodal=exact_nodal))
+    if target.kind is TargetKind.MATCH_EXACT:
+        exact_nodal = space.interpolate(refmod.exact_eigenpair(mesh.domain, bc).value)
+    return (space, *solve_target(assemble_stiffness(space), assemble_mass(space), bc,
+                                 target, exact_nodal=exact_nodal))
 
 
 def reference_derivatives_for(cfg: StudyConfig, basis) -> refmod.ReferenceDerivatives:
@@ -112,10 +112,10 @@ def reference_derivatives_for(cfg: StudyConfig, basis) -> refmod.ReferenceDeriva
             f"budget {_REFERENCE_DOF_BUDGET}")
     values, lams = [], []
     for lv in range(cfg.reference_level - 2, cfg.reference_level + 1):
-        space, pair, _ = _solve_level(cfg, generate(cfg.domain, lv))
+        space, pair, _ = _solve_level(generate(cfg.domain, lv), cfg.bc, cfg.target)
         values.append(shapegrad.volume_gradients(space, pair, basis.fields))
         lams.append(pair.lam)
-    return refmod.extrapolated_reference(values, lams, cfg.reference_level)
+    return refmod.extrapolated_reference(values, lams)
 
 
 def run_levels(cfg: StudyConfig) -> tuple[list[StudyRecord], refmod.ReferenceDerivatives]:
@@ -126,7 +126,7 @@ def run_levels(cfg: StudyConfig) -> tuple[list[StudyRecord], refmod.ReferenceDer
     for level in range(cfg.min_level, cfg.max_level + 1):
         if level > cfg.min_level:
             mesh = refine(mesh)
-        space, pair, lams = _solve_level(cfg, mesh)
+        space, pair, lams = _solve_level(mesh, cfg.bc, cfg.target)
         K = gramian(basis, mesh)
         vol = shapegrad.volume_gradients(space, pair, basis.fields)
         bnd = shapegrad.boundary_gradients(space, pair, basis.fields)
@@ -149,15 +149,14 @@ def run_study(cfg: StudyConfig) -> StudyResult:
     records, ref = run_levels(cfg)
     return StudyResult(
         cfg, records,
-        volume_fit=fit_rate(records, shapegrad.Formula.VOLUME, cfg.fit_window),
-        boundary_fit=fit_rate(records, shapegrad.Formula.BOUNDARY, cfg.fit_window),
+        volume_fit=fit_rate(records, shapegrad.Formula.VOLUME),
+        boundary_fit=fit_rate(records, shapegrad.Formula.BOUNDARY),
         reference=ref)
 
 
-def fit_rate(records: list[StudyRecord], formula: shapegrad.Formula,
-             window: int = 4) -> RateFit:
+def fit_rate(records: list[StudyRecord], formula: shapegrad.Formula) -> RateFit:
     """Ordinary least squares of log E against log h over the finest levels."""
-    tail = records[-window:]
+    tail = records[-_FIT_WINDOW:]
     if len(tail) < 3:
         raise ValueError("rate fit needs at least 3 records in the window")
     E = np.array([r.E_volume if formula is shapegrad.Formula.VOLUME else r.E_boundary
@@ -169,22 +168,6 @@ def fit_rate(records: list[StudyRecord], formula: shapegrad.Formula,
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return RateFit(formula, float(slope), float(intercept), resid, len(tail))
-
-
-@dataclass(frozen=True)
-class GammaRow:
-    gamma: int
-    volume_slope: float
-    boundary_slope: float
-
-
-def gamma_sensitivity(cfg: StudyConfig, gammas) -> list[GammaRow]:
-    """Rerun the study for each gamma and report the slopes side by side."""
-    rows = []
-    for g in gammas:
-        result = run_study(replace(cfg, gamma=g))
-        rows.append(GammaRow(g, result.volume_fit.slope, result.boundary_fit.slope))
-    return rows
 
 
 def write_csv(result: StudyResult) -> str:

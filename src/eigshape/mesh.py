@@ -36,7 +36,6 @@ class Mesh:
     triangles: np.ndarray
     boundary_edges: np.ndarray
     domain: Domain
-    level: int
 
     def __post_init__(self):
         self.vertices.setflags(write=False)
@@ -59,12 +58,12 @@ def generate(domain: Domain, level: int) -> Mesh:
     if domain is Domain.UNIT_SQUARE:
         n = 2 ** (level + 1)
         verts, tris = _square_grid(n, 0.0, 0.0)
-        return _finish(verts, tris, domain, level)
+        return _finish(verts, tris, domain)
     if domain is Domain.L_SHAPE:
         n = 2 ** (level + 1)
         parts = [_square_grid(n, ox, oy) for ox, oy in ((-1.0, -1.0), (0.0, -1.0), (-1.0, 0.0))]
         verts, tris = _merge_parts(parts)
-        return _finish(verts, tris, domain, level)
+        return _finish(verts, tris, domain)
     if domain is Domain.UNIT_DISK:
         mesh = _disk_fan()
         for _ in range(level):
@@ -108,17 +107,15 @@ def refine(mesh: Mesh) -> Mesh:
         np.stack([mab, mbc, mca], axis=1),
     ])
     verts = np.vstack([mesh.vertices, mids])
-    return _finish(verts, children, mesh.domain, mesh.level + 1)
+    return _finish(verts, children, mesh.domain)
 
 
-def boundary_normals(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Outward unit normals and lengths of all boundary edges, in row order."""
+def boundary_normals(mesh: Mesh) -> np.ndarray:
+    """Outward unit normals of all boundary edges, in row order."""
     a = mesh.boundary_edges[:, 0]
     b = mesh.boundary_edges[:, 1]
     t = mesh.vertices[b] - mesh.vertices[a]
-    lengths = np.linalg.norm(t, axis=1)
-    normals = np.stack([t[:, 1], -t[:, 0]], axis=1) / lengths[:, None]
-    return normals, lengths
+    return np.stack([t[:, 1], -t[:, 0]], axis=1) / np.linalg.norm(t, axis=1)[:, None]
 
 
 def signed_areas(mesh: Mesh) -> np.ndarray:
@@ -197,13 +194,13 @@ def _disk_fan() -> Mesh:
     verts = np.vstack([[0.0, 0.0], np.stack([np.cos(angles), np.sin(angles)], axis=1)])
     k = np.arange(8)
     tris = np.stack([np.zeros(8, dtype=np.int64), k + 1, (k + 1) % 8 + 1], axis=1)
-    return _finish(verts, tris, Domain.UNIT_DISK, 0)
+    return _finish(verts, tris, Domain.UNIT_DISK)
 
 
-def _finish(verts: np.ndarray, tris: np.ndarray, domain: Domain, level: int) -> Mesh:
+def _finish(verts: np.ndarray, tris: np.ndarray, domain: Domain) -> Mesh:
     verts = np.ascontiguousarray(verts, dtype=np.float64)
     tris = np.ascontiguousarray(tris, dtype=np.int64)
-    return Mesh(verts, tris, _boundary_edges(tris, len(verts)), domain, level)
+    return Mesh(verts, tris, _boundary_edges(tris, len(verts)), domain)
 
 
 def _unique_edges(edges: np.ndarray, nv: int):

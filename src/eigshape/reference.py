@@ -49,7 +49,6 @@ class ExactEigenpair:
 class ReferenceDerivatives:
     values: np.ndarray
     lam: float
-    reference_level: int | None = None  # None for the analytic reference
 
 
 # -- Bessel evaluation ------------------------------------------------------
@@ -216,18 +215,19 @@ def continuous_derivatives(domain: Domain, bc: BoundaryCondition, basis: Velocit
 
 # -- fine-mesh (extrapolated) references ------------------------------------
 
-def extrapolated_reference(values, lams, reference_level: int) -> ReferenceDerivatives:
+def extrapolated_reference(values, lams) -> ReferenceDerivatives:
     """Richardson extrapolation of volume-form derivatives and eigenvalues
     solved on the three finest fine-mesh levels, coarsest first.
 
-    The local rate (median across fields, clamped to [0.5, 3]) cancels the
-    leading error term.
+    One local rate, the median across fields clamped to [0.5, 3], cancels the
+    leading error term of the values and of lambda alike. Extrapolation is
+    linear, so an identity every level meets, vol(x,0) + vol(0,y) = -2 lambda,
+    holds for the reference too.
     """
-    def extrapolate(v0, v1, v2):
-        return v2 + (v2 - v1) / (2.0 ** _local_rate(v0, v1, v2) - 1.0)
-
-    lam = extrapolate(*(np.array([x]) for x in lams))[0]
-    return ReferenceDerivatives(extrapolate(*values), float(lam), reference_level)
+    v0, v1, v2 = values
+    denom = 2.0 ** _local_rate(v0, v1, v2) - 1.0
+    _, l1, l2 = lams
+    return ReferenceDerivatives(v2 + (v2 - v1) / denom, float(l2 + (l2 - l1) / denom))
 
 
 def _local_rate(v0, v1, v2) -> float:

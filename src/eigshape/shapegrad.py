@@ -151,7 +151,7 @@ def _boundary_tables(space: FemSpace, basis: np.ndarray, lam: float, size: int) 
     """T[e, c, p, q] per basis entry as in _volume_tables; density by the space's bc."""
     mesh = space.mesh
     edges = mesh.boundary_edges
-    normals, _ = boundary_normals(mesh)
+    normals = boundary_normals(mesh)
     dirichlet = space.bc is BoundaryCondition.DIRICHLET
     points, weights, t = boundary_points(mesh, size - 1 + (0 if dirichlet else 2))
     i, j = np.triu_indices(basis.shape[1])

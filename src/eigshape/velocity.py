@@ -135,7 +135,7 @@ def gramian(basis: VelocityBasis, mesh: Mesh) -> Gramian:
     size = max(f.degree for f in basis.fields) + 1
     degree = 2 * (size - 1)
     pts, wts, _ = boundary_points(mesh, degree + 1)
-    n_x = boundary_normals(mesh)[0][:, 0]
+    n_x = boundary_normals(mesh)[:, 0]
     flux = moments(pts, wts, [n_x[None, :, None]], degree + 1)[0][0]
     mom = flux[1:, :-1] / np.arange(1, degree + 2)[:, None]
     idx = np.arange(size)

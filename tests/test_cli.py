@@ -102,14 +102,21 @@ def test_match_exact_on_lshape_is_rejected_before_any_solve(tmp_path, capsys, mo
     assert "no analytic eigenpair on lshape" in capsys.readouterr().err
 
 
-def test_too_few_levels_is_rejected_before_any_solve(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("min_level,max_level,extra,message", [
+    ("5", "6", "", "at least 3 levels"),
+    ("4", "3", "", "at least 3 levels"),
+    # a fine-mesh reference is solved before the first study level is meshed
+    ("-1", "3", "reference = finemesh:5\n", "min_level must be >= 0"),
+], ids=["too_few", "min_above_max", "negative_min"])
+def test_too_few_levels_is_rejected_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                     min_level, max_level, extra, message):
     patch_solve_lowest(monkeypatch, never_solve)
     cfg = tmp_path / "short.cfg"
-    cfg.write_text(MINI_CONFIG.replace("min_level = 1", "min_level = 5")
-                   .replace("max_level = 3", "max_level = 6"))
+    cfg.write_text(MINI_CONFIG.replace("min_level = 1", f"min_level = {min_level}")
+                   .replace("max_level = 3", f"max_level = {max_level}") + extra)
     out = tmp_path / "results"
     assert run_cli("study", str(cfg), "--out", str(out)) == 2
-    assert "at least 3 levels" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -217,7 +224,7 @@ def test_study_command_outputs(tmp_path, capsys):
     # the layout other tools read: sorted keys, two-space indent, one trailing newline
     assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     assert sorted(manifest) == ["config", "outputs", "timestamp", "version"]
-    assert sorted(manifest["config"]) == ["bc", "domain", "fit_window", "gamma", "max_level",
+    assert sorted(manifest["config"]) == ["bc", "domain", "gamma", "max_level",
                                           "min_level", "reference", "target"]
     assert manifest["config"]["domain"] == "square"
     assert manifest["outputs"] == [str(csv_path), str(svg_path)]
@@ -316,16 +323,15 @@ def test_config_parse_full(tmp_path):
     cfg = tmp_path / "full.cfg"
     cfg.write_text("[study]\ndomain = lshape\nbc = dirichlet\nmin_level = 2\n"
                    "max_level = 5\ngamma = 2\ntarget = first\n"
-                   "reference = finemesh:7\nfit_window = 3\n")
+                   "reference = finemesh:7\n")
     parsed, snapshot = parse_config(cfg)
     assert parsed.domain.value == "lshape"
     assert parsed.reference_level == 7
-    assert parsed.fit_window == 3
     assert snapshot["reference"] == "finemesh:7"
 
 
 @pytest.mark.parametrize("key,value", [("num_pairs", "4"), ("output_dir", "results"),
-                                       ("cluster_rel_gap", "0.05")])
+                                       ("cluster_rel_gap", "0.05"), ("fit_window", "4")])
 def test_removed_config_keys_are_unknown(tmp_path, capsys, key, value):
     cfg = tmp_path / "removed.cfg"
     cfg.write_text(MINI_CONFIG + f"{key} = {value}\n")
@@ -340,7 +346,8 @@ def test_gradient_prints_the_study_level_value(capsys):
     from eigshape.mesh import Domain, generate
 
     cfg = convergence.StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.NEUMANN, 3, 5)
-    space, pair, _ = convergence._solve_level(cfg, generate(cfg.domain, cfg.min_level))
+    space, pair, _ = convergence._solve_level(generate(cfg.domain, cfg.min_level), cfg.bc,
+                                              cfg.target)
     study = shapegrad.volume_gradients(space, pair, (parse_field("mono:1,1,0"),))[0]
     assert run_cli("gradient", "--domain", "square", "--bc", "neumann", "--level", "3",
                    "--field", "mono:1,1,0", "--formula", "volume") == 0
@@ -363,7 +370,6 @@ _VALID = {
     "target": ["first", "match_exact", "cluster:0,0,1e-6", "cluster:1,1,0.05",
                "cluster:5,1,0.05", "cluster:40,0,1e-6", "cluster:0,3,10"],
     "reference": ["analytic", "finemesh:4", "finemesh:5"],
-    "fit_window": ["3", "10"],
 }
 _BAD = {
     "min_level": ["-1", "1.5", "3"],
@@ -371,7 +377,7 @@ _BAD = {
     "target": ["cluster:0,0", "cluster:0,0,nan", "cluster:0,0,-1", "cluster:0,0,0",
                "cluster:0,0,inf", "cluster:-1,0,0.05", "cluster:1", "cluster:a,b,c", "last"],
     "reference": ["finemesh:2", "finemesh:", "finemesh:x", "fine"],
-    "fit_window": ["2"],
+    "fit_window": ["4"],
     "cluster_rel_gap": ["0.05", "nan"],
     "num_pairs": ["4"],
     "output_dir": ["results"],

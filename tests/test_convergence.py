@@ -1,8 +1,12 @@
+import runpy
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from eigshape.convergence import (DegenerateFitError, RateFit, StudyConfig,
-                                  StudyRecord, _solve_level, fit_rate, gamma_sensitivity,
+                                  StudyRecord, _solve_level, fit_rate,
                                   loglog_svg, run_levels, run_study, write_csv)
 from eigshape.eig import Target, cluster, solve_lowest
 from eigshape.fem import BoundaryCondition, FemSpace, assemble_mass, assemble_stiffness
@@ -65,8 +69,6 @@ def test_config_validation():
     # a rate fit needs three levels, so neither config could ever report one
     with pytest.raises(ValueError, match="at least 3 levels"):
         StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 5, 6)
-    with pytest.raises(ValueError, match="fit_window must be at least 3"):
-        StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 1, 3, fit_window=2)
 
 
 def test_gamma_zero_study_has_exact_volume_nullspace():
@@ -140,7 +142,7 @@ def test_cluster_target_is_solved_past_the_end_of_its_cluster(level):
     cfg = StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 2, 4,
                       target=Target.index_within_cluster(5, 1, 0.05))
     mesh = generate(Domain.UNIT_SQUARE, level)
-    _, pair, _ = _solve_level(cfg, mesh)
+    _, pair, _ = _solve_level(mesh, cfg.bc, cfg.target)
     space = FemSpace(mesh, cfg.bc)
     M = assemble_mass(space)
     clusters = cluster(solve_lowest(assemble_stiffness(space), M, 18, cfg.bc), M, 0.05)
@@ -149,14 +151,17 @@ def test_cluster_target_is_solved_past_the_end_of_its_cluster(level):
     assert pair.lam == pytest.approx(17 * np.pi ** 2, rel=0.1)
 
 
-def test_gamma_sensitivity_reports_rows():
-    cfg = StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 2, 4)
-    rows = gamma_sensitivity(cfg, [1, 2])
-    assert [r.gamma for r in rows] == [1, 2]
-    assert all(np.isfinite(r.volume_slope) and np.isfinite(r.boundary_slope)
-               for r in rows)
-    with pytest.raises(DegenerateFitError):
-        gamma_sensitivity(cfg, [0])
+def test_gamma_comparison_script_prints_rows(monkeypatch, capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "gamma_comparison.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--gammas", "1", "2",
+                                      "--min-level", "1", "--max-level", "3"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_info.value.code == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["gamma", "volume_slope", "boundary_slope"]
+    assert [int(row.split()[0]) for row in rows] == [1, 2]
+    assert all(np.isfinite(float(x)) for row in rows for x in row.split()[1:])
 
 
 def test_loglog_svg_output():

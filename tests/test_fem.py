@@ -135,7 +135,7 @@ def test_scaling_invariance_of_stiffness():
     mesh, _, A1, M1 = assembled(Domain.UNIT_SQUARE, BoundaryCondition.NEUMANN, 2)
     t = 2.5
     scaled = Mesh(np.ascontiguousarray(mesh.vertices * t), mesh.triangles.copy(),
-                  mesh.boundary_edges.copy(), mesh.domain, mesh.level)
+                  mesh.boundary_edges.copy(), mesh.domain)
     space = FemSpace(scaled, BoundaryCondition.NEUMANN)
     A2, M2 = assemble_stiffness(space), assemble_mass(space)
     assert abs(A2 - A1).max() <= 1e-13

@@ -24,10 +24,10 @@ def oracle_boundary_edges(tris):
     return np.ascontiguousarray(out[np.lexsort((out[:, 1], out[:, 0]))], dtype=np.int64)
 
 
-def oracle_finish(verts, tris, domain, level):
+def oracle_finish(verts, tris, domain):
     verts = np.ascontiguousarray(verts, dtype=np.float64)
     tris = np.ascontiguousarray(tris, dtype=np.int64)
-    return Mesh(verts, tris, oracle_boundary_edges(tris), domain, level)
+    return Mesh(verts, tris, oracle_boundary_edges(tris), domain)
 
 
 def oracle_merge_parts(parts):
@@ -67,18 +67,18 @@ def oracle_refine(mesh):
         np.stack([mab, mbc, mca], axis=1),
     ])
     verts = np.vstack([mesh.vertices, mids])
-    return oracle_finish(verts, children, mesh.domain, mesh.level + 1)
+    return oracle_finish(verts, children, mesh.domain)
 
 
 def oracle_generate(domain, level):
     n = 2 ** (level + 1)
     if domain is Domain.UNIT_SQUARE:
-        return oracle_finish(*_square_grid(n, 0.0, 0.0), domain, level)
+        return oracle_finish(*_square_grid(n, 0.0, 0.0), domain)
     if domain is Domain.L_SHAPE:
         parts = [_square_grid(n, ox, oy) for ox, oy in ((-1.0, -1.0), (0.0, -1.0), (-1.0, 0.0))]
-        return oracle_finish(*oracle_merge_parts(parts), domain, level)
+        return oracle_finish(*oracle_merge_parts(parts), domain)
     fan = _disk_fan()
-    mesh = oracle_finish(fan.vertices, fan.triangles, domain, 0)
+    mesh = oracle_finish(fan.vertices, fan.triangles, domain)
     for _ in range(level):
         mesh = oracle_refine(mesh)
     return mesh
@@ -154,7 +154,6 @@ def test_refine_quadrisects():
     m = generate(Domain.UNIT_SQUARE, 1)
     r = refine(m)
     assert r.num_triangles == 128
-    assert r.level == 2
     assert r.domain is m.domain
 
 
@@ -181,7 +180,7 @@ def test_refine_halves_mesh_size(domain):
 
 def test_boundary_normal_square_sides():
     m = generate(Domain.UNIT_SQUARE, 1)
-    normals, _ = boundary_normals(m)
+    normals = boundary_normals(m)
     for row, (a, b, _) in enumerate(m.boundary_edges):
         pa, pb = m.vertices[a], m.vertices[b]
         n = boundary_normal(m, (a, b))
@@ -194,7 +193,7 @@ def test_boundary_normal_square_sides():
 
 def test_boundary_normal_disk_alignment():
     m = generate(Domain.UNIT_DISK, 3)
-    normals, _ = boundary_normals(m)
+    normals = boundary_normals(m)
     mids = 0.5 * (m.vertices[m.boundary_edges[:, 0]] + m.vertices[m.boundary_edges[:, 1]])
     radial = mids / np.linalg.norm(mids, axis=1)[:, None]
     assert np.einsum("ea,ea->e", normals, radial).min() >= 0.999
@@ -246,8 +245,8 @@ def test_quasi_uniformity(domain):
 def test_square_boundary_length():
     m = generate(Domain.UNIT_SQUARE, 0)
     for _ in range(4):
-        _, lengths = boundary_normals(m)
-        assert lengths.sum() == pytest.approx(4.0, rel=1e-12)
+        t = m.vertices[m.boundary_edges[:, 1]] - m.vertices[m.boundary_edges[:, 0]]
+        assert np.linalg.norm(t, axis=1).sum() == pytest.approx(4.0, rel=1e-12)
         m = refine(m)
 
 

@@ -116,7 +116,6 @@ def test_continuous_derivatives_symmetries(domain, bc):
     probe = VelocityBasis(1, (constant_field(1.0, 0.0), constant_field(0.0, 1.0),
                               identity_field(), rotation_field()))
     ref = continuous_derivatives(domain, bc, probe)
-    assert ref.reference_level is None
     assert abs(ref.values[0]) <= 1e-10
     assert abs(ref.values[1]) <= 1e-10
     assert ref.values[2] == pytest.approx(-2.0 * ref.lam, rel=1e-9)
@@ -143,18 +142,28 @@ def test_finemesh_square_cross_check_against_analytic():
     basis = build_basis(3)
     ana = continuous_derivatives(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, basis)
     fm = reference_derivatives_for(_finemesh_config(6, 8), basis)
-    assert fm.reference_level == 8
     assert np.abs(fm.values - ana.values).max() <= 5e-5
 
 
 def test_finemesh_lshape_identity_and_lambda(lshape_dirichlet_study):
     ref = lshape_dirichlet_study.reference
-    assert ref.reference_level == 7
     assert ref.lam == pytest.approx(9.6397, abs=2e-3)
     # identity = (x1,0) + (0,x2): the derivative is linear in the field
     names = [f.name for f in build_basis(3).fields]
     v_id = ref.values[names.index("mono:1,0,0")] + ref.values[names.index("mono:0,1,1")]
     assert v_id == pytest.approx(-2.0 * ref.lam, rel=5e-4)
+
+
+def test_finemesh_reference_meets_the_identity_to_roundoff():
+    # every level gives vol(x,0) + vol(0,y) = -2 lambda_h exactly, so a linear
+    # extrapolation of values and lambda with one rate keeps the identity
+    basis = build_basis(1)
+    cfg = StudyConfig(Domain.L_SHAPE, BoundaryCondition.DIRICHLET, 1, 3, gamma=1,
+                      reference_level=5)
+    ref = reference_derivatives_for(cfg, basis)
+    names = [f.name for f in basis.fields]
+    v_id = ref.values[names.index("mono:1,0,0")] + ref.values[names.index("mono:0,1,1")]
+    assert abs(v_id + 2.0 * ref.lam) <= 1e-12 * ref.lam
 
 
 def test_finemesh_budget_error(monkeypatch):

@@ -359,12 +359,12 @@ def _pointwise_boundary(space, U, lam, field):
     """Oracle: boundary-form matrix of the basis columns U, V.n evaluated pointwise."""
     mesh = space.mesh
     edges = mesh.boundary_edges
-    normals, lengths = boundary_normals(mesh)
+    normals = boundary_normals(mesh)
     dirichlet = space.bc is BoundaryCondition.DIRICHLET
     t, wt = edge_rule(field.degree + (0 if dirichlet else 2))
     p0, p1 = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
     pts = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
-    w = lengths[:, None] * wt[None, :]
+    w = np.linalg.norm(p1 - p0, axis=1)[:, None] * wt[None, :]
     vn = np.einsum("ema,ea->em", field_value(field, pts), normals)
     grads = [element_gradients(space, u)[edges[:, 2]] for u in U.T]
     dudn = [np.einsum("ea,ea->e", g, normals) for g in grads]

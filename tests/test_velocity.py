@@ -123,7 +123,7 @@ def _boundary_fan(mesh):
     verts = np.vstack([[0.0, 0.0], mesh.vertices])
     apex = np.zeros((len(mesh.boundary_edges), 1), dtype=np.int64)
     tris = np.hstack([apex, mesh.boundary_edges[:, :2] + 1])
-    return Mesh(verts, tris, np.empty((0, 3), dtype=np.int64), mesh.domain, mesh.level)
+    return Mesh(verts, tris, np.empty((0, 3), dtype=np.int64), mesh.domain)
 
 
 @pytest.mark.parametrize("gamma", range(7))
