@@ -26,6 +26,11 @@ from .velocity import (FactorizationError, VelocityField, constant_field,
                        identity_field, monomial_field, rotation_field)
 
 
+# failures that exit 1; a ValueError (ConfigError among them) exits 2
+NUMERICAL_FAILURES = (NonConvergenceError, FactorizationError, conv.DegenerateFitError,
+                      conv.TrackingError, refmod.ReferenceBudgetError)
+
+
 class ConfigError(ValueError):
     def __init__(self, message: str, line: int | None = None, key: str | None = None):
         where = []
@@ -268,8 +273,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NonConvergenceError, FactorizationError, conv.DegenerateFitError,
-            conv.TrackingError, refmod.ReferenceBudgetError) as exc:
+    except NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:  # OSError: a path that cannot be read or written

@@ -122,7 +122,9 @@ def solve_lowest(A, M, k: int, bc: BoundaryCondition) -> list[EigenPair]:
     sigma = 0.0 if bc is BoundaryCondition.DIRICHLET else _NEUMANN_SIGMA
     v0 = np.random.default_rng(_START_SEED).standard_normal(n)
     try:
-        vals, vecs = spla.eigsh(A.tocsc(), k=k, M=M.tocsc(), sigma=sigma,
+        # no .tocsc(): eigsh factors a symmetric CSR through its CSC transpose,
+        # a view, and a CSR product with M sums as the CSC one does
+        vals, vecs = spla.eigsh(A, k=k, M=M, sigma=sigma,
                                 which="LM", v0=v0, tol=1e-12, maxiter=2000)
     except spla.ArpackNoConvergence as exc:
         best = np.inf

@@ -77,14 +77,18 @@ def _barycentric_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     binv[:, 1, 0] = -e1[:, 1]
     binv[:, 1, 1] = e1[:, 0]
     binv /= det[:, None, None]
-    gref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    grads = np.einsum("ij,tjk->tik", gref, binv)
+    # reference gradients (-1, -1), (1, 0) and (0, 1) times B^{-1}
+    b0, b1 = binv[:, 0], binv[:, 1]
+    grads = np.stack([-b0 - b1, b0, b1], axis=1)
     return grads, 0.5 * det
 
 
 def assemble_stiffness(space: FemSpace) -> sp.csr_matrix:
     grads, areas = _barycentric_gradients(space.mesh)
-    local = np.einsum("tik,tjk->tij", grads, grads) * areas[:, None, None]
+    gx, gy = grads[:, :, 0], grads[:, :, 1]
+    local = gx[:, :, None] * gx[:, None, :]
+    local += gy[:, :, None] * gy[:, None, :]
+    local *= areas[:, None, None]
     return _assemble(space, local)
 
 

@@ -10,6 +10,10 @@ monomial moment tables that polynomial coefficients are contracted against.
 One call serves every value array on a rule, so each chunk of points builds
 its monomial table once: point-major, then copied to cell-major order for the
 contraction, which keeps every sum in the order that rounds as before.
+
+Points are coordinate-major, (2, n, npts) over n cells (triangles or edges):
+points[0] holds the x1 and points[1] the x2 coordinates, each a contiguous
+(n, npts) plane, so a chunk of cells reads each coordinate without a copy.
 """
 
 from __future__ import annotations
@@ -62,29 +66,30 @@ def edge_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
 def physical_points(mesh: Mesh, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quadrature data over all triangles.
 
-    Returns points (nt, npts, 2), weights (nt, npts) and the reference
-    barycentric coordinates (npts, 3) used for P1 interpolation.
+    Returns points (2, nt, npts), coordinate-major, weights (nt, npts) and the
+    reference barycentric coordinates (npts, 3) used for P1 interpolation.
+    Each coordinate plane is p0 + xi (p1 - p0) + eta (p2 - p0).
     """
     ref, w = triangle_rule(degree)
-    p0 = mesh.vertices[mesh.triangles[:, 0]]
-    p1 = mesh.vertices[mesh.triangles[:, 1]]
-    p2 = mesh.vertices[mesh.triangles[:, 2]]
+    verts = mesh.vertices.T  # (2, nv)
+    p0 = verts[:, mesh.triangles[:, 0], None]
+    p1 = verts[:, mesh.triangles[:, 1], None]
+    p2 = verts[:, mesh.triangles[:, 2], None]
     x, y = ref[:, 0], ref[:, 1]
-    pts = (p0[:, None, :]
-           + x[None, :, None] * (p1 - p0)[:, None, :]
-           + y[None, :, None] * (p2 - p0)[:, None, :])
+    pts = p0 + x * (p1 - p0) + y * (p2 - p0)
     wts = (2.0 * signed_areas(mesh))[:, None] * w[None, :]
     bary = np.stack([1.0 - x - y, x, y], axis=1)
     return pts, wts, bary
 
 
 def boundary_points(mesh: Mesh, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge-rule points (ne, npts, 2), weights (ne, npts) and edge parameters t
-    (npts,), from v0 (t = 0) to v1, over the boundary edges in row order."""
+    """Edge-rule points (2, ne, npts), coordinate-major, weights (ne, npts) and
+    edge parameters t (npts,), from v0 (t = 0) to v1, over the boundary edges
+    in row order."""
     t, w = edge_rule(degree)
     p0 = mesh.vertices[mesh.boundary_edges[:, 0]]
     p1 = mesh.vertices[mesh.boundary_edges[:, 1]]
-    pts = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
+    pts = p0.T[:, :, None] + t * (p1 - p0).T[:, :, None]
     wts = np.linalg.norm(p1 - p0, axis=1)[:, None] * w[None, :]
     return pts, wts, t
 
@@ -94,19 +99,20 @@ def moments(points: np.ndarray, weights: np.ndarray, values: Sequence[np.ndarray
     """Weighted monomial moments out[k, p, q] = sum of w * values[k] * x1^p x2^q,
     one table per array in values.
 
-    points (n, npts, 2) and weights (n, npts) hold a rule over n cells
-    (triangles or edges); each value array is (k, n, 1) when constant per
-    cell or (k, n, npts) per point. The tables are square, p, q <= degree;
-    entries with p + q beyond the rule's exactness are left to the caller to
-    ignore. Cells are streamed in chunks so no (k, points, table) array is
-    built. Each chunk builds its monomials once for all arrays, and sums them
-    over the points once if any array is cell-constant. Powers and products
+    points (2, n, npts), coordinate-major, and weights (n, npts) hold a rule
+    over n cells (triangles or edges); each value array is (k, n, 1) when
+    constant per cell or (k, n, npts) per point. The tables are square,
+    p, q <= degree; entries with p + q beyond the rule's exactness are left to
+    the caller to ignore. Cells are streamed in chunks so no (k, points,
+    table) array is built. Each chunk reads its coordinates as contiguous
+    (cells, npts) views, builds its monomials once for all arrays, and sums
+    them over the points once if any array is cell-constant. Powers and products
     are built point-major, (table, cells * npts), so numpy's inner loops run
     over points, not over a table row of degree + 1; the product is copied
     to (cells * npts, table) order before the sum and the matrix products,
     which round differently on the transposed layout.
     """
-    n, npts = points.shape[:2]
+    n, npts = weights.shape
     size = degree + 1
     outs = [np.zeros((v.shape[0], size * size)) for v in values]
     step = max(1, _CHUNK_POINTS // npts)
@@ -118,7 +124,7 @@ def moments(points: np.ndarray, weights: np.ndarray, values: Sequence[np.ndarray
         yp = np.empty_like(xp)
         xp[0] = weights[sl].ravel()  # xp[p] = w x1^p
         yp[0] = 1.0
-        x, y = points[sl, :, 0].ravel(), points[sl, :, 1].ravel()
+        x, y = points[0, sl].ravel(), points[1, sl].ravel()
         for d in range(1, size):
             xp[d] = xp[d - 1] * x
             yp[d] = yp[d - 1] * y

@@ -208,8 +208,8 @@ def continuous_derivatives(domain: Domain, bc: BoundaryCondition, basis: Velocit
         tang = grad - dudn[:, None] * normals
         u = pair.value(pts)
         density = np.einsum("na,na->n", tang, tang) - pair.lam * u ** 2
-    values = shapegrad.boundary_form(basis.fields, pts[:, None, :], w[:, None],
-                                     normals[:, None, :], density[None, :, None])[:, 0]
+    values = shapegrad.boundary_form(basis.fields, pts.T[:, :, None], w[:, None],
+                                     normals.T[:, :, None], density[None, :, None])[:, 0]
     return ReferenceDerivatives(values, pair.lam)
 
 

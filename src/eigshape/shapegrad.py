@@ -99,8 +99,9 @@ def boundary_form(fields, points: np.ndarray, weights: np.ndarray, normals: np.n
                   density: np.ndarray) -> np.ndarray:
     """out[f, e] = integral of density_e V_f . n over a boundary rule.
 
-    points (n, npts, 2) and weights (n, npts) hold the rule, normals is
-    (n, npts, 2) or (n, 1, 2), density is (e, n, npts) or (e, n, 1).
+    points (2, n, npts) and weights (n, npts) hold the rule; points and
+    normals are coordinate-major as in quadrature, normals (2, n, npts) or
+    (2, n, 1); density is (e, n, npts) or (e, n, 1).
     """
     T = _boundary_form_tables(points, weights, normals, density, _size(fields))
     return _contract(Formula.BOUNDARY, fields, T)
@@ -120,7 +121,7 @@ def _contract(formula: Formula, fields, T: np.ndarray) -> np.ndarray:
 
 def _boundary_form_tables(points, weights, normals, density, size: int) -> np.ndarray:
     """T[e, c, p, q]: moments x^p y^q of density_e n_c, for boundary_form."""
-    values = density[:, None] * np.moveaxis(normals, -1, 0)  # (e, 2, n, npts or 1)
+    values = density[:, None] * normals  # (e, 2, n, npts or 1)
     e = density.shape[0]
     [T] = moments(points, weights, [values.reshape((2 * e,) + values.shape[2:])], size - 1)
     return T.reshape(e, 2, size, size)
@@ -130,7 +131,7 @@ def _volume_tables(space: FemSpace, basis: np.ndarray, lam: float, size: int) ->
     """T[e, c, b, p, q]: per entry i <= j of the (dof, l) basis (row-major upper
     triangle), the moments x^p y^q multiplying the x_b-derivative of V_c."""
     points, weights, bary = physical_points(space.mesh, max(_BASE_DEGREE, size + 1))
-    nt = points.shape[0]
+    nt = points.shape[1]
     i, j = np.triu_indices(basis.shape[1])
     grads = np.stack([element_gradients(space, u) for u in basis.T])  # (l, nt, 2)
     tris = space.mesh.triangles
@@ -165,4 +166,4 @@ def _boundary_tables(space: FemSpace, basis: np.ndarray, lam: float, size: int) 
         trace = nodal[:, edges[:, 0], None] * (1.0 - t) + nodal[:, edges[:, 1], None] * t
         tt = np.einsum("lea,lea->le", tang[i], tang[j])
         density = tt[:, :, None] - lam * trace[i] * trace[j]
-    return _boundary_form_tables(points, weights, normals[:, None, :], density, size)
+    return _boundary_form_tables(points, weights, normals.T[:, :, None], density, size)

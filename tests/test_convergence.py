@@ -164,6 +164,22 @@ def test_gamma_comparison_script_prints_rows(monkeypatch, capsys):
     assert all(np.isfinite(float(x)) for row in rows for x in row.split()[1:])
 
 
+@pytest.mark.parametrize("argv,code,message", [
+    (["--gammas", "0", "--min-level", "1", "--max-level", "3"], 1,
+     "numerical failure: volume error vanishes in the fit window"),
+    (["--min-level", "3", "--max-level", "4"], 2,
+     "error: a study needs at least 3 levels to fit a rate"),
+], ids=["degenerate_fit", "too_few_levels"])
+def test_gamma_comparison_script_maps_failures_to_exit_codes(monkeypatch, capsys, argv, code,
+                                                             message):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "gamma_comparison.py"
+    monkeypatch.setattr(sys, "argv", [str(script)] + argv)
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_info.value.code == code
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
 def test_loglog_svg_output():
     cfg = StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 1, 3, gamma=1)
     svg = loglog_svg(run_study(cfg), title="test plot")

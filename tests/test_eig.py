@@ -15,7 +15,7 @@ from eigshape.reference import exact_eigenpair
 from eigshape.shapegrad import Formula, directional_matrix
 from eigshape.velocity import monomial_field
 
-from conftest import assembled, record_pair_counts
+from conftest import BCS, DOMAINS, assembled, record_pair_counts
 
 PI2 = np.pi ** 2
 
@@ -38,6 +38,22 @@ def test_diagonal_pencil():
     assert pairs[1].lam == pytest.approx(3.0, abs=1e-12)
     assert abs(pairs[0].coeffs[0]) == pytest.approx(1.0, abs=1e-12)
     assert abs(pairs[1].coeffs[1]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bc", BCS)
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_sparse_solve_is_bit_identical_to_csc_copies(monkeypatch, domain, bc):
+    """eigsh takes the symmetric CSR pencil as it is; .tocsc() copies change no bit."""
+    eigsh = spla.eigsh
+    for level in range(2, 6):
+        _, _, A, M = assembled(domain, bc, level)
+        for k in (1, 10):
+            got = solve_lowest(A, M, k, bc)
+            with monkeypatch.context() as m:
+                m.setattr(spla, "eigsh", lambda A, M, **kw: eigsh(A.tocsc(), M=M.tocsc(), **kw))
+                want = solve_lowest(A, M, k, bc)
+            assert [p.lam for p in got] == [p.lam for p in want]
+            assert all(np.array_equal(p.coeffs, q.coeffs) for p, q in zip(got, want))
 
 
 def test_square_dirichlet_monotone_from_above():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from eigshape import fem
 from eigshape.fem import (BoundaryCondition, FemSpace, assemble_mass,
                           assemble_stiffness, element_gradients)
 from eigshape.mesh import Domain, Mesh, generate, signed_areas
 from eigshape.reference import exact_eigenpair
 
-from conftest import assembled
+from conftest import BCS, DOMAINS, assembled
 
 
 # Single-element oracles, computed one triangle at a time.
@@ -150,3 +151,40 @@ def test_dof_counts():
     assert d.dof_count == 9  # interior 3x3 grid
     free = d.free_index[d.free_index >= 0]
     assert sorted(free) == list(range(9))
+
+
+# The element geometry as it was computed with einsum, kept as a bit-for-bit
+# oracle: the study's E columns move with every ulp of A.
+
+def einsum_barycentric_gradients(mesh: Mesh) -> np.ndarray:
+    p0, p1, p2 = (mesh.vertices[mesh.triangles[:, i]] for i in range(3))
+    e1, e2 = p1 - p0, p2 - p0
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    binv = np.empty((len(det), 2, 2))
+    binv[:, 0, 0] = e2[:, 1]
+    binv[:, 0, 1] = -e2[:, 0]
+    binv[:, 1, 0] = -e1[:, 1]
+    binv[:, 1, 1] = e1[:, 0]
+    binv /= det[:, None, None]
+    gref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    return np.einsum("ij,tjk->tik", gref, binv)
+
+
+def _same_csr(a, b) -> bool:
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("indptr", "indices", "data"))
+
+
+@pytest.mark.parametrize("level", range(6))
+@pytest.mark.parametrize("bc", BCS)
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_element_geometry_is_bit_identical_to_einsum(domain, bc, level):
+    mesh = generate(domain, level)
+    space = FemSpace(mesh, bc)
+    grads = einsum_barycentric_gradients(mesh)
+    got, areas = fem._barycentric_gradients(mesh)
+    assert np.array_equal(got, grads)
+    local = np.einsum("tik,tjk->tij", grads, grads) * areas[:, None, None]
+    assert _same_csr(assemble_stiffness(space), fem._assemble(space, local))
+    pattern = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    local_mass = signed_areas(mesh)[:, None, None] * pattern[None, :, :]
+    assert _same_csr(assemble_mass(space), fem._assemble(space, local_mass))

@@ -25,19 +25,19 @@ from conftest import BCS, DOMAINS, assembled
 def oracle_moments(points, weights, values, degree):
     """One value array per call, monomials built cell-major (n, npts, table)."""
     k, n, nv = values.shape
-    npts = points.shape[1]
+    npts = points.shape[2]
     size = degree + 1
     out = np.zeros((k, size * size))
     step = max(1, quadrature._CHUNK_POINTS // npts)
     for lo in range(0, n, step):
         sl = slice(lo, min(lo + step, n))
-        xp = np.empty(points[sl].shape[:2] + (size,))
+        xp = np.empty(points[0, sl].shape + (size,))
         yp = np.empty_like(xp)
         xp[..., 0] = weights[sl]
         yp[..., 0] = 1.0
         for d in range(1, size):
-            xp[..., d] = xp[..., d - 1] * points[sl, :, 0]
-            yp[..., d] = yp[..., d - 1] * points[sl, :, 1]
+            xp[..., d] = xp[..., d - 1] * points[0, sl]
+            yp[..., d] = yp[..., d - 1] * points[1, sl]
         mono = (xp[..., :, None] * yp[..., None, :]).reshape(xp.shape[0], npts, -1)
         if nv == 1:
             mono = mono.sum(axis=1)
@@ -48,7 +48,7 @@ def oracle_moments(points, weights, values, degree):
 def oracle_volume_tables(space, basis, lam, size):
     """The volume tables with one oracle_moments call for G and one for U."""
     points, weights, bary = physical_points(space.mesh, max(shapegrad._BASE_DEGREE, size + 1))
-    nt = points.shape[0]
+    nt = points.shape[1]
     i, j = np.triu_indices(basis.shape[1])
     grads = np.stack([element_gradients(space, u) for u in basis.T])
     tris = space.mesh.triangles
@@ -62,6 +62,26 @@ def oracle_volume_tables(space, basis, lam, size):
     T[:, 0, 0] += scalar
     T[:, 1, 1] += scalar
     return T
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_points_are_the_interleaved_formula_coordinate_major(domain):
+    """The (n, npts, 2) points as they were built, moved to (2, n, npts), bit for bit."""
+    mesh = generate(domain, 3)
+    for degree in (6, 8):
+        ref, _ = quadrature.triangle_rule(degree)
+        p0, p1, p2 = (mesh.vertices[mesh.triangles[:, i]] for i in range(3))
+        x, y = ref[:, 0], ref[:, 1]
+        want = (p0[:, None, :]
+                + x[None, :, None] * (p1 - p0)[:, None, :]
+                + y[None, :, None] * (p2 - p0)[:, None, :])
+        got = physical_points(mesh, degree)[0]
+        assert got.shape == (2, mesh.num_triangles, len(x))
+        assert np.array_equal(got, np.moveaxis(want, -1, 0))
+    t, _ = quadrature.edge_rule(5)
+    p0, p1 = (mesh.vertices[mesh.boundary_edges[:, i]] for i in range(2))
+    want = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
+    assert np.array_equal(boundary_points(mesh, 5)[0], np.moveaxis(want, -1, 0))
 
 
 def _rule(domain, rule):

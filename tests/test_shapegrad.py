@@ -340,6 +340,7 @@ GENERAL_FIELDS = (
 def _pointwise_volume(space, U, lam, field):
     """Oracle: volume-form matrix of the basis columns U, fields evaluated pointwise."""
     pts, w, bary = physical_points(space.mesh, max(6, field.degree + 2))
+    pts = np.moveaxis(pts, 0, -1)  # (nt, npts, 2) for the pointwise field oracles
     DV, div = field_jacobian(field, pts), field_divergence(field, pts)
     grads = [element_gradients(space, u) for u in U.T]
     uvals = [space.nodal_values(u)[space.mesh.triangles] @ bary.T for u in U.T]

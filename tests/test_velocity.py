@@ -22,7 +22,7 @@ def _gramian_generic(basis, mesh):
     """Oracle: the H1 Gramian by pointwise field evaluation at every quadrature point."""
     degree = 2 * max(f.degree for f in basis.fields)
     pts, wts, _ = physical_points(mesh, degree)
-    flat = pts.reshape(-1, 2)
+    flat = np.moveaxis(pts, 0, -1).reshape(-1, 2)
     w = wts.reshape(-1)
     q = basis.size
     K = np.zeros((q, q))
