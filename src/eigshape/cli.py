@@ -28,7 +28,7 @@ from .velocity import (FactorizationError, VelocityField, constant_field,
 
 # failures that exit 1; a ValueError (ConfigError among them) exits 2
 NUMERICAL_FAILURES = (NonConvergenceError, FactorizationError, conv.DegenerateFitError,
-                      conv.TrackingError, refmod.ReferenceBudgetError)
+                      conv.TrackingError, conv.IdentityError, refmod.ReferenceBudgetError)
 
 
 class ConfigError(ValueError):

@@ -7,13 +7,19 @@ error vector against the (analytic or fine-mesh) reference in the dual norm
 E = sqrt(w^T K^{-1} w). The reference is the same for both formulas: the two
 continuous Eulerian derivatives coincide. A fine-mesh reference solves the
 same target eigenpair as the study levels, through the same level solve.
+
+Each study or reference level is an independent job: the finest runs on the
+calling thread and the others in order on one helper thread (_run_jobs).
+Each job also checks its volume-form values against exact identities.
 """
 
 from __future__ import annotations
 
 import io
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -22,7 +28,7 @@ from . import shapegrad
 from .eig import EigenPair, Target, TargetKind, solve_target
 from .fem import BoundaryCondition, FemSpace, assemble_mass, assemble_stiffness
 from .mesh import Domain, Mesh, generate, mesh_size, refine, vertex_count
-from .velocity import build_basis, dual_norm, gramian
+from .velocity import Gramian, VelocityBasis, build_basis, dual_norm, gramian
 
 
 class DegenerateFitError(RuntimeError):
@@ -33,9 +39,16 @@ class TrackingError(RuntimeError):
     """The tracked eigenvalue is not the one the analytic reference belongs to."""
 
 
+class IdentityError(RuntimeError):
+    """The volume form misses an identity that holds exactly on every mesh."""
+
+
 _DEGENERATE_FLOOR = 1e-12  # dual-norm values below this are roundoff of an exact zero
 _REFERENCE_DOF_BUDGET = 1_500_000  # most vertices a fine-mesh reference level may have
 _FIT_WINDOW = 4  # rates are fitted over this many finest levels
+_IDENTITY_TOL = 1e-10  # relative to lam_h; the identities hold to about 1e-15
+_TRANSLATIONS = ("mono:0,0,0", "mono:0,0,1")
+_IDENTITY_PARTS = ("mono:1,0,0", "mono:0,1,1")  # (x, 0) + (0, y), the identity field
 
 
 @dataclass(frozen=True)
@@ -87,6 +100,19 @@ class StudyResult:
     reference: refmod.ReferenceDerivatives
 
 
+@dataclass(frozen=True)
+class _StudyLevel:
+    """One solved study level: its record's inputs, and tracking check (iii)'s."""
+    level: int
+    h: float
+    dof: int
+    lam: float
+    lams: np.ndarray  # the computed nonzero eigenvalues
+    volume: np.ndarray
+    boundary: np.ndarray
+    K: Gramian
+
+
 def _solve_level(mesh: Mesh, bc: BoundaryCondition,
                  target: Target) -> tuple[FemSpace, EigenPair, np.ndarray]:
     """Target pair and nonzero eigenvalues on one mesh: study levels, reference
@@ -99,48 +125,123 @@ def _solve_level(mesh: Mesh, bc: BoundaryCondition,
                                  target, exact_nodal=exact_nodal))
 
 
-def reference_derivatives_for(cfg: StudyConfig, basis) -> refmod.ReferenceDerivatives:
-    """Analytic reference, or volume-form derivatives on the three finest
-    reference levels, Richardson-extrapolated."""
+def _level_job(cfg: StudyConfig, basis: VelocityBasis, mesh: Mesh,
+               where: str) -> tuple[FemSpace, EigenPair, np.ndarray, np.ndarray]:
+    """The level solve and its volume-form values, checked against identities
+    that hold on every mesh for an M-normalised u_h: vol(x, 0) + vol(0, y) =
+    -2 lam_h (gamma >= 1) and vol(translation) = 0."""
+    space, pair, lams = _solve_level(mesh, cfg.bc, cfg.target)
+    values = shapegrad.volume_gradients(space, pair, basis.fields)
+    named = dict(zip((f.name for f in basis.fields), values))
+    misses = {f"translation {name}": abs(named[name]) for name in _TRANSLATIONS}
+    if basis.gamma >= 1:
+        misses["identity field"] = abs(named[_IDENTITY_PARTS[0]] + named[_IDENTITY_PARTS[1]]
+                                       + 2.0 * pair.lam)
+    name = max(misses, key=misses.get)
+    if misses[name] > _IDENTITY_TOL * abs(pair.lam):
+        raise IdentityError(
+            f"{where}: the volume form of the {name} is off its exact value by "
+            f"{misses[name] / abs(pair.lam):.3e} lambda_h (tolerance {_IDENTITY_TOL:g}); "
+            "the assembly, the quadrature or the normalisation of u_h is wrong")
+    return space, pair, lams, values
+
+
+def _reference_level(cfg: StudyConfig, basis: VelocityBasis,
+                     level: int) -> tuple[np.ndarray, float]:
+    _, pair, _, values = _level_job(cfg, basis, generate(cfg.domain, level),
+                                    f"reference level {level}")
+    return values, pair.lam
+
+
+def _study_level(cfg: StudyConfig, basis: VelocityBasis, level: int,
+                 mesh: Mesh) -> _StudyLevel:
+    space, pair, lams, values = _level_job(cfg, basis, mesh, f"study level {level}")
+    return _StudyLevel(level, mesh_size(mesh), space.dof_count, pair.lam, lams, values,
+                       shapegrad.boundary_gradients(space, pair, basis.fields),
+                       gramian(basis, mesh))
+
+
+def _reference_jobs(cfg: StudyConfig, basis: VelocityBasis) -> list:
+    """The fine-mesh reference's three level jobs, coarsest first; none for an
+    analytic reference."""
     if cfg.reference_level is None:
-        return refmod.continuous_derivatives(cfg.domain, cfg.bc, basis)
+        return []
     # the finest level is the largest, so its budget check comes before any mesh
     vertices = vertex_count(cfg.domain, cfg.reference_level)
     if vertices > _REFERENCE_DOF_BUDGET:
         raise refmod.ReferenceBudgetError(
             f"level {cfg.reference_level} has {vertices} vertices, "
             f"budget {_REFERENCE_DOF_BUDGET}")
-    values, lams = [], []
-    for lv in range(cfg.reference_level - 2, cfg.reference_level + 1):
-        space, pair, _ = _solve_level(generate(cfg.domain, lv), cfg.bc, cfg.target)
-        values.append(shapegrad.volume_gradients(space, pair, basis.fields))
-        lams.append(pair.lam)
+    return [partial(_reference_level, cfg, basis, lv)
+            for lv in range(cfg.reference_level - 2, cfg.reference_level + 1)]
+
+
+def _reference(cfg: StudyConfig, basis: VelocityBasis, levels) -> refmod.ReferenceDerivatives:
+    """The analytic reference, or the fine-mesh one from its solved levels."""
+    if cfg.reference_level is None:
+        return refmod.continuous_derivatives(cfg.domain, cfg.bc, basis)
+    values, lams = zip(*levels)
     return refmod.extrapolated_reference(values, lams)
 
 
+def _run_jobs(jobs: list, inline: int) -> list:
+    """The jobs' results in list order. jobs[inline], the finest level, runs on
+    the calling thread and the others in order on one helper thread. Each job
+    is single-threaded work on inputs of its own, so its result is the serial
+    one bit for bit. The first failure in list order is raised, after the
+    helper's queued jobs are cancelled and its running one has finished."""
+    helper = ThreadPoolExecutor(max_workers=1)
+    try:
+        futures = [helper.submit(job) if k != inline else None for k, job in enumerate(jobs)]
+        try:
+            own, failure = jobs[inline](), None
+        except Exception as exc:  # raised below, in list order
+            own, failure = None, exc
+        results = []
+        for k, future in enumerate(futures):
+            if k == inline and failure is not None:
+                raise failure
+            results.append(own if k == inline else future.result())
+        return results
+    finally:
+        helper.shutdown(cancel_futures=True)
+
+
+def reference_derivatives_for(cfg: StudyConfig, basis) -> refmod.ReferenceDerivatives:
+    """Analytic reference, or volume-form derivatives on the three finest
+    reference levels, Richardson-extrapolated."""
+    jobs = _reference_jobs(cfg, basis)
+    return _reference(cfg, basis, _run_jobs(jobs, len(jobs) - 1) if jobs else [])
+
+
 def run_levels(cfg: StudyConfig) -> tuple[list[StudyRecord], refmod.ReferenceDerivatives]:
+    """Every level job of the study, fine-mesh reference levels first, on two
+    threads (see _run_jobs); records and reference as a serial loop gives them."""
     basis = build_basis(cfg.gamma)
-    ref = reference_derivatives_for(cfg, basis)
-    records = []
+    jobs = _reference_jobs(cfg, basis)
+    n_ref = len(jobs)
     mesh = generate(cfg.domain, cfg.min_level)
     for level in range(cfg.min_level, cfg.max_level + 1):
         if level > cfg.min_level:
             mesh = refine(mesh)
-        space, pair, lams = _solve_level(mesh, cfg.bc, cfg.target)
-        K = gramian(basis, mesh)
-        vol = shapegrad.volume_gradients(space, pair, basis.fields)
-        bnd = shapegrad.boundary_gradients(space, pair, basis.fields)
-        records.append(StudyRecord(
-            level=level, h=mesh_size(mesh), dof=space.dof_count, lambda_h=pair.lam,
-            E_volume=dual_norm(ref.values - vol, K),
-            E_boundary=dual_norm(ref.values - bnd, K)))
+        jobs.append(partial(_study_level, cfg, basis, level, mesh))
+    # the finest level is the fine-mesh reference's, or else the study's
+    solved = _run_jobs(jobs, (n_ref or len(jobs)) - 1)
+    ref = _reference(cfg, basis, solved[:n_ref])
+    levels = solved[n_ref:]
+    records = [StudyRecord(level=s.level, h=s.h, dof=s.dof, lambda_h=s.lam,
+                           E_volume=dual_norm(ref.values - s.volume, s.K),
+                           E_boundary=dual_norm(ref.values - s.boundary, s.K))
+               for s in levels]
+    finest = levels[-1]
     if cfg.reference_level is None:  # the analytic reference is nearest the tracked lam_h
-        others = np.delete(lams, np.argmin(np.abs(lams - pair.lam)))
-        nearest = others[np.argmin(np.abs(others - ref.lam))] if others.size else pair.lam
-        if abs(nearest - ref.lam) < abs(pair.lam - ref.lam):
+        lams, lam = finest.lams, finest.lam
+        others = np.delete(lams, np.argmin(np.abs(lams - lam)))
+        nearest = others[np.argmin(np.abs(others - ref.lam))] if others.size else lam
+        if abs(nearest - ref.lam) < abs(lam - ref.lam):
             raise TrackingError(
-                f"the study tracks lambda_h = {pair.lam!r} at level {level}, but the analytic "
-                f"reference lambda = {ref.lam!r} is nearer the computed eigenvalue "
+                f"the study tracks lambda_h = {lam!r} at level {finest.level}, but the "
+                f"analytic reference lambda = {ref.lam!r} is nearer the computed eigenvalue "
                 f"{float(nearest)!r}: the target does not follow the reference eigenpair")
     return records, ref
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .mesh import Mesh, signed_areas
+from .mesh import Mesh
 
 _CHUNK_POINTS = 4096  # quadrature points per moments() chunk
 
@@ -63,21 +63,24 @@ def edge_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     return t, wt
 
 
-def physical_points(mesh: Mesh, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadrature data over all triangles.
+def physical_points(mesh: Mesh, degree: int,
+                    cells: slice = slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quadrature data over the triangles `cells` (default all).
 
-    Returns points (2, nt, npts), coordinate-major, weights (nt, npts) and the
+    Returns points (2, n, npts), coordinate-major, weights (n, npts) and the
     reference barycentric coordinates (npts, 3) used for P1 interpolation.
-    Each coordinate plane is p0 + xi (p1 - p0) + eta (p2 - p0).
+    Each coordinate plane is p0 + xi (p1 - p0) + eta (p2 - p0), and each
+    weight the rule's times twice the signed area, so a slice of cells gets
+    the same values as the whole mesh.
     """
     ref, w = triangle_rule(degree)
-    verts = mesh.vertices.T  # (2, nv)
-    p0 = verts[:, mesh.triangles[:, 0], None]
-    p1 = verts[:, mesh.triangles[:, 1], None]
-    p2 = verts[:, mesh.triangles[:, 2], None]
+    corners = mesh.vertices.T[:, mesh.triangles[cells]]  # (2, n, 3)
+    p0 = corners[:, :, :1]
+    d1 = corners[:, :, 1:2] - p0
+    d2 = corners[:, :, 2:3] - p0
     x, y = ref[:, 0], ref[:, 1]
-    pts = p0 + x * (p1 - p0) + y * (p2 - p0)
-    wts = (2.0 * signed_areas(mesh))[:, None] * w[None, :]
+    pts = p0 + x * d1 + y * d2
+    wts = (d1[0] * d2[1] - d1[1] * d2[0]) * w[None, :]
     bary = np.stack([1.0 - x - y, x, y], axis=1)
     return pts, wts, bary
 
@@ -92,6 +95,12 @@ def boundary_points(mesh: Mesh, degree: int) -> tuple[np.ndarray, np.ndarray, np
     pts = p0.T[:, :, None] + t * (p1 - p0).T[:, :, None]
     wts = np.linalg.norm(p1 - p0, axis=1)[:, None] * w[None, :]
     return pts, wts, t
+
+
+def cell_chunks(n: int, npts: int) -> list[slice]:
+    """The chunks of n cells with npts points each that moments sums in turn."""
+    step = max(1, _CHUNK_POINTS // npts)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def moments(points: np.ndarray, weights: np.ndarray, values: Sequence[np.ndarray],
@@ -115,10 +124,8 @@ def moments(points: np.ndarray, weights: np.ndarray, values: Sequence[np.ndarray
     n, npts = weights.shape
     size = degree + 1
     outs = [np.zeros((v.shape[0], size * size)) for v in values]
-    step = max(1, _CHUNK_POINTS // npts)
-    for lo in range(0, n, step):
-        sl = slice(lo, min(lo + step, n))
-        m = sl.stop - lo
+    for sl in cell_chunks(n, npts):
+        m = sl.stop - sl.start
         # powers by repeated products: libm pow is slow on negative bases
         xp = np.empty((size, m * npts))
         yp = np.empty_like(xp)

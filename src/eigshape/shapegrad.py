@@ -29,7 +29,7 @@ import numpy as np
 from .eig import EigenCluster, EigenPair
 from .fem import BoundaryCondition, FemSpace, element_gradients
 from .mesh import boundary_normals
-from .quadrature import boundary_points, moments, physical_points
+from .quadrature import boundary_points, cell_chunks, moments, physical_points, triangle_rule
 from .velocity import VelocityField, coefficient_stack
 
 _BASE_DEGREE = 6  # volume rule exact for degree max(6, field degree + 2)
@@ -129,17 +129,29 @@ def _boundary_form_tables(points, weights, normals, density, size: int) -> np.nd
 
 def _volume_tables(space: FemSpace, basis: np.ndarray, lam: float, size: int) -> np.ndarray:
     """T[e, c, b, p, q]: per entry i <= j of the (dof, l) basis (row-major upper
-    triangle), the moments x^p y^q multiplying the x_b-derivative of V_c."""
-    points, weights, bary = physical_points(space.mesh, max(_BASE_DEGREE, size + 1))
-    nt = points.shape[1]
+    triangle), the moments x^p y^q multiplying the x_b-derivative of V_c.
+
+    The quadrature points and the values of u_i u_j on them are built one
+    chunk of moments' cells at a time, from per-triangle arrays built once,
+    and the chunk tables summed in moments' order, so no (entries,
+    triangles, points) array is held.
+    """
+    mesh = space.mesh
+    degree = max(_BASE_DEGREE, size + 1)
+    nt = mesh.num_triangles
     i, j = np.triu_indices(basis.shape[1])
     grads = np.stack([element_gradients(space, u) for u in basis.T])  # (l, nt, 2)
-    tris = space.mesh.triangles
-    uvals = np.stack([space.nodal_values(u)[tris] @ bary.T for u in basis.T])
+    corners = np.stack([space.nodal_values(u)[mesh.triangles] for u in basis.T])  # (l, nt, 3)
     # G[e, a, b]: moments of g_i,a g_j,b (constant per triangle); U: of u_i u_j
     gg = grads[i, :, :, None] * grads[j, :, None, :]
-    G, U = moments(points, weights,
-                   [gg.transpose(0, 2, 3, 1).reshape(-1, nt, 1), uvals[i] * uvals[j]], size - 1)
+    gvals = gg.transpose(0, 2, 3, 1).reshape(-1, nt, 1)
+    G = U = 0.0
+    for cells in cell_chunks(nt, triangle_rule(degree)[1].size):
+        points, weights, bary = physical_points(mesh, degree, cells)
+        uvals = corners[:, cells] @ bary.T
+        g, u = moments(points, weights, [gvals[:, cells], uvals[i] * uvals[j]], size - 1)
+        G += g
+        U += u
     G = G.reshape(len(i), 2, 2, size, size)
     T = -(G + G.transpose(0, 2, 1, 3, 4))
     scalar = G[:, 0, 0] + G[:, 1, 1] - lam * U

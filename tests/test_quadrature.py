@@ -4,7 +4,9 @@ The oracle is the earlier two-pass design, kept here: a `moments` that takes
 one value array and builds its monomial table cell-major, and a
 `_volume_tables` that calls it once for G and once for U. The one-pass kernel
 must reproduce it exactly, not to a tolerance, because the study's E columns
-are small differences of derivative values and move with every ulp.
+are small differences of derivative values and move with every ulp. So must
+the streamed `_volume_tables`, which builds points and u_h values one chunk
+of cells at a time, against the whole-mesh one that built them all at once.
 """
 
 import numpy as np
@@ -118,18 +120,68 @@ def test_one_call_for_several_arrays_equals_one_call_per_array(monkeypatch, doma
                        zip(got, [oracle_moments(pts, wts, v, degree) for v in subset]))
 
 
+def whole_mesh_volume_tables(space, basis, lam, size):
+    """The volume tables from one moments call over every triangle at once."""
+    points, weights, bary = physical_points(space.mesh, max(shapegrad._BASE_DEGREE, size + 1))
+    nt = points.shape[1]
+    i, j = np.triu_indices(basis.shape[1])
+    grads = np.stack([element_gradients(space, u) for u in basis.T])
+    tris = space.mesh.triangles
+    uvals = np.stack([space.nodal_values(u)[tris] @ bary.T for u in basis.T])
+    gg = grads[i, :, :, None] * grads[j, :, None, :]
+    G, U = moments(points, weights,
+                   [gg.transpose(0, 2, 3, 1).reshape(-1, nt, 1), uvals[i] * uvals[j]], size - 1)
+    G = G.reshape(len(i), 2, 2, size, size)
+    T = -(G + G.transpose(0, 2, 1, 3, 4))
+    scalar = G[:, 0, 0] + G[:, 1, 1] - lam * U
+    T[:, 0, 0] += scalar
+    T[:, 1, 1] += scalar
+    return T
+
+
+def _lowest_live_pairs(domain, bc, level, count):
+    _, space, A, M = assembled(domain, bc, level)
+    live = [p for p in solve_lowest(A, M, count + 1, bc) if not p.zero_mode][:count]
+    return space, np.stack([p.coeffs for p in live], axis=1), live[0].lam
+
+
+# the square at level 2 has 128 triangles and the degree-6 rule 16 points
+@pytest.mark.parametrize("level,chunk,chunks", [
+    (2, quadrature._CHUNK_POINTS, 1),  # fewer triangles than one chunk
+    (2, 16 * 32, 4),                   # an exact multiple of the chunk
+    (2, 16 * 48, 3),                   # a ragged last chunk of 32
+    (4, quadrature._CHUNK_POINTS, 8),  # 2048 triangles, the default chunk
+], ids=["one_partial_chunk", "exact_multiple", "ragged", "default_chunk"])
+@pytest.mark.parametrize("bc", BCS)
+def test_streamed_volume_tables_equal_the_whole_mesh_ones(monkeypatch, bc, level, chunk,
+                                                          chunks):
+    monkeypatch.setattr(quadrature, "_CHUNK_POINTS", chunk)
+    space, basis, lam = _lowest_live_pairs(DOMAINS[0], bc, level, 3)
+    assert len(quadrature.cell_chunks(space.mesh.num_triangles, 16)) == chunks
+    for l in (1, 2, 3):
+        for size in (1, 4, 6):
+            got = shapegrad._volume_tables(space, basis[:, :l], lam, size)
+            assert np.array_equal(got, whole_mesh_volume_tables(space, basis[:, :l], lam, size))
+
+
 def test_volume_tables_call_moments_once(monkeypatch):
-    _, space, A, M = assembled(DOMAINS[0], BCS[0], 2)
-    pair = solve_lowest(A, M, 1, space.bc)[0]
+    """Once per chunk of cells, on a mesh of several chunks, with G and U together."""
     calls = []
 
     def counted(points, weights, values, degree):
-        calls.append(len(values))
+        calls.append([v.shape for v in values])
         return moments(points, weights, values, degree)
 
     monkeypatch.setattr(shapegrad, "moments", counted)
-    shapegrad._volume_tables(space, pair.coeffs[:, None], pair.lam, 4)
-    assert calls == [2]
+    for l in (1, 2, 3):
+        space, basis, lam = _lowest_live_pairs(DOMAINS[2], BCS[0], 3, l)
+        calls.clear()
+        shapegrad._volume_tables(space, basis, lam, 4)
+        e = l * (l + 1) // 2
+        chunks = quadrature.cell_chunks(space.mesh.num_triangles, 16)
+        assert len(chunks) == 6  # the L-shape at level 3 has 1536 triangles
+        assert calls == [[(4 * e, c.stop - c.start, 1), (e, c.stop - c.start, 16)]
+                         for c in chunks]
 
 
 def _two_member_cluster(M, live):
