@@ -9,7 +9,8 @@ continuous Eulerian derivatives coincide. A fine-mesh reference solves the
 same target eigenpair as the study levels, through the same level solve.
 
 Each study or reference level is an independent job: the finest runs on the
-calling thread and the others in order on one helper thread (_run_jobs).
+calling thread and the others in order on one helper thread (_run_jobs), or
+all in order on the calling thread when the process has one CPU.
 Each job also checks its volume-form values against exact identities.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -162,10 +164,7 @@ def _study_level(cfg: StudyConfig, basis: VelocityBasis, level: int,
 
 
 def _reference_jobs(cfg: StudyConfig, basis: VelocityBasis) -> list:
-    """The fine-mesh reference's three level jobs, coarsest first; none for an
-    analytic reference."""
-    if cfg.reference_level is None:
-        return []
+    """A fine-mesh reference's three level jobs, coarsest first."""
     # the finest level is the largest, so its budget check comes before any mesh
     vertices = vertex_count(cfg.domain, cfg.reference_level)
     if vertices > _REFERENCE_DOF_BUDGET:
@@ -176,12 +175,17 @@ def _reference_jobs(cfg: StudyConfig, basis: VelocityBasis) -> list:
             for lv in range(cfg.reference_level - 2, cfg.reference_level + 1)]
 
 
-def _reference(cfg: StudyConfig, basis: VelocityBasis, levels) -> refmod.ReferenceDerivatives:
-    """The analytic reference, or the fine-mesh one from its solved levels."""
-    if cfg.reference_level is None:
-        return refmod.continuous_derivatives(cfg.domain, cfg.bc, basis)
+def _extrapolated(levels) -> refmod.ReferenceDerivatives:
+    """The fine-mesh reference from its solved levels' (values, lam_h)."""
     values, lams = zip(*levels)
     return refmod.extrapolated_reference(values, lams)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_jobs(jobs: list, inline: int) -> list:
@@ -189,7 +193,17 @@ def _run_jobs(jobs: list, inline: int) -> list:
     the calling thread and the others in order on one helper thread. Each job
     is single-threaded work on inputs of its own, so its result is the serial
     one bit for bit. The first failure in list order is raised, after the
-    helper's queued jobs are cancelled and its running one has finished."""
+    helper's queued jobs are cancelled and its running one has finished.
+
+    A failure arrives later than in a serial loop: one on the helper is raised
+    only after the inline job has run to its end (with a fine-mesh reference,
+    the finest reference solve), and an interrupt in the inline job waits for
+    the helper's running job.
+
+    With one CPU nothing can overlap, and a helper would only keep a second
+    level's arrays alive, so the jobs run in order on the calling thread."""
+    if _cpus() == 1:
+        return [job() for job in jobs]
     helper = ThreadPoolExecutor(max_workers=1)
     try:
         futures = [helper.submit(job) if k != inline else None for k, job in enumerate(jobs)]
@@ -210,15 +224,21 @@ def _run_jobs(jobs: list, inline: int) -> list:
 def reference_derivatives_for(cfg: StudyConfig, basis) -> refmod.ReferenceDerivatives:
     """Analytic reference, or volume-form derivatives on the three finest
     reference levels, Richardson-extrapolated."""
+    if cfg.reference_level is None:
+        return refmod.continuous_derivatives(cfg.domain, cfg.bc, basis)
     jobs = _reference_jobs(cfg, basis)
-    return _reference(cfg, basis, _run_jobs(jobs, len(jobs) - 1) if jobs else [])
+    return _extrapolated(_run_jobs(jobs, len(jobs) - 1))
 
 
 def run_levels(cfg: StudyConfig) -> tuple[list[StudyRecord], refmod.ReferenceDerivatives]:
     """Every level job of the study, fine-mesh reference levels first, on two
     threads (see _run_jobs); records and reference as a serial loop gives them."""
     basis = build_basis(cfg.gamma)
-    jobs = _reference_jobs(cfg, basis)
+    fine_mesh = cfg.reference_level is not None
+    # an analytic reference comes first, as in the serial order; a fine-mesh
+    # reference's levels are jobs next to the study's
+    ref = None if fine_mesh else reference_derivatives_for(cfg, basis)
+    jobs = _reference_jobs(cfg, basis) if fine_mesh else []
     n_ref = len(jobs)
     mesh = generate(cfg.domain, cfg.min_level)
     for level in range(cfg.min_level, cfg.max_level + 1):
@@ -227,14 +247,15 @@ def run_levels(cfg: StudyConfig) -> tuple[list[StudyRecord], refmod.ReferenceDer
         jobs.append(partial(_study_level, cfg, basis, level, mesh))
     # the finest level is the fine-mesh reference's, or else the study's
     solved = _run_jobs(jobs, (n_ref or len(jobs)) - 1)
-    ref = _reference(cfg, basis, solved[:n_ref])
+    if fine_mesh:
+        ref = _extrapolated(solved[:n_ref])
     levels = solved[n_ref:]
     records = [StudyRecord(level=s.level, h=s.h, dof=s.dof, lambda_h=s.lam,
                            E_volume=dual_norm(ref.values - s.volume, s.K),
                            E_boundary=dual_norm(ref.values - s.boundary, s.K))
                for s in levels]
     finest = levels[-1]
-    if cfg.reference_level is None:  # the analytic reference is nearest the tracked lam_h
+    if not fine_mesh:  # the analytic reference is nearest the tracked lam_h
         lams, lam = finest.lams, finest.lam
         others = np.delete(lams, np.argmin(np.abs(lams - lam)))
         nearest = others[np.argmin(np.abs(others - ref.lam))] if others.size else lam

@@ -5,7 +5,8 @@ The oracle is that serial loop, kept here: fine-mesh reference levels
 first, then the study levels by refinement, each solved on the calling
 thread. The threaded run must give the same records and reference bit for
 bit, and raise the first failure in the same order, with the same type and
-message.
+message. The process is made to see two CPUs, so that the helper thread runs
+on any machine; with one CPU every job runs on the calling thread.
 """
 
 import threading
@@ -23,6 +24,11 @@ from eigshape.mesh import Domain, generate, mesh_size, refine, vertex_count
 from eigshape.velocity import build_basis, dual_norm, gramian
 
 D, N = BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN
+
+
+@pytest.fixture(autouse=True)
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(convergence, "_cpus", lambda: 2)
 
 
 def serial_run_levels(cfg):
@@ -76,6 +82,24 @@ def test_run_levels_equals_the_serial_loop(cfg):
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_one_cpu_runs_every_level_on_the_calling_thread(monkeypatch, cpus):
+    monkeypatch.setattr(convergence, "_cpus", lambda: cpus)
+    solve, threads = convergence._solve_level, {}
+
+    def recording(mesh, bc, target):
+        threads[mesh.num_vertices] = threading.current_thread() is threading.main_thread()
+        return solve(mesh, bc, target)
+
+    monkeypatch.setattr(convergence, "_solve_level", recording)
+    cfg = config(Domain.UNIT_SQUARE, D)
+    records, ref = run_levels(cfg)
+    inline = {vertex_count(cfg.domain, lv): lv == 5 or cpus == 1 for lv in (1, 2, 3, 4, 5)}
+    assert threads == inline
+    want_records, want_ref = serial_run_levels(cfg)
+    assert records == want_records and np.array_equal(ref.values, want_ref.values)
+
+
 def fail_at(monkeypatch, domain, failures):
     """Make the level solve raise failures[level] on the mesh of that level."""
     solve = convergence._solve_level
@@ -109,7 +133,10 @@ def stalled(level):
     (5, {2: stalled(2)}, NonConvergenceError),
 ], ids=["study_helper", "study_helper_first", "helper_before_inline", "reference_helper",
         "reference_inline", "study_after_reference"])
-def test_a_failure_is_raised_in_serial_order(monkeypatch, reference_level, failures, raised):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failure_is_raised_in_serial_order(monkeypatch, reference_level, failures, raised,
+                                             cpus):
+    monkeypatch.setattr(convergence, "_cpus", lambda: cpus)
     cfg = config(Domain.UNIT_SQUARE, D, reference_level)
     fail_at(monkeypatch, cfg.domain, failures)
     threads = threading.active_count()
