@@ -11,7 +11,8 @@ same target eigenpair as the study levels, through the same level solve.
 Each study or reference level is an independent job: the finest runs on the
 calling thread and the others in order on one helper thread (_run_jobs), or
 all in order on the calling thread when the process has one CPU.
-Each job also checks its volume-form values against exact identities.
+Each job also checks its volume-form values against exact identities, and on
+the nested square and L-shape meshes lambda_h must not rise from level to level.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ class DegenerateFitError(RuntimeError):
 
 
 class TrackingError(RuntimeError):
-    """The tracked eigenvalue is not the one the analytic reference belongs to."""
+    """The study does not track one eigenvalue: lambda_h rises under nested
+    refinement, or the analytic reference belongs to another eigenvalue."""
 
 
 class IdentityError(RuntimeError):
@@ -254,6 +256,13 @@ def run_levels(cfg: StudyConfig) -> tuple[list[StudyRecord], refmod.ReferenceDer
                            E_volume=dual_norm(ref.values - s.volume, s.K),
                            E_boundary=dual_norm(ref.values - s.boundary, s.K))
                for s in levels]
+    if cfg.domain is not Domain.UNIT_DISK:  # nested P1 spaces (the disk's are not)
+        for coarse, fine in zip(levels, levels[1:]):
+            if fine.lam > coarse.lam:
+                raise TrackingError(
+                    f"lambda_h rises from {coarse.lam!r} at level {coarse.level} to "
+                    f"{fine.lam!r} at level {fine.level}, which nested meshes rule out "
+                    "(Courant-Fischer): the target does not follow one eigenpair")
     finest = levels[-1]
     if not fine_mesh:  # the analytic reference is nearest the tracked lam_h
         lams, lam = finest.lams, finest.lam

@@ -107,7 +107,7 @@ def refine(mesh: Mesh) -> Mesh:
         np.stack([mab, mbc, mca], axis=1),
     ])
     verts = np.vstack([mesh.vertices, mids])
-    return _finish(verts, children, mesh.domain)
+    return _finish(verts, children, mesh.domain, _child_boundary_edges(mesh, mid_idx))
 
 
 def boundary_normals(mesh: Mesh) -> np.ndarray:
@@ -197,10 +197,27 @@ def _disk_fan() -> Mesh:
     return _finish(verts, tris, Domain.UNIT_DISK)
 
 
-def _finish(verts: np.ndarray, tris: np.ndarray, domain: Domain) -> Mesh:
+def _finish(verts: np.ndarray, tris: np.ndarray, domain: Domain,
+            boundary: np.ndarray | None = None) -> Mesh:
     verts = np.ascontiguousarray(verts, dtype=np.float64)
     tris = np.ascontiguousarray(tris, dtype=np.int64)
-    return Mesh(verts, tris, _boundary_edges(tris, len(verts)), domain)
+    if boundary is None:
+        boundary = _boundary_edges(tris, len(verts))
+    return Mesh(verts, tris, boundary, domain)
+
+
+def _child_boundary_edges(mesh: Mesh, mid_idx: np.ndarray) -> np.ndarray:
+    """refine's boundary edges, from the parent's: boundary edge (a, b, t) is
+    local edge k of triangle t, and splits at its midpoint m into (a, m) of
+    child k and (m, b) of child (k + 1) mod 3, child c of t being row c * nt + t.
+    Sorted as _boundary_edges sorts them."""
+    a, b, t = mesh.boundary_edges.T
+    nt = mesh.num_triangles
+    k = np.argmax(mesh.triangles[t] == a[:, None], axis=1)
+    m = mid_idx[t, k]
+    out = np.concatenate([np.stack([a, m, k * nt + t], axis=1),
+                          np.stack([m, b, (k + 1) % 3 * nt + t], axis=1)])
+    return out[np.lexsort((out[:, 1], out[:, 0]))]
 
 
 def _unique_edges(edges: np.ndarray, nv: int):

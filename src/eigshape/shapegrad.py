@@ -16,7 +16,8 @@ directional derivatives. A simple eigenpair is the one-member cluster.
 Both forms are linear in V and DV, so each is computed as moment tables of
 the eigenfunction data (quadrature.moments), one per matrix entry, contracted
 against the fields' coefficient stacks (velocity.coefficient_stack). A cluster
-keeps its tables, so directional_matrix builds them once per field degree.
+keeps its tables: directional_matrix builds one table per space and formula
+for every field of degree <= _BASE_DEGREE - 2, and one per higher degree.
 """
 
 from __future__ import annotations
@@ -68,9 +69,12 @@ def directional_matrix(space: FemSpace, cl: EigenCluster, field: VelocityField,
 
     The continuous formulas use the (single) continuous eigenvalue; here it
     is replaced by the cluster-mean discrete eigenvalue. The tables are cached
-    on the cluster per (space, formula, field degree).
+    on the cluster per (space, formula, size). The size is the largest that the
+    base volume rule integrates exactly, or the field's own when that is larger,
+    so every field of degree <= _BASE_DEGREE - 2 shares one table; each result
+    depends on the field alone, not on which fields came before.
     """
-    size = field.degree + 1
+    size = max(field.degree + 1, _BASE_DEGREE - 1)
     key = (space, formula, size)
     if key not in cl._tables:
         build = _volume_tables if formula is Formula.VOLUME else _boundary_tables

@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -37,10 +38,9 @@ class VelocityField:
     coeffs_y: np.ndarray
     name: str = ""
 
-    @property
+    @cached_property
     def degree(self) -> int:
-        return max(d for c in (self.coeffs_x, self.coeffs_y)
-                   for d in [_total_degree(c)])
+        return max(_total_degree(self.coeffs_x), _total_degree(self.coeffs_y))
 
 
 def monomial_field(b1: int, b2: int, component: int) -> VelocityField:

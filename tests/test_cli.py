@@ -1,5 +1,6 @@
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eigshape import convergence
 from eigshape.cli import ConfigError, main, parse_config, parse_field
 from eigshape.velocity import VelocityField
 
@@ -152,6 +154,27 @@ def test_analytic_reference_of_another_eigenvalue_is_numerical_failure(
     err = capsys.readouterr().err
     assert tracked in err and "analytic reference lambda = 19.7392088021787" in err
     assert not out.exists()  # a failed study writes nothing, not even --out
+
+
+@pytest.mark.parametrize("domain,code", [("square", 1), ("lshape", 1), ("disk", 0)])
+def test_rising_lambda_on_nested_meshes_is_numerical_failure(tmp_path, capsys, monkeypatch,
+                                                             domain, code):
+    # lambda_h cannot rise under refinement of the nested square and L-shape meshes
+    # (Courant-Fischer); the disk's boundary moves, so its spaces are not nested
+    def inflated(cfg, basis, level, mesh, solve=convergence._study_level):
+        s = solve(cfg, basis, level, mesh)
+        return replace(s, lam=s.lam * 1.5) if level == 2 else s
+
+    monkeypatch.setattr(convergence, "_study_level", inflated)
+    cfg = tmp_path / "nested.cfg"
+    cfg.write_text(MINI_CONFIG.replace("domain = square", f"domain = {domain}")
+                   + ("reference = finemesh:5\n" if domain == "lshape" else ""))
+    out = tmp_path / "out"
+    assert run_cli("study", str(cfg), "--out", str(out)) == code
+    if code:
+        err = capsys.readouterr().err
+        assert "lambda_h rises from" in err and "at level 1 to" in err and "at level 2" in err
+        assert not out.exists()
 
 
 def test_invalid_domain_is_usage_error():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eigshape.convergence import (DegenerateFitError, RateFit, StudyConfig,
-                                  StudyRecord, _solve_level, fit_rate,
+                                  StudyRecord, TrackingError, _solve_level, fit_rate,
                                   loglog_svg, run_levels, run_study, write_csv)
 from eigshape.eig import Target, cluster, solve_lowest
 from eigshape.fem import BoundaryCondition, FemSpace, assemble_mass, assemble_stiffness
@@ -122,11 +122,21 @@ def test_reference_consistency_analytic_vs_finemesh():
 
 def test_finemesh_reference_tracks_the_study_cluster():
     # the 8 pi^2 eigenvalue is cluster 2 once the mesh-split 5 pi^2 pair is grouped
-    cfg = StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 1, 3, gamma=1,
-                      target=Target.index_within_cluster(2, 0, 0.05), reference_level=5)
+    cfg = StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 2, 4, gamma=1,
+                      target=Target.index_within_cluster(2, 0, 0.05), reference_level=6)
     result = run_study(cfg)
     assert result.reference.lam == pytest.approx(8 * np.pi ** 2, rel=1e-3)
     assert result.records[-1].lambda_h == pytest.approx(8 * np.pi ** 2, rel=0.1)
+
+
+def test_cluster_split_at_the_coarsest_level_is_a_tracking_error():
+    # at level 1 the 5 pi^2 pair is split by more than the gap, so cluster 2 is
+    # its upper member (7.25 pi^2) there and 8 pi^2 (9.18 pi^2) at level 2
+    cfg = StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 1, 3, gamma=1,
+                      target=Target.index_within_cluster(2, 0, 0.05), reference_level=5)
+    with pytest.raises(TrackingError, match=r"lambda_h rises from 71\.55\d+ at level 1 "
+                                            r"to 90\.62\d+ at level 2"):
+        run_study(cfg)
 
 
 def test_study_and_reference_levels_ask_for_the_same_pair_count(monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eigshape.mesh import (Domain, Mesh, _disk_fan, _square_grid,
+from eigshape.mesh import (Domain, Mesh, _boundary_edges, _disk_fan, _square_grid,
                            boundary_normals, boundary_vertex_mask, diameters,
                            export_text, generate, mesh_size, refine,
                            signed_areas, vertex_count)
@@ -110,6 +110,15 @@ def test_numbering_matches_loop_oracle(domain, level):
     for mesh, oracle in ((got, expected), (refine(got), oracle_refine(expected))):
         for name in ("vertices", "triangles", "boundary_edges"):
             assert np.array_equal(getattr(mesh, name), getattr(oracle, name)), name
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("level", range(7))
+def test_refine_boundary_edges_equal_a_full_scan(domain, level):
+    # refine splits the parent's boundary edges instead of scanning all 3 nt edges
+    child = refine(generate(domain, level))
+    assert np.array_equal(child.boundary_edges,
+                          _boundary_edges(child.triangles, child.num_vertices))
 
 
 @pytest.mark.parametrize("domain", DOMAINS)

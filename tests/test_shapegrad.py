@@ -259,11 +259,36 @@ def _fresh(space, cl, field, formula):
     return directional_matrix(space, EigenCluster(cl.lambdas, cl.basis), field, formula)
 
 
+def _per_degree(space, cl, field, formula):
+    """Oracle: the directional matrix from tables of the field's own size, degree + 1."""
+    build = shapegrad._volume_tables if formula is Formula.VOLUME else shapegrad._boundary_tables
+    T = build(space, cl.basis, cl.mean, field.degree + 1)
+    values = shapegrad._contract(formula, (field,), T)[0]
+    mat = np.empty((cl.multiplicity, cl.multiplicity))
+    i, j = np.triu_indices(cl.multiplicity)
+    mat[i, j] = mat[j, i] = values
+    return mat
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("bc", BCS)
+def test_shared_tables_match_per_degree_tables(domain, bc):
+    # fields of degree <= 4 share the size-5 tables; the largest sizes are their own
+    space, cl = _test_cluster(domain, bc)
+    fields = build_basis(6).fields
+    assert {f.degree for f in fields} == set(range(7))
+    for formula in Formula:
+        got = np.array([directional_matrix(space, cl, f, formula).matrix for f in fields])
+        want = np.array([_per_degree(space, cl, f, formula) for f in fields])
+        # relative to the formula's scale: a translation's boundary form is roundoff of 0
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), formula
+
+
 @pytest.mark.parametrize("domain", DOMAINS)
 @pytest.mark.parametrize("bc", BCS)
 def test_cached_tables_match_uncached_calls_in_any_field_order(domain, bc):
     space, cl = _test_cluster(domain, bc)
-    fields = sorted(build_basis(3).fields, key=lambda f: f.degree)
+    fields = sorted(build_basis(6).fields, key=lambda f: f.degree)
     ascending = list(range(len(fields)))
     shuffled = list(np.random.default_rng(5).permutation(len(fields)))
     expected = {(k, formula): _fresh(space, cl, fields[k], formula)
@@ -278,7 +303,7 @@ def test_cached_tables_match_uncached_calls_in_any_field_order(domain, bc):
                 assert np.array_equal(got.eigenvalues, want.eigenvalues)
 
 
-def test_tables_built_once_per_space_formula_and_degree(monkeypatch):
+def test_tables_built_once_per_space_formula_and_size(monkeypatch):
     space, cl = _test_cluster(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET)
     builds = []
     for name in ("_volume_tables", "_boundary_tables"):
@@ -286,16 +311,23 @@ def test_tables_built_once_per_space_formula_and_degree(monkeypatch):
             builds.append((space, name, size))
             return build(space, basis, lam, size)
         monkeypatch.setattr(shapegrad, name, counted)
+
+    def matrices(space, fields):
+        return [directional_matrix(space, cl, f, formula).matrix
+                for formula in Formula for f in fields]
+
+    # every field of a gamma = 3 basis shares one table per formula
     fields = build_basis(3).fields
-    degrees = {f.degree for f in fields}
-    first = [directional_matrix(space, cl, f, formula).matrix
-             for formula in Formula for f in fields]
-    assert len(builds) == len(set(builds)) == 2 * len(degrees)
+    first = matrices(space, fields)
+    assert builds == [(space, "_volume_tables", 5), (space, "_boundary_tables", 5)]
+    # degree-5 and degree-6 fields build their own
+    matrices(space, [f for f in build_basis(6).fields if f.degree >= 4])
+    assert len(builds) == len(set(builds)) == 6
+    assert {size for _, _, size in builds} == {5, 6, 7}
     # the same cluster on a second space over the same mesh builds its own tables
     other = FemSpace(space.mesh, space.bc)
-    second = [directional_matrix(other, cl, f, formula).matrix
-              for formula in Formula for f in fields]
-    assert len(builds) == len(set(builds)) == 4 * len(degrees)
+    second = matrices(other, fields)
+    assert len(builds) == len(set(builds)) == 8
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
