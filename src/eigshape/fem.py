@@ -9,6 +9,7 @@ mirrored.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from enum import Enum
 from functools import cached_property
 
@@ -84,30 +85,47 @@ def _barycentric_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assemble_stiffness(space: FemSpace) -> sp.csr_matrix:
-    grads, areas = _barycentric_gradients(space.mesh)
+    return _assemble(space, _stiffness_local)
+
+
+def assemble_mass(space: FemSpace) -> sp.csr_matrix:
+    return _assemble(space, _mass_local)
+
+
+def _stiffness_local(mesh: Mesh) -> np.ndarray:
+    grads, areas = _barycentric_gradients(mesh)
     gx, gy = grads[:, :, 0], grads[:, :, 1]
     local = gx[:, :, None] * gx[:, None, :]
     local += gy[:, :, None] * gy[:, None, :]
     local *= areas[:, None, None]
-    return _assemble(space, local)
+    return local
 
 
-def assemble_mass(space: FemSpace) -> sp.csr_matrix:
+def _mass_local(mesh: Mesh) -> np.ndarray:
     pattern = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    local = signed_areas(space.mesh)[:, None, None] * pattern[None, :, :]
-    return _assemble(space, local)
+    return signed_areas(mesh)[:, None, None] * pattern[None, :, :]
 
 
-def _assemble(space: FemSpace, local: np.ndarray) -> sp.csr_matrix:
-    """Scatter (nt, 3, 3) element matrices into a CSR matrix on the free dofs."""
-    dofs = space.free_index[space.mesh.triangles]  # (nt, 3)
+def _assemble(space: FemSpace, element_matrices: Callable[[Mesh], np.ndarray]) -> sp.csr_matrix:
+    """Scatter the (nt, 3, 3) element_matrices(mesh) into a CSR matrix on the free dofs.
+
+    glibc keeps this heap resident under the eigensolve, so the element matrices
+    are built after the kept indices and dropped once their kept entries are read.
+    """
+    # int32, as the COO matrix stores them; contiguous, so repeat and tile copy fast
+    dofs = space.free_index[space.mesh.triangles].astype(np.int32)  # (nt, 3)
     rows = np.repeat(dofs, 3, axis=1).ravel()
     cols = np.tile(dofs, (1, 3)).ravel()
-    vals = local.ravel()
+    del dofs
     # keep free pairs in the upper triangle only, then mirror for exact symmetry
     keep = (rows >= 0) & (cols >= 0) & (rows <= cols)
+    rows, cols = rows[keep], cols[keep]
+    vals = element_matrices(space.mesh).ravel()[keep]
     n = space.dof_count
-    upper = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    coo = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+    del keep, rows, cols, vals
+    upper = coo.tocsr()
+    del coo
     strict = sp.triu(upper, k=1)
     return (upper + strict.T).tocsr()
 
