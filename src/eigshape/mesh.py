@@ -3,10 +3,13 @@
 Meshes are immutable: refinement returns a new mesh. The unit square is
 covered by a uniform right-triangle pattern (fixed diagonal, lower-left to
 upper-right) so that the mesh size is exactly sqrt(2)/n. The L-shape is
-three unit squares with seam vertices unified by exact dyadic coordinate
-match. The disk starts from a regular 8-triangle fan and projects boundary
-midpoints onto the unit circle at every refinement, giving an inscribed
-regular polygon.
+three copies of that grid, parts 0, 1 and 2 on [-1,0]x[-1,0], [0,1]x[-1,0]
+and [-1,0]x[0,1], numbered in order of first appearance: part 1's x = 0
+column and part 2's y = 0 row are part 0's seam vertices, and every other
+vertex follows part 0's in its part's own order. Both are built in closed
+form, boundary edges included. The disk starts from a regular 8-triangle
+fan and projects boundary midpoints onto the unit circle at every
+refinement, giving an inscribed regular polygon.
 """
 
 from __future__ import annotations
@@ -57,13 +60,10 @@ def generate(domain: Domain, level: int) -> Mesh:
         raise ValueError(f"level must be >= 0, got {level}")
     if domain is Domain.UNIT_SQUARE:
         n = 2 ** (level + 1)
-        verts, tris = _square_grid(n, 0.0, 0.0)
-        return _finish(verts, tris, domain)
+        verts, tris = _square_grid(n)
+        return Mesh(verts, tris, _sorted_edges(np.concatenate(_grid_sides(n))), domain)
     if domain is Domain.L_SHAPE:
-        n = 2 ** (level + 1)
-        parts = [_square_grid(n, ox, oy) for ox, oy in ((-1.0, -1.0), (0.0, -1.0), (-1.0, 0.0))]
-        verts, tris = _merge_parts(parts)
-        return _finish(verts, tris, domain)
+        return _lshape(2 ** (level + 1))
     if domain is Domain.UNIT_DISK:
         mesh = _disk_fan()
         for _ in range(level):
@@ -107,7 +107,7 @@ def refine(mesh: Mesh) -> Mesh:
         np.stack([mab, mbc, mca], axis=1),
     ])
     verts = np.vstack([mesh.vertices, mids])
-    return _finish(verts, children, mesh.domain, _child_boundary_edges(mesh, mid_idx))
+    return Mesh(verts, children, _child_boundary_edges(mesh, mid_idx), mesh.domain)
 
 
 def boundary_normals(mesh: Mesh) -> np.ndarray:
@@ -127,17 +127,16 @@ def signed_areas(mesh: Mesh) -> np.ndarray:
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
-def diameters(mesh: Mesh) -> np.ndarray:
-    """Longest edge of each triangle (the triangle diameter)."""
-    p = mesh.vertices[mesh.triangles]
-    d01 = np.linalg.norm(p[:, 0] - p[:, 1], axis=1)
-    d12 = np.linalg.norm(p[:, 1] - p[:, 2], axis=1)
-    d20 = np.linalg.norm(p[:, 2] - p[:, 0], axis=1)
-    return np.maximum(d01, np.maximum(d12, d20))
-
-
 def mesh_size(mesh: Mesh) -> float:
-    return float(diameters(mesh).max())
+    """Largest triangle diameter. sqrt is correctly rounded and monotone, so one
+    sqrt of the largest squared edge length is the largest edge length."""
+    x, y = mesh.vertices.T
+    t = mesh.triangles
+    longest = 0.0
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        dx, dy = x[t[:, a]] - x[t[:, b]], y[t[:, a]] - y[t[:, b]]
+        longest = max(longest, float((dx * dx + dy * dy).max()))
+    return float(np.sqrt(longest))
 
 
 def boundary_vertex_mask(mesh: Mesh) -> np.ndarray:
@@ -157,67 +156,90 @@ def export_text(mesh: Mesh) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _square_grid(n: int, ox: float, oy: float) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform right-triangle mesh of [ox, ox+1] x [oy, oy+1] with n cells per side."""
-    side = np.arange(n + 1) / n
-    xx, yy = np.meshgrid(ox + side, oy + side, indexing="ij")
-    verts = np.stack([xx.ravel(), yy.ravel()], axis=1)
+def _square_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform right-triangle mesh of [0, 1]^2 with n cells per side.
 
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    v00 = (i * (n + 1) + j).ravel()
-    v10 = ((i + 1) * (n + 1) + j).ravel()
-    v11 = ((i + 1) * (n + 1) + j + 1).ravel()
-    v01 = (i * (n + 1) + j + 1).ravel()
-    lower = np.stack([v00, v10, v11], axis=1)
-    upper = np.stack([v00, v11, v01], axis=1)
-    return verts, np.concatenate([lower, upper])
-
-
-def _merge_parts(parts) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate (vertices, triangles) pairs, unifying exactly equal vertices.
-
-    Vertices are numbered in order of first appearance.
+    Vertex i * (n + 1) + j is (i / n, j / n). Cell i * n + j is split along its
+    diagonal into lower triangle i * n + j and upper triangle n^2 + i * n + j.
     """
-    offsets = np.cumsum([0] + [len(pverts) for pverts, _ in parts[:-1]])
-    verts = np.concatenate([pverts for pverts, _ in parts])
-    tris = np.concatenate([ptris + off for (_, ptris), off in zip(parts, offsets)])
-    _, first, inverse = np.unique(verts, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return verts[first[order]], rank[inverse.ravel()][tris]
+    side = np.arange(n + 1) / n
+    verts = np.empty((n + 1, n + 1, 2))
+    verts[:, :, 0] = side[:, None]
+    verts[:, :, 1] = side
+    v00 = (np.arange(0, n * (n + 1), n + 1)[:, None] + np.arange(n)).ravel()
+    tris = np.empty((2, n * n, 3), dtype=np.int64)
+    lower, upper = tris
+    lower[:, 0] = upper[:, 0] = v00
+    lower[:, 1] = v00 + (n + 1)
+    lower[:, 2] = upper[:, 1] = v00 + (n + 2)
+    upper[:, 2] = v00 + 1
+    return verts.reshape(-1, 2), tris.reshape(-1, 3)
+
+
+def _grid_sides(n: int) -> tuple[np.ndarray, ...]:
+    """The bottom, right, top and left boundary edges of _square_grid(n), as
+    rows (v0, v1, triangle) with the square to the left of v0 -> v1."""
+    k = np.arange(n)
+    m = n + 1
+    return (np.stack([k * m, (k + 1) * m, k * n], axis=1),
+            np.stack([n * m + k, n * m + k + 1, (n - 1) * n + k], axis=1),
+            np.stack([(k + 1) * m + n, k * m + n, n * n + k * n + n - 1], axis=1),
+            np.stack([k + 1, k, n * n + k], axis=1))
+
+
+def _lshape(n: int) -> Mesh:
+    """The L-shape as three _square_grid(n) parts, numbered as the module
+    docstring says: part 1's vertex k is n(n + 1) + k, as its x = 0 column
+    is part 0's last one, and part 2's vertex i(n + 1) + j is part 0's
+    i(n + 1) + n when j = 0, else the (i n + j)-th after parts 0 and 1.
+    Part p's triangle t is p * nt + t."""
+    verts, tris = _square_grid(n)
+    m = n + 1
+    part2 = np.empty((m, m), dtype=np.int64)
+    part2[:, 0] = np.arange(m) * m + n
+    part2[:, 1:] = (2 * m * m - m - 1) + (np.arange(m)[:, None] * n + np.arange(1, m))
+    maps = (np.arange(m * m), np.arange(m * m) + n * m, part2.ravel())
+    origins = ((-1.0, -1.0), (0.0, -1.0), (-1.0, 0.0))
+    bottom, right, top, left = _grid_sides(n)
+    outer = ((bottom, left), (bottom, right, top), (left, top, right))  # the non-seam sides
+    nt = len(tris)
+
+    lverts = np.empty((3 * m * m - 2 * m, 2))
+    ltris = np.empty((3, nt, 3), dtype=np.int64)
+    edges = []
+    for p, (vmap, origin, sides) in enumerate(zip(maps, origins, outer)):
+        lverts[vmap] = verts + origin  # a seam vertex gets the same coordinates twice
+        np.take(vmap, tris, out=ltris[p])
+        edges += [np.column_stack([vmap[s[:, :2]], s[:, 2] + p * nt]) for s in sides]
+    return Mesh(lverts, ltris.reshape(-1, 3), _sorted_edges(np.concatenate(edges)), Domain.L_SHAPE)
 
 
 def _disk_fan() -> Mesh:
-    """Regular 8-triangle fan from the origin to an inscribed octagon."""
+    """Regular 8-triangle fan from the origin to an inscribed octagon; rim
+    edge k is the boundary edge of triangle k."""
     angles = 2.0 * np.pi * np.arange(8) / 8
     verts = np.vstack([[0.0, 0.0], np.stack([np.cos(angles), np.sin(angles)], axis=1)])
     k = np.arange(8)
-    tris = np.stack([np.zeros(8, dtype=np.int64), k + 1, (k + 1) % 8 + 1], axis=1)
-    return _finish(verts, tris, Domain.UNIT_DISK)
+    rim = np.stack([k + 1, (k + 1) % 8 + 1], axis=1)
+    tris = np.column_stack([np.zeros(8, dtype=np.int64), rim])
+    return Mesh(verts, tris, np.column_stack([rim, k]), Domain.UNIT_DISK)
 
 
-def _finish(verts: np.ndarray, tris: np.ndarray, domain: Domain,
-            boundary: np.ndarray | None = None) -> Mesh:
-    verts = np.ascontiguousarray(verts, dtype=np.float64)
-    tris = np.ascontiguousarray(tris, dtype=np.int64)
-    if boundary is None:
-        boundary = _boundary_edges(tris, len(verts))
-    return Mesh(verts, tris, boundary, domain)
+def _sorted_edges(edges: np.ndarray) -> np.ndarray:
+    """Boundary edge rows (v0, v1, triangle) in the (v0, v1) order every Mesh keeps."""
+    return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
 
 
 def _child_boundary_edges(mesh: Mesh, mid_idx: np.ndarray) -> np.ndarray:
     """refine's boundary edges, from the parent's: boundary edge (a, b, t) is
     local edge k of triangle t, and splits at its midpoint m into (a, m) of
-    child k and (m, b) of child (k + 1) mod 3, child c of t being row c * nt + t.
-    Sorted as _boundary_edges sorts them."""
+    child k and (m, b) of child (k + 1) mod 3, child c of t being row c * nt + t."""
     a, b, t = mesh.boundary_edges.T
     nt = mesh.num_triangles
     k = np.argmax(mesh.triangles[t] == a[:, None], axis=1)
     m = mid_idx[t, k]
-    out = np.concatenate([np.stack([a, m, k * nt + t], axis=1),
-                          np.stack([m, b, (k + 1) % 3 * nt + t], axis=1)])
-    return out[np.lexsort((out[:, 1], out[:, 0]))]
+    return _sorted_edges(np.concatenate([np.stack([a, m, k * nt + t], axis=1),
+                                         np.stack([m, b, (k + 1) % 3 * nt + t], axis=1)]))
 
 
 def _unique_edges(edges: np.ndarray, nv: int):
@@ -230,13 +252,3 @@ def _unique_edges(edges: np.ndarray, nv: int):
     hi = np.maximum(edges[:, 0], edges[:, 1])
     return np.unique(lo * nv + hi, return_inverse=True, return_counts=True)
 
-
-def _boundary_edges(tris: np.ndarray, nv: int) -> np.ndarray:
-    """Directed edges adjacent to exactly one triangle, with that triangle."""
-    nt = tris.shape[0]
-    directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    owner = np.tile(np.arange(nt), 3)
-    _, inverse, counts = _unique_edges(directed, nv)
-    single = counts[inverse] == 1
-    out = np.column_stack([directed[single], owner[single]])
-    return np.ascontiguousarray(out[np.lexsort((out[:, 1], out[:, 0]))], dtype=np.int64)

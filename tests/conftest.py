@@ -1,5 +1,6 @@
 import os
 import sys
+import tracemalloc
 
 # single-core box: stop BLAS from spinning worker threads before numpy loads
 os.environ.setdefault("OMP_NUM_THREADS", "1")
@@ -22,6 +23,17 @@ def assembled(domain, bc, level):
     mesh = generate(domain, level)
     space = FemSpace(mesh, bc)
     return mesh, space, assemble_stiffness(space), assemble_mass(space)
+
+
+def traced_peak_bytes(fn, *args) -> int:
+    """tracemalloc high-water of one call, above what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def first_nonzero_pair(space, A, M, k=None):

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,7 +8,7 @@ from eigshape.fem import (BoundaryCondition, FemSpace, assemble_mass,
 from eigshape.mesh import Domain, Mesh, generate, signed_areas
 from eigshape.reference import exact_eigenpair
 
-from conftest import BCS, DOMAINS, assembled
+from conftest import BCS, DOMAINS, assembled, traced_peak_bytes
 
 
 # Single-element oracles, computed one triangle at a time.
@@ -173,6 +171,21 @@ def einsum_barycentric_gradients(mesh: Mesh) -> np.ndarray:
     return np.einsum("ij,tjk->tik", gref, binv)
 
 
+def einsum_stiffness_local(mesh: Mesh) -> np.ndarray:
+    grads = einsum_barycentric_gradients(mesh)
+    return np.einsum("tik,tjk->tij", grads, grads) * signed_areas(mesh)[:, None, None]
+
+
+@pytest.mark.parametrize("level", range(6))
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_stiffness_local_is_bit_identical_to_einsum(domain, level):
+    mesh = generate(domain, level)
+    got, want = fem._stiffness_local(mesh), einsum_stiffness_local(mesh)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def assert_identical_csr(got, want):
     for field in ("indptr", "indices", "data"):
         a, b = getattr(got, field), getattr(want, field)
@@ -188,9 +201,8 @@ def test_element_geometry_is_bit_identical_to_einsum(domain, bc, level):
     mesh = generate(domain, level)
     space = FemSpace(mesh, bc)
     grads = einsum_barycentric_gradients(mesh)
-    got, areas = fem._barycentric_gradients(mesh)
-    assert np.array_equal(got, grads)
-    local = np.einsum("tik,tjk->tij", grads, grads) * areas[:, None, None]
+    assert np.array_equal(fem._barycentric_gradients(mesh), grads)
+    local = einsum_stiffness_local(mesh)
     assert_identical_csr(assemble_stiffness(space), fem._assemble(space, lambda _: local))
     pattern = (np.ones((3, 3)) + np.eye(3)) / 12.0
     local_mass = signed_areas(mesh)[:, None, None] * pattern[None, :, :]
@@ -233,17 +245,6 @@ def test_scatter_is_bit_identical_to_the_array_scatter(domain, bc, level):
     assert_identical_csr(assemble_mass(space), array_scatter(space, fem._mass_local(mesh)))
     local = signed_zero_locals(mesh.num_triangles, seed=level)
     assert_identical_csr(fem._assemble(space, lambda _: local), array_scatter(space, local))
-
-
-def traced_peak_bytes(fn, *args) -> int:
-    """tracemalloc high-water of one call, above what was live before it."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("bc", BCS)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from eigshape.mesh import (Domain, Mesh, _boundary_edges, _disk_fan, _square_grid,
-                           boundary_normals, boundary_vertex_mask, diameters,
-                           export_text, generate, mesh_size, refine,
-                           signed_areas, vertex_count)
+from eigshape.mesh import (Domain, Mesh, _disk_fan, boundary_normals,
+                           boundary_vertex_mask, export_text, generate, mesh_size,
+                           refine, signed_areas, vertex_count)
 
-from conftest import DOMAINS
+from conftest import DOMAINS, traced_peak_bytes
 
 
 # Loop-based oracles: the row-sorted np.unique(axis=0) edge table, the
@@ -70,18 +69,80 @@ def oracle_refine(mesh):
     return oracle_finish(verts, children, mesh.domain)
 
 
-def oracle_generate(domain, level):
+def square_grid(n, ox, oy):
+    """Uniform right-triangle mesh of [ox, ox+1] x [oy, oy+1] with n cells per side."""
+    side = np.arange(n + 1) / n
+    xx, yy = np.meshgrid(ox + side, oy + side, indexing="ij")
+    verts = np.stack([xx.ravel(), yy.ravel()], axis=1)
+
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    v00 = (i * (n + 1) + j).ravel()
+    v10 = ((i + 1) * (n + 1) + j).ravel()
+    v11 = ((i + 1) * (n + 1) + j + 1).ravel()
+    v01 = (i * (n + 1) + j + 1).ravel()
+    lower = np.stack([v00, v10, v11], axis=1)
+    upper = np.stack([v00, v11, v01], axis=1)
+    return verts, np.concatenate([lower, upper])
+
+
+def square_parts(domain, level):
     n = 2 ** (level + 1)
     if domain is Domain.UNIT_SQUARE:
-        return oracle_finish(*_square_grid(n, 0.0, 0.0), domain)
+        return [square_grid(n, 0.0, 0.0)]
+    return [square_grid(n, ox, oy) for ox, oy in ((-1.0, -1.0), (0.0, -1.0), (-1.0, 0.0))]
+
+
+def oracle_generate(domain, level):
+    if domain is Domain.UNIT_SQUARE:
+        return oracle_finish(*square_parts(domain, level)[0], domain)
     if domain is Domain.L_SHAPE:
-        parts = [_square_grid(n, ox, oy) for ox, oy in ((-1.0, -1.0), (0.0, -1.0), (-1.0, 0.0))]
-        return oracle_finish(*oracle_merge_parts(parts), domain)
+        return oracle_finish(*oracle_merge_parts(square_parts(domain, level)), domain)
     fan = _disk_fan()
     mesh = oracle_finish(fan.vertices, fan.triangles, domain)
     for _ in range(level):
         mesh = oracle_refine(mesh)
     return mesh
+
+
+# The vectorised construction generate used before its closed form: merge
+# the parts by np.unique over vertex rows, then scan all 3 nt edges for the
+# boundary. Fast enough for level 7, where the loop oracles are slow.
+
+def merge_parts(parts):
+    """Concatenate (vertices, triangles) pairs, unifying exactly equal vertices.
+
+    Vertices are numbered in order of first appearance.
+    """
+    offsets = np.cumsum([0] + [len(pverts) for pverts, _ in parts[:-1]])
+    verts = np.concatenate([pverts for pverts, _ in parts])
+    tris = np.concatenate([ptris + off for (_, ptris), off in zip(parts, offsets)])
+    _, first, inverse = np.unique(verts, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return verts[first[order]], rank[inverse.ravel()][tris]
+
+
+def boundary_edges(tris, nv):
+    """Directed edges adjacent to exactly one triangle, with that triangle."""
+    nt = tris.shape[0]
+    directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    owner = np.tile(np.arange(nt), 3)
+    lo = np.minimum(directed[:, 0], directed[:, 1])
+    hi = np.maximum(directed[:, 0], directed[:, 1])
+    _, inverse, counts = np.unique(lo * nv + hi, return_inverse=True, return_counts=True)
+    single = counts[inverse] == 1
+    out = np.column_stack([directed[single], owner[single]])
+    return np.ascontiguousarray(out[np.lexsort((out[:, 1], out[:, 0]))], dtype=np.int64)
+
+
+def diameters(mesh):
+    """Longest edge of each triangle (the triangle diameter)."""
+    p = mesh.vertices[mesh.triangles]
+    d01 = np.linalg.norm(p[:, 0] - p[:, 1], axis=1)
+    d12 = np.linalg.norm(p[:, 1] - p[:, 2], axis=1)
+    d20 = np.linalg.norm(p[:, 2] - p[:, 0], axis=1)
+    return np.maximum(d01, np.maximum(d12, d20))
 
 
 def boundary_normal(mesh, edge):
@@ -109,7 +170,29 @@ def test_numbering_matches_loop_oracle(domain, level):
     got = generate(domain, level)
     for mesh, oracle in ((got, expected), (refine(got), oracle_refine(expected))):
         for name in ("vertices", "triangles", "boundary_edges"):
+            assert getattr(mesh, name).dtype == getattr(oracle, name).dtype, name
             assert np.array_equal(getattr(mesh, name), getattr(oracle, name)), name
+
+
+@pytest.mark.parametrize("domain", [Domain.UNIT_SQUARE, Domain.L_SHAPE])
+@pytest.mark.parametrize("level", range(8))
+def test_closed_form_equals_the_unique_construction(domain, level):
+    verts, tris = merge_parts(square_parts(domain, level))
+    got = generate(domain, level)
+    for name, want in (("vertices", verts), ("triangles", tris),
+                       ("boundary_edges", boundary_edges(tris, len(verts)))):
+        array = getattr(got, name)
+        assert array.dtype == want.dtype and array.flags.c_contiguous, name
+        assert np.array_equal(array, want), name
+    assert np.array_equal(np.signbit(got.vertices), np.signbit(verts))
+
+
+@pytest.mark.parametrize("domain,level", [(Domain.L_SHAPE, 5), (Domain.UNIT_SQUARE, 6)])
+def test_generate_heap_high_water_per_triangle(domain, level):
+    # glibc keeps the freed heap resident under the eigensolve; the np.unique
+    # construction read 368 (L-shape) and 335 (square) bytes per triangle
+    nt = generate(domain, level).num_triangles  # first call: lazy imports and caches
+    assert traced_peak_bytes(generate, domain, level) <= 120 * nt
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
@@ -118,7 +201,14 @@ def test_refine_boundary_edges_equal_a_full_scan(domain, level):
     # refine splits the parent's boundary edges instead of scanning all 3 nt edges
     child = refine(generate(domain, level))
     assert np.array_equal(child.boundary_edges,
-                          _boundary_edges(child.triangles, child.num_vertices))
+                          boundary_edges(child.triangles, child.num_vertices))
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_mesh_size_is_the_largest_diameter(domain):
+    for level in range(7):
+        m = generate(domain, level)
+        assert mesh_size(m) == diameters(m).max()
 
 
 @pytest.mark.parametrize("domain", DOMAINS)

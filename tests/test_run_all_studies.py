@@ -1,7 +1,10 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import eigshape
+from eigshape import eig
 
 _SPEC = importlib.util.spec_from_file_location(
     "run_all_studies", Path(__file__).resolve().parent.parent / "scripts" / "run_all_studies.py")
@@ -48,3 +51,18 @@ def test_the_first_failing_study_stops_the_run_with_its_exit_code(tmp_path, monk
     assert "unknown key (key 'wibble', line 7)" in captured.err
     assert [r[0] for r in table(captured.out)[2:]] == ["a"]
     assert run(tmp_path / "none", monkeypatch, {"a": SMALL}, "--only", "x") == 2
+
+
+def test_start_seed_reaches_each_child_solver(tmp_path, monkeypatch, capfd):
+    configs = {"a": SMALL}
+    csvs = {}
+    for seed in (None, eig._START_SEED, 1):
+        argv = () if seed is None else ("--start-seed", str(seed))
+        assert run(tmp_path / str(seed), monkeypatch, configs, *argv) == 0
+        csvs[seed] = (tmp_path / str(seed) / "out" / "a.csv").read_bytes()
+    capfd.readouterr()
+    assert csvs[eig._START_SEED] == csvs[None]  # the default seed, set explicitly
+    assert csvs[1] != csvs[None]  # another start vector moves the roundoff
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path / "negative", monkeypatch, configs, "--start-seed", "-1")
+    assert exc.value.code == 2
