@@ -22,7 +22,7 @@ from . import shapegrad
 from .eig import NonConvergenceError, Target, solve_lowest
 from .fem import BoundaryCondition, FemSpace, assemble_mass, assemble_stiffness
 from .mesh import Domain, export_text, generate, mesh_size
-from .velocity import (FactorizationError, VelocityField, constant_field,
+from .velocity import (MAX_GAMMA, FactorizationError, VelocityField, constant_field,
                        identity_field, monomial_field, rotation_field)
 
 
@@ -64,6 +64,13 @@ def _reference_level(text: str) -> int | None:
     raise ValueError("expected analytic | finemesh:<level>")
 
 
+def _gamma(text: str) -> int:
+    gamma = int(text)
+    if not 0 <= gamma <= MAX_GAMMA:
+        raise ValueError(f"gamma must be in [0, {MAX_GAMMA}], got {gamma}")
+    return gamma
+
+
 # config key -> (StudyConfig field, parse the text, show the value as text);
 # the shown snapshot, fed back as a config file, reproduces the run
 _KEYS = {
@@ -71,7 +78,7 @@ _KEYS = {
     "bc": ("bc", _choice(BoundaryCondition), lambda b: b.value),
     "min_level": ("min_level", int, int),
     "max_level": ("max_level", int, int),
-    "gamma": ("gamma", int, int),
+    "gamma": ("gamma", _gamma, int),
     "target": ("target", Target.parse, str),
     "reference": ("reference_level", _reference_level,
                   lambda level: "analytic" if level is None else f"finemesh:{level}"),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,8 +42,9 @@ class FemSpace:
         self.dof_count = int(free.sum())
 
     def nodal_values(self, coeffs: np.ndarray) -> np.ndarray:
-        """Expand free-dof coefficients to all vertices (zeros where constrained)."""
-        full = np.zeros(self.mesh.num_vertices)
+        """Expand (dof,) or (dof, l) free-dof coefficients to all vertices
+        (zeros where constrained)."""
+        full = np.zeros((self.mesh.num_vertices,) + coeffs.shape[1:])
         full[self.free_index >= 0] = coeffs
         return full
 
@@ -52,15 +52,6 @@ class FemSpace:
         """Nodal interpolation of a vectorized callable onto the free dofs."""
         values = np.asarray(f(self.mesh.vertices), dtype=float)
         return values[self.free_index >= 0]
-
-    @cached_property
-    def _gradients(self) -> np.ndarray:
-        """(nt, 3, 2) barycentric gradients, computed on first use.
-
-        Only element_gradients reads this; assembly does not fill it, so the
-        array is not held through the eigensolve.
-        """
-        return _barycentric_gradients(self.mesh)
 
 
 def _gradient_planes(mesh: Mesh) -> np.ndarray:
@@ -94,11 +85,6 @@ def _gradient_planes(mesh: Mesh) -> np.ndarray:
     np.negative(gy[1], out=gy[0])
     gy[0] -= gy[2]
     return planes
-
-
-def _barycentric_gradients(mesh: Mesh) -> np.ndarray:
-    """Gradients (nt, 3, 2) of the three barycentric coordinates."""
-    return np.ascontiguousarray(_gradient_planes(mesh)[:6].reshape(2, 3, -1).transpose(2, 1, 0))
 
 
 def assemble_stiffness(space: FemSpace) -> sp.csr_matrix:
@@ -151,8 +137,9 @@ def _assemble(space: FemSpace, element_matrices: Callable[[Mesh], np.ndarray]) -
     return (upper + strict.T).tocsr()
 
 
-def element_gradients(space: FemSpace, coeffs: np.ndarray) -> np.ndarray:
-    """Constant P1 gradient on every triangle, shape (nt, 2)."""
-    grads = space._gradients
-    nodal = space.nodal_values(coeffs)[space.mesh.triangles]  # (nt, 3)
-    return np.einsum("ti,tik->tk", nodal, grads)
+def element_gradients(space: FemSpace, basis: np.ndarray) -> np.ndarray:
+    """Constant P1 gradients (2, l, nt) of the (dof, l) basis columns on every
+    triangle, coordinate-major: c0 g0 + c1 g1 + c2 g2 over the corners."""
+    g = _gradient_planes(space.mesh)[:6].reshape(2, 3, 1, -1)  # (2, corner, 1, nt)
+    c = space.nodal_values(basis).T[:, space.mesh.triangles.T]  # (l, corner, nt)
+    return c[:, 0] * g[:, 0] + c[:, 1] * g[:, 1] + c[:, 2] * g[:, 2]

@@ -111,11 +111,11 @@ def refine(mesh: Mesh) -> Mesh:
 
 
 def boundary_normals(mesh: Mesh) -> np.ndarray:
-    """Outward unit normals of all boundary edges, in row order."""
+    """Outward unit normals (2, ne) of the boundary edges, coordinate-major."""
     a = mesh.boundary_edges[:, 0]
     b = mesh.boundary_edges[:, 1]
     t = mesh.vertices[b] - mesh.vertices[a]
-    return np.stack([t[:, 1], -t[:, 0]], axis=1) / np.linalg.norm(t, axis=1)[:, None]
+    return np.stack([t[:, 1], -t[:, 0]]) / np.linalg.norm(t, axis=1)
 
 
 def signed_areas(mesh: Mesh) -> np.ndarray:

@@ -144,11 +144,10 @@ def _volume_tables(space: FemSpace, basis: np.ndarray, lam: float, size: int) ->
     degree = max(_BASE_DEGREE, size + 1)
     nt = mesh.num_triangles
     i, j = np.triu_indices(basis.shape[1])
-    grads = np.stack([element_gradients(space, u) for u in basis.T])  # (l, nt, 2)
-    corners = np.stack([space.nodal_values(u)[mesh.triangles] for u in basis.T])  # (l, nt, 3)
+    grads = element_gradients(space, basis).swapaxes(0, 1)[..., None]  # (l, 2, nt, 1)
+    corners = space.nodal_values(basis).T.take(mesh.triangles, axis=1)  # (l, nt, 3)
     # G[e, a, b]: moments of g_i,a g_j,b (constant per triangle); U: of u_i u_j
-    gg = grads[i, :, :, None] * grads[j, :, None, :]
-    gvals = gg.transpose(0, 2, 3, 1).reshape(-1, nt, 1)
+    gvals = (grads[i, :, None] * grads[j, None, :]).reshape(-1, nt, 1)
     G = U = 0.0
     for cells in cell_chunks(nt, triangle_rule(degree)[1].size):
         points, weights, bary = physical_points(mesh, degree, cells)
@@ -172,14 +171,14 @@ def _boundary_tables(space: FemSpace, basis: np.ndarray, lam: float, size: int) 
     dirichlet = space.bc is BoundaryCondition.DIRICHLET
     points, weights, t = boundary_points(mesh, size - 1 + (0 if dirichlet else 2))
     i, j = np.triu_indices(basis.shape[1])
-    grads = np.stack([element_gradients(space, u)[edges[:, 2]] for u in basis.T])  # (l, ne, 2)
-    dudn = np.einsum("lea,ea->le", grads, normals)
+    gx, gy = element_gradients(space, basis)[:, :, edges[:, 2]]  # (l, ne) each
+    nx, ny = normals
+    dudn = gx * nx + gy * ny
     if dirichlet:
         density = -(dudn[i] * dudn[j])[:, :, None]
     else:
-        tang = grads - dudn[:, :, None] * normals
-        nodal = np.stack([space.nodal_values(u) for u in basis.T])
+        tx, ty = gx - dudn * nx, gy - dudn * ny
+        nodal = space.nodal_values(basis).T
         trace = nodal[:, edges[:, 0], None] * (1.0 - t) + nodal[:, edges[:, 1], None] * t
-        tt = np.einsum("lea,lea->le", tang[i], tang[j])
-        density = tt[:, :, None] - lam * trace[i] * trace[j]
-    return _boundary_form_tables(points, weights, normals.T[:, :, None], density, size)
+        density = (tx[i] * tx[j] + ty[i] * ty[j])[:, :, None] - lam * trace[i] * trace[j]
+    return _boundary_form_tables(points, weights, normals[:, :, None], density, size)

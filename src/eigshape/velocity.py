@@ -75,14 +75,17 @@ class VelocityBasis:
         return len(self.fields)
 
 
+MAX_GAMMA = 6  # the largest basis degree that build_basis and a study config accept
+
+
 def build_basis(gamma: int) -> VelocityBasis:
     """Monomial basis of both-component polynomial fields up to degree gamma.
 
     Ordering is fixed: component 0 for all exponents in graded lexicographic
     order, then component 1.
     """
-    if not 0 <= gamma <= 6:
-        raise ValueError(f"gamma must be in [0, 6], got {gamma}")
+    if not 0 <= gamma <= MAX_GAMMA:
+        raise ValueError(f"gamma must be in [0, {MAX_GAMMA}], got {gamma}")
     exps = [(d - b2, b2) for d in range(gamma + 1) for b2 in range(d + 1)]
     fields = tuple(monomial_field(b1, b2, comp) for comp in (0, 1) for b1, b2 in exps)
     assert len(fields) == 2 * math.comb(gamma + 2, 2)
@@ -135,7 +138,7 @@ def gramian(basis: VelocityBasis, mesh: Mesh) -> Gramian:
     size = max(f.degree for f in basis.fields) + 1
     degree = 2 * (size - 1)
     pts, wts, _ = boundary_points(mesh, degree + 1)
-    n_x = boundary_normals(mesh)[:, 0]
+    n_x = boundary_normals(mesh)[0]
     flux = moments(pts, wts, [n_x[None, :, None]], degree + 1)[0][0]
     mom = flux[1:, :-1] / np.arange(1, degree + 2)[:, None]
     idx = np.arange(size)

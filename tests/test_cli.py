@@ -314,6 +314,12 @@ def test_config_error_names_key_and_line(tmp_path, capsys):
     assert run_cli("study", str(cfg)) == 2
     err = capsys.readouterr().err
     assert "min_level" in err and "line 4" in err
+    # an out-of-range gamma is caught by the parser, before any level is solved
+    cfg.write_text("[study]\ndomain = square\nbc = dirichlet\nmin_level = 1\nmax_level = 3\n"
+                   "gamma = 7\n")
+    assert run_cli("study", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert "key 'gamma'" in err and "line 6" in err and "[0, 6], got 7" in err
 
 
 def test_config_error_unknown_key(tmp_path):

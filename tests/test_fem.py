@@ -33,7 +33,7 @@ def local_mass(coords: np.ndarray) -> np.ndarray:
 
 
 def element_gradient(space: FemSpace, coeffs: np.ndarray, triangle: int) -> np.ndarray:
-    return element_gradients(space, coeffs)[triangle]
+    return element_gradients(space, coeffs[:, None])[:, 0, triangle]
 
 
 def test_local_stiffness_unit_right_triangle():
@@ -99,9 +99,12 @@ def test_element_gradient_linear_reproduction():
     mesh, space, A, _ = assembled(Domain.L_SHAPE, BoundaryCondition.NEUMANN, 2)
     b = np.array([0.7, -1.3])
     coeffs = space.interpolate(lambda p: 1.5 + p @ b)
-    assert "_gradients" not in vars(space)  # assembly leaves the cache empty
-    grads = element_gradients(space, coeffs)
-    assert np.abs(grads - b).max() <= 1e-13
+    grads = element_gradients(space, coeffs[:, None])
+    assert grads.shape == (2, 1, mesh.num_triangles)
+    assert np.abs(grads[:, 0] - b[:, None]).max() <= 1e-13
+    # nothing per triangle is kept on the space, so nothing is held through a solve
+    assert not any(isinstance(v, np.ndarray) and mesh.num_triangles in v.shape
+                   for v in vars(space).values())
     area = float(signed_areas(mesh).sum())
     quad_form = float(coeffs @ (A @ coeffs))
     assert quad_form == pytest.approx(area * float(b @ b), rel=1e-12)
@@ -201,7 +204,15 @@ def test_element_geometry_is_bit_identical_to_einsum(domain, bc, level):
     mesh = generate(domain, level)
     space = FemSpace(mesh, bc)
     grads = einsum_barycentric_gradients(mesh)
-    assert np.array_equal(fem._barycentric_gradients(mesh), grads)
+    rng = np.random.default_rng(level)
+    for l in (1, 2):
+        U = rng.standard_normal((space.dof_count, l))
+        got = element_gradients(space, U)
+        want = np.stack([np.einsum("ti,tik->tk", space.nodal_values(u)[mesh.triangles], grads)
+                         for u in U.T], axis=1).T  # (2, l, nt), one column at a time
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
     local = einsum_stiffness_local(mesh)
     assert_identical_csr(assemble_stiffness(space), fem._assemble(space, lambda _: local))
     pattern = (np.ones((3, 3)) + np.eye(3)) / 12.0

@@ -280,10 +280,11 @@ def test_refine_halves_mesh_size(domain):
 def test_boundary_normal_square_sides():
     m = generate(Domain.UNIT_SQUARE, 1)
     normals = boundary_normals(m)
+    assert normals.shape == (2, len(m.boundary_edges))
     for row, (a, b, _) in enumerate(m.boundary_edges):
         pa, pb = m.vertices[a], m.vertices[b]
         n = boundary_normal(m, (a, b))
-        assert np.allclose(normals[row], n, rtol=0.0, atol=1e-15)
+        assert np.allclose(normals[:, row], n, rtol=0.0, atol=1e-15)
         if pa[1] == 0.0 and pb[1] == 0.0:
             assert np.allclose(n, [0.0, -1.0])
         if pa[0] == 1.0 and pb[0] == 1.0:
@@ -295,7 +296,7 @@ def test_boundary_normal_disk_alignment():
     normals = boundary_normals(m)
     mids = 0.5 * (m.vertices[m.boundary_edges[:, 0]] + m.vertices[m.boundary_edges[:, 1]])
     radial = mids / np.linalg.norm(mids, axis=1)[:, None]
-    assert np.einsum("ea,ea->e", normals, radial).min() >= 0.999
+    assert np.einsum("ae,ea->e", normals, radial).min() >= 0.999
 
 
 def test_boundary_normal_rejects_interior_edge():

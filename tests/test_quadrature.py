@@ -52,7 +52,7 @@ def oracle_volume_tables(space, basis, lam, size):
     points, weights, bary = physical_points(space.mesh, max(shapegrad._BASE_DEGREE, size + 1))
     nt = points.shape[1]
     i, j = np.triu_indices(basis.shape[1])
-    grads = np.stack([element_gradients(space, u) for u in basis.T])
+    grads = np.stack([element_gradients(space, u[:, None])[:, 0].T for u in basis.T])
     tris = space.mesh.triangles
     uvals = np.stack([space.nodal_values(u)[tris] @ bary.T for u in basis.T])
     gg = grads[i, :, :, None] * grads[j, :, None, :]
@@ -125,7 +125,7 @@ def whole_mesh_volume_tables(space, basis, lam, size):
     points, weights, bary = physical_points(space.mesh, max(shapegrad._BASE_DEGREE, size + 1))
     nt = points.shape[1]
     i, j = np.triu_indices(basis.shape[1])
-    grads = np.stack([element_gradients(space, u) for u in basis.T])
+    grads = np.stack([element_gradients(space, u[:, None])[:, 0].T for u in basis.T])
     tris = space.mesh.triangles
     uvals = np.stack([space.nodal_values(u)[tris] @ bary.T for u in basis.T])
     gg = grads[i, :, :, None] * grads[j, :, None, :]

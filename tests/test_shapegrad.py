@@ -374,7 +374,7 @@ def _pointwise_volume(space, U, lam, field):
     pts, w, bary = physical_points(space.mesh, max(6, field.degree + 2))
     pts = np.moveaxis(pts, 0, -1)  # (nt, npts, 2) for the pointwise field oracles
     DV, div = field_jacobian(field, pts), field_divergence(field, pts)
-    grads = [element_gradients(space, u) for u in U.T]
+    grads = [element_gradients(space, u[:, None])[:, 0].T for u in U.T]
     uvals = [space.nodal_values(u)[space.mesh.triangles] @ bary.T for u in U.T]
     l = U.shape[1]
     mat = np.empty((l, l))
@@ -392,14 +392,14 @@ def _pointwise_boundary(space, U, lam, field):
     """Oracle: boundary-form matrix of the basis columns U, V.n evaluated pointwise."""
     mesh = space.mesh
     edges = mesh.boundary_edges
-    normals = boundary_normals(mesh)
+    normals = boundary_normals(mesh).T
     dirichlet = space.bc is BoundaryCondition.DIRICHLET
     t, wt = edge_rule(field.degree + (0 if dirichlet else 2))
     p0, p1 = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
     pts = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
     w = np.linalg.norm(p1 - p0, axis=1)[:, None] * wt[None, :]
     vn = np.einsum("ema,ea->em", field_value(field, pts), normals)
-    grads = [element_gradients(space, u)[edges[:, 2]] for u in U.T]
+    grads = [element_gradients(space, u[:, None])[:, 0, edges[:, 2]].T for u in U.T]
     dudn = [np.einsum("ea,ea->e", g, normals) for g in grads]
     tang = [g - d[:, None] * normals for g, d in zip(grads, dudn)]
     nodal = [space.nodal_values(u) for u in U.T]
