@@ -28,7 +28,7 @@ from .velocity import (MAX_GAMMA, FactorizationError, VelocityField, constant_fi
 
 # failures that exit 1; a ValueError (ConfigError among them) exits 2
 NUMERICAL_FAILURES = (NonConvergenceError, FactorizationError, conv.DegenerateFitError,
-                      conv.TrackingError, conv.IdentityError, refmod.ReferenceBudgetError)
+                      conv.TrackingError, conv.IdentityError, conv.ReferenceBudgetError)
 
 
 class ConfigError(ValueError):

@@ -6,7 +6,8 @@ the volume and boundary derivatives for every basis field, and measures the
 error vector against the (analytic or fine-mesh) reference in the dual norm
 E = sqrt(w^T K^{-1} w). The reference is the same for both formulas: the two
 continuous Eulerian derivatives coincide. A fine-mesh reference solves the
-same target eigenpair as the study levels, through the same level solve.
+same target eigenpair as the study levels, through the same level solve, and
+Richardson-extrapolates its three finest levels.
 
 Each study or reference level is an independent job: the finest runs on the
 calling thread and the others in order on one helper thread (_run_jobs), or
@@ -30,7 +31,7 @@ from . import reference as refmod
 from . import shapegrad
 from .eig import EigenPair, Target, TargetKind, solve_target
 from .fem import BoundaryCondition, FemSpace, assemble_mass, assemble_stiffness
-from .mesh import Domain, Mesh, generate, mesh_size, refine, vertex_count
+from .mesh import Domain, Mesh, check_budget, generate, mesh_size, refine
 from .velocity import Gramian, VelocityBasis, build_basis, dual_norm, gramian
 
 
@@ -47,8 +48,11 @@ class IdentityError(RuntimeError):
     """The volume form misses an identity that holds exactly on every mesh."""
 
 
+class ReferenceBudgetError(RuntimeError):
+    """The fine-mesh reference's finest level is over the vertex budget."""
+
+
 _DEGENERATE_FLOOR = 1e-12  # dual-norm values below this are roundoff of an exact zero
-_REFERENCE_DOF_BUDGET = 1_500_000  # most vertices a fine-mesh reference level may have
 _FIT_WINDOW = 4  # rates are fitted over this many finest levels
 _IDENTITY_TOL = 1e-10  # relative to lam_h; the identities hold to about 1e-15
 _TRANSLATIONS = ("mono:0,0,0", "mono:0,0,1")
@@ -68,6 +72,7 @@ class StudyConfig:
     def __post_init__(self):
         if self.min_level < 0:
             raise ValueError(f"min_level must be >= 0, got {self.min_level}")
+        check_budget(self.domain, self.max_level)
         if self.max_level - self.min_level < 2:
             raise ValueError("a study needs at least 3 levels to fit a rate")
         if self.reference_level is None or self.target.kind is TargetKind.MATCH_EXACT:
@@ -168,19 +173,34 @@ def _study_level(cfg: StudyConfig, basis: VelocityBasis, level: int,
 def _reference_jobs(cfg: StudyConfig, basis: VelocityBasis) -> list:
     """A fine-mesh reference's three level jobs, coarsest first."""
     # the finest level is the largest, so its budget check comes before any mesh
-    vertices = vertex_count(cfg.domain, cfg.reference_level)
-    if vertices > _REFERENCE_DOF_BUDGET:
-        raise refmod.ReferenceBudgetError(
-            f"level {cfg.reference_level} has {vertices} vertices, "
-            f"budget {_REFERENCE_DOF_BUDGET}")
+    check_budget(cfg.domain, cfg.reference_level, ReferenceBudgetError)
     return [partial(_reference_level, cfg, basis, lv)
             for lv in range(cfg.reference_level - 2, cfg.reference_level + 1)]
 
 
-def _extrapolated(levels) -> refmod.ReferenceDerivatives:
-    """The fine-mesh reference from its solved levels' (values, lam_h)."""
-    values, lams = zip(*levels)
-    return refmod.extrapolated_reference(values, lams)
+def extrapolated_reference(levels) -> refmod.ReferenceDerivatives:
+    """Richardson extrapolation of the (volume-form values, lam_h) solved on
+    the three finest fine-mesh levels, coarsest first.
+
+    One local rate, the median across fields clamped to [0.5, 3], cancels the
+    leading error term of the values and of lambda alike. Extrapolation is
+    linear, so an identity every level meets, vol(x,0) + vol(0,y) = -2 lambda,
+    holds for the reference too.
+    """
+    (v0, _), (v1, l1), (v2, l2) = levels
+    denom = 2.0 ** _local_rate(v0, v1, v2) - 1.0
+    return refmod.ReferenceDerivatives(v2 + (v2 - v1) / denom, float(l2 + (l2 - l1) / denom))
+
+
+def _local_rate(v0, v1, v2) -> float:
+    """Median observed convergence rate across fields, clamped to [0.5, 3]."""
+    d1 = np.abs(v1 - v0)
+    d2 = np.abs(v2 - v1)
+    ok = (d1 > 0) & (d2 > 0) & (d2 < d1)
+    if not np.any(ok):
+        return 2.0
+    rates = np.log2(d1[ok] / d2[ok])
+    return float(np.clip(np.median(rates), 0.5, 3.0))
 
 
 def _cpus() -> int:
@@ -229,7 +249,7 @@ def reference_derivatives_for(cfg: StudyConfig, basis) -> refmod.ReferenceDeriva
     if cfg.reference_level is None:
         return refmod.continuous_derivatives(cfg.domain, cfg.bc, basis)
     jobs = _reference_jobs(cfg, basis)
-    return _extrapolated(_run_jobs(jobs, len(jobs) - 1))
+    return extrapolated_reference(_run_jobs(jobs, len(jobs) - 1))
 
 
 def run_levels(cfg: StudyConfig) -> tuple[list[StudyRecord], refmod.ReferenceDerivatives]:
@@ -250,7 +270,7 @@ def run_levels(cfg: StudyConfig) -> tuple[list[StudyRecord], refmod.ReferenceDer
     # the finest level is the fine-mesh reference's, or else the study's
     solved = _run_jobs(jobs, (n_ref or len(jobs)) - 1)
     if fine_mesh:
-        ref = _extrapolated(solved[:n_ref])
+        ref = extrapolated_reference(solved[:n_ref])
     levels = solved[n_ref:]
     records = [StudyRecord(level=s.level, h=s.h, dof=s.dof, lambda_h=s.lam,
                            E_volume=dual_norm(ref.values - s.volume, s.K),

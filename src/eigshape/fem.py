@@ -49,8 +49,9 @@ class FemSpace:
         return full
 
     def interpolate(self, f) -> np.ndarray:
-        """Nodal interpolation of a vectorized callable onto the free dofs."""
-        values = np.asarray(f(self.mesh.vertices), dtype=float)
+        """Nodal interpolation onto the free dofs of a vectorized callable of
+        (2, nv) coordinate-major points."""
+        values = np.asarray(f(self.mesh.vertices.T), dtype=float)
         return values[self.free_index >= 0]
 
 

@@ -54,10 +54,15 @@ class Mesh:
         return self.triangles.shape[0]
 
 
+VERTEX_BUDGET = 1_500_000  # most vertices a mesh that a command builds may have
+
+
 def generate(domain: Domain, level: int) -> Mesh:
-    """Build the level-`level` mesh of a study domain (level >= 0)."""
+    """Build the level-`level` mesh of a study domain (level >= 0, within
+    VERTEX_BUDGET)."""
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
+    check_budget(domain, level)
     if domain is Domain.UNIT_SQUARE:
         n = 2 ** (level + 1)
         verts, tris = _square_grid(n)
@@ -78,6 +83,18 @@ def vertex_count(domain: Domain, level: int) -> int:
     if domain is Domain.L_SHAPE:
         return 3 * (n + 1) ** 2 - 2 * (n + 1)  # three squares sharing two seams
     return (n + 1) ** 2
+
+
+def check_budget(domain: Domain, level: int, error: type[Exception] = ValueError) -> None:
+    """Raise error, naming the level, its vertex count and the budget, when
+    generate(domain, level) would have more than VERTEX_BUDGET vertices."""
+    if level > 64:  # over 4^level vertices: a number too long to form and print
+        raise error(f"{domain.value} level {level} has more than 4^{level} vertices, "
+                    f"over the budget of {VERTEX_BUDGET}")
+    vertices = vertex_count(domain, level)
+    if vertices > VERTEX_BUDGET:
+        raise error(f"{domain.value} level {level} has {vertices} vertices, "
+                    f"over the budget of {VERTEX_BUDGET}")
 
 
 def refine(mesh: Mesh) -> Mesh:

@@ -3,9 +3,9 @@
 Exact eigenpairs exist on the square and the disk; their Eulerian
 derivatives are evaluated with the boundary formula by composite Gauss
 quadrature on the true boundary (per-side panels for the square, parametric
-arcs of the true circle for the disk). The L-shape has no closed form, so a
-fine-mesh run of the volume formula, Richardson-extrapolated, stands in; the
-convergence module solves its levels and this module extrapolates them.
+arcs of the true circle for the disk). Points, normals and the exact
+gradients are coordinate-major, (2, ...), as in quadrature. The L-shape has
+no closed form; its fine-mesh reference is built by the convergence module.
 
 Bessel J0 and J1 are evaluated from their integral representation
 J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt with a fixed Gauss-Legendre
@@ -29,20 +29,19 @@ from .mesh import Domain
 from .quadrature import edge_rule
 from .velocity import VelocityBasis
 
+_PANELS = 64  # Gauss panels on each square side, and on the circle
+_NPTS = 10  # Gauss points per panel
+
 
 class UnsupportedDomainError(ValueError):
     """No analytic eigenpair exists for this domain."""
 
 
-class ReferenceBudgetError(RuntimeError):
-    """The reference mesh exceeds the configured dof budget."""
-
-
 @dataclass(frozen=True)
 class ExactEigenpair:
     lam: float
-    value: object        # callable, points (n, 2) -> (n,)
-    gradient: object     # callable, points (n, 2) -> (n, 2)
+    value: object        # callable, points (2, ...) -> (...)
+    gradient: object     # callable, points (2, ...) -> (2, ...)
 
 
 @dataclass(frozen=True)
@@ -118,20 +117,20 @@ def exact_eigenpair(domain: Domain, bc: BoundaryCondition) -> ExactEigenpair:
         lam = 2.0 * math.pi ** 2
         if bc is BoundaryCondition.DIRICHLET:
             def value(p):
-                return 2.0 * np.sin(math.pi * p[..., 0]) * np.sin(math.pi * p[..., 1])
+                return 2.0 * np.sin(math.pi * p[0]) * np.sin(math.pi * p[1])
 
             def grad(p):
-                s1, c1 = np.sin(math.pi * p[..., 0]), np.cos(math.pi * p[..., 0])
-                s2, c2 = np.sin(math.pi * p[..., 1]), np.cos(math.pi * p[..., 1])
-                return 2.0 * math.pi * np.stack([c1 * s2, s1 * c2], axis=-1)
+                s1, c1 = np.sin(math.pi * p[0]), np.cos(math.pi * p[0])
+                s2, c2 = np.sin(math.pi * p[1]), np.cos(math.pi * p[1])
+                return 2.0 * math.pi * np.stack([c1 * s2, s1 * c2])
         else:
             def value(p):
-                return 2.0 * np.cos(math.pi * p[..., 0]) * np.cos(math.pi * p[..., 1])
+                return 2.0 * np.cos(math.pi * p[0]) * np.cos(math.pi * p[1])
 
             def grad(p):
-                s1, c1 = np.sin(math.pi * p[..., 0]), np.cos(math.pi * p[..., 0])
-                s2, c2 = np.sin(math.pi * p[..., 1]), np.cos(math.pi * p[..., 1])
-                return -2.0 * math.pi * np.stack([s1 * c2, c1 * s2], axis=-1)
+                s1, c1 = np.sin(math.pi * p[0]), np.cos(math.pi * p[0])
+                s2, c2 = np.sin(math.pi * p[1]), np.cos(math.pi * p[1])
+                return -2.0 * math.pi * np.stack([s1 * c2, c1 * s2])
         return ExactEigenpair(lam, value, grad)
 
     if domain is Domain.UNIT_DISK:
@@ -144,101 +143,63 @@ def exact_eigenpair(domain: Domain, bc: BoundaryCondition) -> ExactEigenpair:
         lam = j * j
 
         def value(p, j=j, norm=norm):
-            r = np.linalg.norm(p, axis=-1)
+            r = np.linalg.norm(p, axis=0)
             return norm * bessel_j0(j * r)
 
         def grad(p, j=j, norm=norm):
-            r = np.linalg.norm(p, axis=-1)
+            r = np.linalg.norm(p, axis=0)
             safe = np.where(r > 1e-300, r, 1.0)
             # d/dr J0(jr) = -j J1(jr); J1(z)/z -> 1/2 as z -> 0
             ratio = np.where(r > 1e-8, bessel_j1(j * safe) / safe, 0.5 * j)
-            return (-norm * j * ratio)[..., None] * p
+            return -norm * j * ratio * p
         return ExactEigenpair(lam, value, grad)
 
     raise UnsupportedDomainError(f"no analytic eigenpair on {domain.value}; use the fine-mesh path")
 
 
-# -- boundary parametrizations of the true domains --------------------------
+# -- the true boundary -------------------------------------------------------
 
-def _boundary_quadrature(domain: Domain, panels: int, npts: int):
-    """(points, outward normals, weights) on the true boundary."""
-    t, wt = edge_rule(2 * npts - 1)
+def _boundary_quadrature(domain: Domain):
+    """Points and outward unit normals (2, P, q), coordinate-major as in
+    quadrature.boundary_points, and weights (P, q): _NPTS Gauss points on
+    each of P panels of the true boundary."""
+    t, wt = edge_rule(2 * _NPTS - 1)
+    k = np.arange(_PANELS)[:, None]
     if domain is Domain.UNIT_SQUARE:
-        corners = [((0.0, 0.0), (1.0, 0.0), (0.0, -1.0)),
-                   ((1.0, 0.0), (1.0, 1.0), (1.0, 0.0)),
-                   ((1.0, 1.0), (0.0, 1.0), (0.0, 1.0)),
-                   ((0.0, 1.0), (0.0, 0.0), (-1.0, 0.0))]
-        pts, nrm, wts = [], [], []
-        for (a, b, n) in corners:
-            a, b, n = np.array(a), np.array(b), np.array(n)
-            for k in range(panels):
-                seg0 = a + (b - a) * k / panels
-                seg1 = a + (b - a) * (k + 1) / panels
-                p = seg0[None, :] + t[:, None] * (seg1 - seg0)[None, :]
-                pts.append(p)
-                nrm.append(np.tile(n, (npts, 1)))
-                wts.append(wt * np.linalg.norm(seg1 - seg0))
-        return np.concatenate(pts), np.concatenate(nrm), np.concatenate(wts)
+        # the sides counterclockwise from the origin, as (2, side, panel, 1)
+        corners = np.array([[0.0, 1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0, 0.0]])
+        a = corners[:, :4, None, None]
+        d = corners[:, 1:, None, None] - a
+        lo, hi = a + d * k / _PANELS, a + d * (k + 1) / _PANELS
+        points = (lo + t * (hi - lo)).reshape(2, -1, _NPTS)
+        outward = np.array([[0.0, 1.0, 0.0, -1.0], [-1.0, 0.0, 1.0, 0.0]])
+        normals = np.repeat(outward, _PANELS * _NPTS, axis=1).reshape(points.shape)
+        return points, normals, (np.hypot(*(hi - lo)) * wt).reshape(-1, _NPTS)
 
     if domain is Domain.UNIT_DISK:
-        pts, nrm, wts = [], [], []
-        for k in range(panels):
-            th0 = 2.0 * math.pi * k / panels
-            th1 = 2.0 * math.pi * (k + 1) / panels
-            th = th0 + t * (th1 - th0)
-            p = np.stack([np.cos(th), np.sin(th)], axis=1)
-            pts.append(p)
-            nrm.append(p)
-            wts.append(wt * (th1 - th0))  # arc element ds = d(theta) on the unit circle
-        return np.concatenate(pts), np.concatenate(nrm), np.concatenate(wts)
+        lo, hi = 2.0 * math.pi * k / _PANELS, 2.0 * math.pi * (k + 1) / _PANELS
+        theta = lo + t * (hi - lo)
+        points = np.stack([np.cos(theta), np.sin(theta)])
+        return points, points, (hi - lo) * wt  # arc element ds = d(theta) on the unit circle
 
     raise UnsupportedDomainError(f"no true-boundary quadrature for {domain.value}")
 
 
-def continuous_derivatives(domain: Domain, bc: BoundaryCondition, basis: VelocityBasis,
-                           panels: int = 64, npts: int = 10) -> ReferenceDerivatives:
+def continuous_derivatives(domain: Domain, bc: BoundaryCondition,
+                           basis: VelocityBasis) -> ReferenceDerivatives:
     """Boundary-form Eulerian derivative of the exact eigenpair, per basis field."""
     pair = exact_eigenpair(domain, bc)
-    pts, normals, w = _boundary_quadrature(domain, panels, npts)
-    grad = pair.gradient(pts)
-    dudn = np.einsum("na,na->n", grad, normals)
+    points, normals, weights = _boundary_quadrature(domain)
+    gx, gy = pair.gradient(points)
+    nx, ny = normals
+    dudn = gx * nx + gy * ny
     if bc is BoundaryCondition.DIRICHLET:
         density = -dudn ** 2
     else:
-        tang = grad - dudn[:, None] * normals
-        u = pair.value(pts)
-        density = np.einsum("na,na->n", tang, tang) - pair.lam * u ** 2
-    values = shapegrad.boundary_form(basis.fields, pts.T[:, :, None], w[:, None],
-                                     normals.T[:, :, None], density[None, :, None])[:, 0]
-    return ReferenceDerivatives(values, pair.lam)
-
-
-# -- fine-mesh (extrapolated) references ------------------------------------
-
-def extrapolated_reference(values, lams) -> ReferenceDerivatives:
-    """Richardson extrapolation of volume-form derivatives and eigenvalues
-    solved on the three finest fine-mesh levels, coarsest first.
-
-    One local rate, the median across fields clamped to [0.5, 3], cancels the
-    leading error term of the values and of lambda alike. Extrapolation is
-    linear, so an identity every level meets, vol(x,0) + vol(0,y) = -2 lambda,
-    holds for the reference too.
-    """
-    v0, v1, v2 = values
-    denom = 2.0 ** _local_rate(v0, v1, v2) - 1.0
-    _, l1, l2 = lams
-    return ReferenceDerivatives(v2 + (v2 - v1) / denom, float(l2 + (l2 - l1) / denom))
-
-
-def _local_rate(v0, v1, v2) -> float:
-    """Median observed convergence rate across fields, clamped to [0.5, 3]."""
-    d1 = np.abs(v1 - v0)
-    d2 = np.abs(v2 - v1)
-    ok = (d1 > 0) & (d2 > 0) & (d2 < d1)
-    if not np.any(ok):
-        return 2.0
-    rates = np.log2(d1[ok] / d2[ok])
-    return float(np.clip(np.median(rates), 0.5, 3.0))
+        tx, ty = gx - dudn * nx, gy - dudn * ny
+        density = tx * tx + ty * ty - pair.lam * pair.value(points) ** 2
+    values = shapegrad.boundary_form(basis.fields, points, weights, normals, density[None])
+    return ReferenceDerivatives(values[:, 0], pair.lam)
 
 
 # -- golden values -----------------------------------------------------------

@@ -70,10 +70,6 @@ class VelocityBasis:
     gamma: int
     fields: tuple[VelocityField, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.fields)
-
 
 MAX_GAMMA = 6  # the largest basis degree that build_basis and a study config accept
 

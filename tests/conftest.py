@@ -90,6 +90,18 @@ def field_divergence(field, points):
             + npoly.polyval2d(x, y, npoly.polyder(field.coeffs_y, axis=1)))
 
 
+@pytest.fixture
+def no_mesh(monkeypatch):
+    """Building any mesh fails the test: an over-budget level must build none."""
+    from eigshape import mesh
+
+    def build(*args):
+        raise AssertionError("a mesh is being built")
+
+    for builder in ("_square_grid", "_lshape", "_disk_fan", "refine"):
+        monkeypatch.setattr(mesh, builder, build)
+
+
 @pytest.fixture(scope="session")
 def square_dirichlet_space():
     mesh, space, A, M = assembled(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 3)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eigshape import convergence
+from eigshape import convergence, mesh
 from eigshape.cli import ConfigError, main, parse_config, parse_field
 from eigshape.velocity import VelocityField
 
@@ -487,6 +487,35 @@ def test_golden_command(tmp_path, capsys):
     for line in text.strip().splitlines():
         key, value = line.split(" = ")
         float(value)
+
+
+@pytest.mark.parametrize("argv,domain", [
+    (["solve", "--domain", "square", "--bc", "dirichlet", "--level", "40"], "square"),
+    (["gradient", "--domain", "lshape", "--bc", "neumann", "--level", "40",
+      "--field", "identity", "--formula", "volume"], "lshape"),
+    (["mesh-export", "--domain", "square", "--level", "40"], "square"),
+    (["mesh-export", "--domain", "lshape", "--level", "40"], "lshape"),
+    (["solve", "--domain", "disk", "--bc", "neumann", "--level", "10", "--k", "3"], "disk"),
+], ids=["solve", "gradient", "mesh_export_square", "mesh_export_lshape", "solve_disk_10"])
+def test_an_over_budget_level_is_usage_error(capsys, no_mesh, argv, domain):
+    level = int(argv[argv.index("--level") + 1])
+    count = mesh.vertex_count(mesh.Domain(domain), level)
+    assert count > mesh.VERTEX_BUDGET
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {domain} level {level} has {count} vertices, "
+                   f"over the budget of {mesh.VERTEX_BUDGET}\n")
+
+
+def test_an_over_budget_max_level_is_config_error(tmp_path, capsys, no_mesh):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(MINI_CONFIG.replace("max_level = 3", "max_level = 40"))
+    out = tmp_path / "results"
+    assert run_cli("study", str(cfg), "--out", str(out)) == 2
+    count = mesh.vertex_count(mesh.Domain.UNIT_SQUARE, 40)
+    assert capsys.readouterr().err == (f"error: square level 40 has {count} vertices, "
+                                       f"over the budget of {mesh.VERTEX_BUDGET}\n")
+    assert not out.exists()
 
 
 def test_mesh_export_command(capsys):

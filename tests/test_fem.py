@@ -98,7 +98,7 @@ def test_mass_positive_definite():
 def test_element_gradient_linear_reproduction():
     mesh, space, A, _ = assembled(Domain.L_SHAPE, BoundaryCondition.NEUMANN, 2)
     b = np.array([0.7, -1.3])
-    coeffs = space.interpolate(lambda p: 1.5 + p @ b)
+    coeffs = space.interpolate(lambda p: 1.5 + b @ p)
     grads = element_gradients(space, coeffs[:, None])
     assert grads.shape == (2, 1, mesh.num_triangles)
     assert np.abs(grads[:, 0] - b[:, None]).max() <= 1e-13
@@ -129,7 +129,7 @@ def test_element_gradient_of_interpolated_eigenfunction():
 
 def test_dirichlet_interpolate_uses_free_dofs_only():
     _, space, _, _ = assembled(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 2)
-    coeffs = space.interpolate(lambda p: np.ones(len(p)))
+    coeffs = space.interpolate(lambda p: np.ones(p.shape[1]))
     full = space.nodal_values(coeffs)
     mask = space.free_index >= 0
     assert np.all(full[~mask] == 0.0)

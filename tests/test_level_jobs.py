@@ -37,13 +37,12 @@ def serial_run_levels(cfg):
     if cfg.reference_level is None:
         ref = refmod.continuous_derivatives(cfg.domain, cfg.bc, basis)
     else:
-        values, lams = [], []
+        levels = []
         for lv in range(cfg.reference_level - 2, cfg.reference_level + 1):
             space, pair, _ = convergence._solve_level(generate(cfg.domain, lv), cfg.bc,
                                                       cfg.target)
-            values.append(shapegrad.volume_gradients(space, pair, basis.fields))
-            lams.append(pair.lam)
-        ref = refmod.extrapolated_reference(values, lams)
+            levels.append((shapegrad.volume_gradients(space, pair, basis.fields), pair.lam))
+        ref = convergence.extrapolated_reference(levels)
     records = []
     mesh = generate(cfg.domain, cfg.min_level)
     for level in range(cfg.min_level, cfg.max_level + 1):
@@ -113,7 +112,7 @@ def fail_at(monkeypatch, domain, failures):
     monkeypatch.setattr(convergence, "_solve_level", failing)
 
 
-budget = refmod.ReferenceBudgetError("injected at a reference level")
+budget = convergence.ReferenceBudgetError("injected at a reference level")
 
 
 def stalled(level):
@@ -125,9 +124,9 @@ def stalled(level):
     (None, {1: stalled(1)}, NonConvergenceError),
     (None, {1: stalled(1), 3: budget}, NonConvergenceError),
     # the finest study level, inline, after a helper failure in list order
-    (None, {3: stalled(3), 2: budget}, refmod.ReferenceBudgetError),
+    (None, {3: stalled(3), 2: budget}, convergence.ReferenceBudgetError),
     # the coarsest reference level (helper) comes before the finest (inline)
-    (5, {3: budget, 5: stalled(5), 1: stalled(1)}, refmod.ReferenceBudgetError),
+    (5, {3: budget, 5: stalled(5), 1: stalled(1)}, convergence.ReferenceBudgetError),
     # the finest reference level (inline) comes before every study level (helper)
     (5, {5: stalled(5), 1: budget}, NonConvergenceError),
     (5, {2: stalled(2)}, NonConvergenceError),

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from eigshape.mesh import (Domain, Mesh, _disk_fan, boundary_normals,
-                           boundary_vertex_mask, export_text, generate, mesh_size,
-                           refine, signed_areas, vertex_count)
+from eigshape.mesh import (VERTEX_BUDGET, Domain, Mesh, _disk_fan, boundary_normals,
+                           boundary_vertex_mask, check_budget, export_text, generate,
+                           mesh_size, refine, signed_areas, vertex_count)
 
 from conftest import DOMAINS, traced_peak_bytes
 
@@ -368,6 +368,32 @@ def test_mesh_is_immutable():
 def test_generate_rejects_negative_level():
     with pytest.raises(ValueError):
         generate(Domain.UNIT_SQUARE, -1)
+
+
+# the largest level within the budget: (2^(L+1) + 1)^2 vertices on the square and
+# the disk, 3 (n + 1)^2 - 2 (n + 1) with n = 2^(L+1) on the L-shape
+@pytest.mark.parametrize("domain,largest", [(Domain.UNIT_SQUARE, 9), (Domain.UNIT_DISK, 9),
+                                            (Domain.L_SHAPE, 8)])
+def test_budget_admits_levels_up_to_the_largest_that_fits(domain, largest):
+    assert vertex_count(domain, largest) <= VERTEX_BUDGET < vertex_count(domain, largest + 1)
+    check_budget(domain, largest)
+    count = vertex_count(domain, largest + 1)
+    with pytest.raises(ValueError) as info:
+        check_budget(domain, largest + 1)
+    assert str(info.value) == (f"{domain.value} level {largest + 1} has {count} vertices, "
+                               f"over the budget of {VERTEX_BUDGET}")
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_generate_checks_the_budget_before_building(domain, no_mesh):
+    with pytest.raises(ValueError, match=f"level 40 has {vertex_count(domain, 40)} vertices"):
+        generate(domain, 40)
+
+
+def test_budget_rejects_a_huge_level_without_its_count():
+    # the count of level 10^9 has about 6e8 digits: it is neither formed nor printed
+    with pytest.raises(RuntimeError, match="level 1000000000 has more than 4"):
+        check_budget(Domain.L_SHAPE, 10 ** 9, RuntimeError)
 
 
 def test_export_text_format():

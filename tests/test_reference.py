@@ -3,14 +3,15 @@ import pytest
 import scipy.special
 from scipy.special import roots_legendre
 
-from eigshape import convergence
-from eigshape.convergence import StudyConfig, reference_derivatives_for
+from eigshape import convergence, mesh
+from eigshape import reference as refmod
+from eigshape.convergence import ReferenceBudgetError, StudyConfig, reference_derivatives_for
 from eigshape.fem import BoundaryCondition
 from eigshape.mesh import Domain
 from eigshape.reference import (UnsupportedDomainError, bessel_j0,
                                 bessel_j0_first_zero, bessel_j1,
                                 bessel_j1_first_zero, continuous_derivatives,
-                                exact_eigenpair, golden_values, ReferenceBudgetError)
+                                exact_eigenpair, golden_values)
 from eigshape.velocity import (VelocityBasis, build_basis, constant_field,
                                identity_field, rotation_field)
 
@@ -23,19 +24,20 @@ ALL_EXACT = [(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET),
 
 
 def domain_quadrature(domain, n=60):
-    """2D quadrature on the true domain (tensor Gauss / polar), test-side oracle."""
+    """2D quadrature on the true domain (tensor Gauss / polar), test-side oracle:
+    points (2, n), coordinate-major, and weights (n,)."""
     x, w = roots_legendre(n)
     if domain is Domain.UNIT_SQUARE:
         t, wt = 0.5 * (x + 1.0), 0.5 * w
         X, Y = np.meshgrid(t, t, indexing="ij")
         W = np.outer(wt, wt)
-        return np.stack([X.ravel(), Y.ravel()], 1), W.ravel()
+        return np.stack([X.ravel(), Y.ravel()]), W.ravel()
     r, wr = 0.5 * (x + 1.0), 0.5 * w
     nth = 256
     th = 2 * np.pi * np.arange(nth) / nth
     R, TH = np.meshgrid(r, th, indexing="ij")
     W = np.outer(wr * r, np.full(nth, 2 * np.pi / nth))
-    return np.stack([(R * np.cos(TH)).ravel(), (R * np.sin(TH)).ravel()], 1), W.ravel()
+    return np.stack([(R * np.cos(TH)).ravel(), (R * np.sin(TH)).ravel()]), W.ravel()
 
 
 def test_bessel_at_zero():
@@ -77,7 +79,7 @@ def test_exact_eigenpair_rayleigh_quotient(domain, bc):
     pair = exact_eigenpair(domain, bc)
     pts, w = domain_quadrature(domain)
     g = pair.gradient(pts)
-    rayleigh = float(w @ np.einsum("na,na->n", g, g))
+    rayleigh = float(w @ (g[0] ** 2 + g[1] ** 2))
     assert rayleigh == pytest.approx(pair.lam, rel=1e-8)
 
 
@@ -111,6 +113,44 @@ def test_exact_eigenpair_unsupported_domain():
         exact_eigenpair(Domain.L_SHAPE, BoundaryCondition.DIRICHLET)
 
 
+@pytest.mark.parametrize("domain,length", [(Domain.UNIT_SQUARE, 4.0),
+                                           (Domain.UNIT_DISK, 2.0 * np.pi)])
+def test_true_boundary_rule(domain, length):
+    points, normals, weights = refmod._boundary_quadrature(domain)
+    P, q = refmod._PANELS * (4 if domain is Domain.UNIT_SQUARE else 1), refmod._NPTS
+    assert points.shape == normals.shape == (2, P, q)
+    assert weights.shape == (P, q)
+    assert weights.sum() == pytest.approx(length, rel=1e-15)
+    assert np.all(weights > 0.0)
+    x, y = points
+    nx, ny = normals
+    assert np.abs(nx * nx + ny * ny - 1.0).max() <= 1e-15
+    if domain is Domain.UNIT_SQUARE:
+        # on a side: one coordinate at 0 or 1, the normal along it and pointing out
+        assert np.all((x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0))
+        side = np.where(np.abs(nx) == 1.0, x, y)
+        assert np.array_equal(side, (np.where(np.abs(nx) == 1.0, nx, ny) + 1.0) / 2.0)
+    else:
+        assert np.abs(x * x + y * y - 1.0).max() <= 1e-15
+        assert np.array_equal(normals, points)  # outward: the radius itself
+
+
+@pytest.mark.parametrize("domain,bc", ALL_EXACT)
+def test_exact_eigenpair_takes_coordinate_major_points(domain, bc):
+    pair = exact_eigenpair(domain, bc)
+    points, _, _ = refmod._boundary_quadrature(domain)
+    vertices = mesh.generate(domain, 2).vertices.T  # (2, nv)
+    for p in (vertices, points):
+        assert pair.value(p).shape == p.shape[1:]
+        assert pair.gradient(p).shape == p.shape
+        # the values of one point at a time, to roundoff
+        k = (0,) * (p.ndim - 1)
+        one = p[(slice(None),) + k]
+        assert pair.value(p)[k] == pytest.approx(pair.value(one), rel=1e-14, abs=1e-14)
+        assert pair.gradient(p)[(slice(None),) + k] == pytest.approx(pair.gradient(one),
+                                                                    rel=1e-14, abs=1e-14)
+
+
 @pytest.mark.parametrize("domain,bc", ALL_EXACT)
 def test_continuous_derivatives_symmetries(domain, bc):
     probe = VelocityBasis(1, (constant_field(1.0, 0.0), constant_field(0.0, 1.0),
@@ -123,11 +163,11 @@ def test_continuous_derivatives_symmetries(domain, bc):
         assert abs(ref.values[3]) <= 1e-10
 
 
-def test_continuous_derivatives_panel_doubling():
+def test_continuous_derivatives_panel_doubling(monkeypatch):
     basis = build_basis(3)
     a = continuous_derivatives(Domain.UNIT_DISK, BoundaryCondition.DIRICHLET, basis)
-    b = continuous_derivatives(Domain.UNIT_DISK, BoundaryCondition.DIRICHLET, basis,
-                               panels=128)
+    monkeypatch.setattr(refmod, "_PANELS", 2 * refmod._PANELS)
+    b = continuous_derivatives(Domain.UNIT_DISK, BoundaryCondition.DIRICHLET, basis)
     scale = np.abs(a.values).max()
     assert np.abs(a.values - b.values).max() <= 1e-9 * scale
 
@@ -167,7 +207,8 @@ def test_finemesh_reference_meets_the_identity_to_roundoff():
 
 
 def test_finemesh_budget_error(monkeypatch):
-    monkeypatch.setattr(convergence, "_REFERENCE_DOF_BUDGET", 1000)
+    # the study's max_level 5 (4225 vertices) fits; reference level 7 (66049) does not
+    monkeypatch.setattr(mesh, "VERTEX_BUDGET", 5000)
     with pytest.raises(ReferenceBudgetError):
         reference_derivatives_for(_finemesh_config(5, 7), build_basis(1))
 
@@ -175,7 +216,7 @@ def test_finemesh_budget_error(monkeypatch):
 def test_finemesh_budget_is_checked_before_any_solve(monkeypatch):
     solved = record_pair_counts(monkeypatch)
     # levels 5 and 6 fit in the budget; level 7 (66049 vertices) does not
-    monkeypatch.setattr(convergence, "_REFERENCE_DOF_BUDGET", 20000)
+    monkeypatch.setattr(mesh, "VERTEX_BUDGET", 20000)
     with pytest.raises(ReferenceBudgetError, match="level 7 has 66049 vertices"):
         reference_derivatives_for(_finemesh_config(5, 7), build_basis(1))
     assert solved == []

@@ -24,7 +24,7 @@ def _gramian_generic(basis, mesh):
     pts, wts, _ = physical_points(mesh, degree)
     flat = np.moveaxis(pts, 0, -1).reshape(-1, 2)
     w = wts.reshape(-1)
-    q = basis.size
+    q = len(basis.fields)
     K = np.zeros((q, q))
     for lo in range(0, flat.shape[0], _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, flat.shape[0]))
@@ -36,9 +36,9 @@ def _gramian_generic(basis, mesh):
 
 
 def test_basis_counts():
-    assert build_basis(3).size == 20
-    assert build_basis(2).size == 12
-    assert build_basis(0).size == 2
+    assert len(build_basis(3).fields) == 20
+    assert len(build_basis(2).fields) == 12
+    assert len(build_basis(0).fields) == 2
     with pytest.raises(ValueError):
         build_basis(7)
 
