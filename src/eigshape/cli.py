@@ -99,6 +99,8 @@ def parse_field(spec: str) -> VelocityField:
         b1, b2, comp = (int(s) for s in spec[len("mono:"):].split(","))
         if min(b1, b2) < 0 or comp not in (0, 1):
             raise ValueError(f"field spec {spec!r} needs exponents >= 0 and comp 0 or 1")
+        if b1 + b2 > MAX_GAMMA:
+            raise ValueError(f"field spec {spec!r} has degree {b1 + b2}, over {MAX_GAMMA}")
         return monomial_field(b1, b2, comp)
     raise ValueError(f"unknown field spec {spec!r} "
                      "(use const:a,b | identity | rot | mono:b1,b2,comp)")

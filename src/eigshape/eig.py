@@ -23,6 +23,7 @@ _START_SEED = 20240817
 _NEUMANN_SIGMA = 0.1
 _ZERO_MODE_REL = 1e-8
 _RESIDUAL_TOL = 1e-10  # largest scaled residual a returned pair may have
+_MAX_WORKSPACE = 2 ** 25  # doubles (256 MiB) a solve may hold; the dense route up to n = 4096
 
 
 class NonConvergenceError(RuntimeError):
@@ -114,9 +115,16 @@ class Target:
 
 
 def solve_lowest(A, M, k: int, bc: BoundaryCondition) -> list[EigenPair]:
-    """The k smallest eigenpairs, nondecreasing, M-orthonormal."""
+    """The k smallest eigenpairs, nondecreasing, M-orthonormal. A k whose workspace
+    (the dense route's n x n A and M, or ARPACK's max(2k + 1, 20) Lanczos vectors)
+    exceeds _MAX_WORKSPACE doubles is refused before any allocation."""
     n = _check_pencil(A, M, k)
-    if k >= n - 1:
+    dense = k >= n - 1
+    workspace = 2 * n * n if dense else n * max(2 * k + 1, 20)
+    if workspace > _MAX_WORKSPACE:
+        raise ValueError(f"k={k} at n={n} needs {workspace} doubles of eigensolver workspace, "
+                         f"over the bound of {_MAX_WORKSPACE}")
+    if dense:
         return solve_lowest_dense(A, M, k, bc)
 
     sigma = 0.0 if bc is BoundaryCondition.DIRICHLET else _NEUMANN_SIGMA

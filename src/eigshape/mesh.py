@@ -127,14 +127,6 @@ def refine(mesh: Mesh) -> Mesh:
     return Mesh(verts, children, _child_boundary_edges(mesh, mid_idx), mesh.domain)
 
 
-def boundary_normals(mesh: Mesh) -> np.ndarray:
-    """Outward unit normals (2, ne) of the boundary edges, coordinate-major."""
-    a = mesh.boundary_edges[:, 0]
-    b = mesh.boundary_edges[:, 1]
-    t = mesh.vertices[b] - mesh.vertices[a]
-    return np.stack([t[:, 1], -t[:, 0]]) / np.linalg.norm(t, axis=1)
-
-
 def signed_areas(mesh: Mesh) -> np.ndarray:
     p0 = mesh.vertices[mesh.triangles[:, 0]]
     p1 = mesh.vertices[mesh.triangles[:, 1]]

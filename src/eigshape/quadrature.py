@@ -31,7 +31,7 @@ _CHUNK_POINTS = 4096  # quadrature points per moments() chunk
 
 @lru_cache(maxsize=None)
 def triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Points (npts, 2) in reference coordinates and weights (npts,)."""
+    """Reference points (2, npts), coordinate-major, and weights (npts,)."""
     n = max(1, degree // 2 + 1)
     xg, wg = roots_legendre(n)
     xj, wj = roots_jacobi(n, 1.0, 0.0)
@@ -44,7 +44,7 @@ def triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     x = uu * (1.0 - ee)
     y = ee
     w = np.outer(wu, weta)
-    pts = np.stack([x.ravel(), y.ravel()], axis=1)
+    pts = np.stack([x.ravel(), y.ravel()])
     pts.setflags(write=False)
     wts = w.ravel()
     wts.setflags(write=False)
@@ -78,7 +78,7 @@ def physical_points(mesh: Mesh, degree: int,
     p0 = corners[:, :, :1]
     d1 = corners[:, :, 1:2] - p0
     d2 = corners[:, :, 2:3] - p0
-    x, y = ref[:, 0], ref[:, 1]
+    x, y = ref
     pts = p0 + x * d1 + y * d2
     wts = (d1[0] * d2[1] - d1[1] * d2[0]) * w[None, :]
     bary = np.stack([1.0 - x - y, x, y], axis=1)
@@ -86,15 +86,17 @@ def physical_points(mesh: Mesh, degree: int,
 
 
 def boundary_points(mesh: Mesh, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge-rule points (2, ne, npts), coordinate-major, weights (ne, npts) and
-    edge parameters t (npts,), from v0 (t = 0) to v1, over the boundary edges
-    in row order."""
+    """Edge-rule points v0 + t d (2, ne, npts), coordinate-major, weights |d| w
+    (ne, npts) and outward unit normals (d2, -d1) / |d| (2, ne, 1) over the
+    boundary edges in row order, with d = v1 - v0 and (t, w) = edge_rule(degree)."""
     t, w = edge_rule(degree)
-    p0 = mesh.vertices[mesh.boundary_edges[:, 0]]
-    p1 = mesh.vertices[mesh.boundary_edges[:, 1]]
-    pts = p0.T[:, :, None] + t * (p1 - p0).T[:, :, None]
-    wts = np.linalg.norm(p1 - p0, axis=1)[:, None] * w[None, :]
-    return pts, wts, t
+    v = mesh.vertices.T
+    p0 = v[:, mesh.boundary_edges[:, 0]]
+    d = v[:, mesh.boundary_edges[:, 1]] - p0
+    length = np.linalg.norm(d, axis=0)
+    pts = p0[:, :, None] + t * d[:, :, None]
+    normals = np.stack([d[1], -d[0]]) / length
+    return pts, length[:, None] * w[None, :], normals[:, :, None]
 
 
 def cell_chunks(n: int, npts: int) -> list[slice]:

@@ -8,10 +8,10 @@ gradients are coordinate-major, (2, ...), as in quadrature. The L-shape has
 no closed form; its fine-mesh reference is built by the convergence module.
 
 Bessel J0 and J1 are evaluated from their integral representation
-J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt with a fixed Gauss-Legendre
-rule, which is accurate far below 1e-12 on the argument range used here; no
-external special-function dependency. Roots come from bracketed bisection on
-a 0.1-step sign scan.
+J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt with the 64-point
+Gauss-Legendre edge_rule, which is accurate far below 1e-12 for |x| <= 30
+(the program's arguments stay below about 4); no external special-function
+dependency. Roots come from bracketed bisection on a 0.1-step sign scan.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from . import shapegrad
 from .fem import BoundaryCondition
@@ -52,16 +51,10 @@ class ReferenceDerivatives:
 
 # -- Bessel evaluation ------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _bessel_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = roots_legendre(n)
-    theta = 0.5 * math.pi * (x + 1.0)
-    return theta, 0.5 * w  # weights of (1/pi) int_0^pi
-
 def _bessel(order: int, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    xmax = float(np.max(np.abs(x))) if x.size else 0.0
-    theta, w = _bessel_nodes(64 + int(max(0.0, xmax - 30.0)))
+    t, w = edge_rule(126)  # 64 nodes; w are the weights of (1/pi) int_0^pi
+    theta = math.pi * t
     phase = order * theta[None, :] - np.abs(x).reshape(-1, 1) * np.sin(theta)[None, :]
     vals = np.cos(phase) @ w
     if order == 1:
@@ -160,9 +153,9 @@ def exact_eigenpair(domain: Domain, bc: BoundaryCondition) -> ExactEigenpair:
 # -- the true boundary -------------------------------------------------------
 
 def _boundary_quadrature(domain: Domain):
-    """Points and outward unit normals (2, P, q), coordinate-major as in
-    quadrature.boundary_points, and weights (P, q): _NPTS Gauss points on
-    each of P panels of the true boundary."""
+    """Points (2, P, q), weights (P, q) and outward unit normals (2, P, q),
+    coordinate-major and in the order of quadrature.boundary_points: _NPTS
+    Gauss points on each of P panels of the true boundary."""
     t, wt = edge_rule(2 * _NPTS - 1)
     k = np.arange(_PANELS)[:, None]
     if domain is Domain.UNIT_SQUARE:
@@ -174,13 +167,13 @@ def _boundary_quadrature(domain: Domain):
         points = (lo + t * (hi - lo)).reshape(2, -1, _NPTS)
         outward = np.array([[0.0, 1.0, 0.0, -1.0], [-1.0, 0.0, 1.0, 0.0]])
         normals = np.repeat(outward, _PANELS * _NPTS, axis=1).reshape(points.shape)
-        return points, normals, (np.hypot(*(hi - lo)) * wt).reshape(-1, _NPTS)
+        return points, (np.hypot(*(hi - lo)) * wt).reshape(-1, _NPTS), normals
 
     if domain is Domain.UNIT_DISK:
         lo, hi = 2.0 * math.pi * k / _PANELS, 2.0 * math.pi * (k + 1) / _PANELS
         theta = lo + t * (hi - lo)
         points = np.stack([np.cos(theta), np.sin(theta)])
-        return points, points, (hi - lo) * wt  # arc element ds = d(theta) on the unit circle
+        return points, (hi - lo) * wt, points  # arc element ds = d(theta) on the unit circle
 
     raise UnsupportedDomainError(f"no true-boundary quadrature for {domain.value}")
 
@@ -189,16 +182,16 @@ def continuous_derivatives(domain: Domain, bc: BoundaryCondition,
                            basis: VelocityBasis) -> ReferenceDerivatives:
     """Boundary-form Eulerian derivative of the exact eigenpair, per basis field."""
     pair = exact_eigenpair(domain, bc)
-    points, normals, weights = _boundary_quadrature(domain)
+    rule = _boundary_quadrature(domain)
+    points, _, (nx, ny) = rule
     gx, gy = pair.gradient(points)
-    nx, ny = normals
     dudn = gx * nx + gy * ny
     if bc is BoundaryCondition.DIRICHLET:
         density = -dudn ** 2
     else:
         tx, ty = gx - dudn * nx, gy - dudn * ny
         density = tx * tx + ty * ty - pair.lam * pair.value(points) ** 2
-    values = shapegrad.boundary_form(basis.fields, points, weights, normals, density[None])
+    values = shapegrad.boundary_form(basis.fields, *rule, density[None])
     return ReferenceDerivatives(values[:, 0], pair.lam)
 
 

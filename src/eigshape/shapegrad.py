@@ -29,8 +29,8 @@ import numpy as np
 
 from .eig import EigenCluster, EigenPair
 from .fem import BoundaryCondition, FemSpace, element_gradients
-from .mesh import boundary_normals
-from .quadrature import boundary_points, cell_chunks, moments, physical_points, triangle_rule
+from .quadrature import (boundary_points, cell_chunks, edge_rule, moments, physical_points,
+                         triangle_rule)
 from .velocity import VelocityField, coefficient_stack
 
 _BASE_DEGREE = 6  # volume rule exact for degree max(6, field degree + 2)
@@ -167,18 +167,19 @@ def _boundary_tables(space: FemSpace, basis: np.ndarray, lam: float, size: int) 
     """T[e, c, p, q] per basis entry as in _volume_tables; density by the space's bc."""
     mesh = space.mesh
     edges = mesh.boundary_edges
-    normals = boundary_normals(mesh)
     dirichlet = space.bc is BoundaryCondition.DIRICHLET
-    points, weights, t = boundary_points(mesh, size - 1 + (0 if dirichlet else 2))
+    degree = size - 1 + (0 if dirichlet else 2)
+    points, weights, normals = boundary_points(mesh, degree)
     i, j = np.triu_indices(basis.shape[1])
     gx, gy = element_gradients(space, basis)[:, :, edges[:, 2]]  # (l, ne) each
-    nx, ny = normals
+    nx, ny = normals[:, :, 0]
     dudn = gx * nx + gy * ny
     if dirichlet:
         density = -(dudn[i] * dudn[j])[:, :, None]
     else:
         tx, ty = gx - dudn * nx, gy - dudn * ny
         nodal = space.nodal_values(basis).T
+        t, _ = edge_rule(degree)
         trace = nodal[:, edges[:, 0], None] * (1.0 - t) + nodal[:, edges[:, 1], None] * t
         density = (tx[i] * tx[j] + ty[i] * ty[j])[:, :, None] - lam * trace[i] * trace[j]
-    return _boundary_form_tables(points, weights, normals[:, :, None], density, size)
+    return _boundary_form_tables(points, weights, normals, density, size)

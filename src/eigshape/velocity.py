@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .mesh import Mesh, boundary_normals
+from .mesh import Mesh
 from .quadrature import boundary_points, moments
 
 log = logging.getLogger(__name__)
@@ -133,9 +133,8 @@ def gramian(basis: VelocityBasis, mesh: Mesh) -> Gramian:
     """
     size = max(f.degree for f in basis.fields) + 1
     degree = 2 * (size - 1)
-    pts, wts, _ = boundary_points(mesh, degree + 1)
-    n_x = boundary_normals(mesh)[0]
-    flux = moments(pts, wts, [n_x[None, :, None]], degree + 1)[0][0]
+    pts, wts, normals = boundary_points(mesh, degree + 1)
+    flux = moments(pts, wts, [normals[:1]], degree + 1)[0][0]
     mom = flux[1:, :-1] / np.arange(1, degree + 2)[:, None]
     idx = np.arange(size)
     hankel = mom[idx[:, None, None, None] + idx[None, None, :, None],

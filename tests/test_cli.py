@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eigshape import convergence, mesh
+from eigshape import convergence, eig, mesh
 from eigshape.cli import ConfigError, main, parse_config, parse_field
+from eigshape.fem import BoundaryCondition, FemSpace
 from eigshape.velocity import VelocityField
 
 from conftest import field_value, patch_solve_lowest
@@ -476,6 +477,64 @@ def test_any_gradient_arguments_exit_0_1_or_2(domain, bc, level, field, formula)
     argv = ["gradient", "--domain", domain, "--bc", bc, "--level", str(level),
             "--field", field, "--formula", formula]
     assert _exit_code(argv) in (0, 1, 2)
+
+
+@given(domain=st.sampled_from(["square", "disk", "lshape"] * 3 + ["hexagon"]),
+       bc=st.sampled_from(["dirichlet", "neumann"] * 3 + ["robin"]),
+       level=st.integers(-1, 3), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_any_solve_arguments_exit_0_1_or_2(domain, bc, level, data):
+    # k from a few pairs up to past the dof count n, through the dense route at k >= n - 1
+    try:
+        n = FemSpace(mesh.generate(mesh.Domain(domain), level), BoundaryCondition(bc)).dof_count
+    except ValueError:  # an unknown domain or bc, or a negative level
+        n = 10
+    k = data.draw(st.one_of(st.integers(-1, 12), st.integers(n - 3, n + 2)))
+    argv = ["solve", "--domain", domain, "--bc", bc, "--level", str(level), "--k", str(k)]
+    assert _exit_code(argv) in (0, 1, 2)
+
+
+@given(domain=st.sampled_from(["square", "disk", "lshape", "hexagon"]),
+       level=st.integers(-1, 3), out=st.sampled_from([None, "mesh.txt", "missing/mesh.txt"]))
+@settings(max_examples=30, deadline=None)
+def test_any_mesh_export_arguments_exit_0_1_or_2(domain, level, out):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["mesh-export", "--domain", domain, "--level", str(level)]
+        if out is not None:
+            argv += ["--out", str(Path(tmp) / out)]
+        assert _exit_code(argv) in (0, 1, 2)
+
+
+@pytest.fixture
+def no_eigensolve(monkeypatch):
+    """Starting either eigensolver route fails the test: a refused k allocates nothing."""
+    def start(*args, **kwargs):
+        raise AssertionError("an eigensolver route was started")
+
+    monkeypatch.setattr(eig, "solve_lowest_dense", start)
+    monkeypatch.setattr(eig.spla, "eigsh", start)
+
+
+@pytest.mark.parametrize("k,workspace", [(65024, 2 * 65025 ** 2), (60000, 65025 * 120001)],
+                         ids=["dense", "arpack"])
+def test_an_oversized_eigensolve_is_usage_error(capsys, no_eigensolve, k, workspace):
+    # 31.5 GiB of dense arrays or a 58.1 GiB Lanczos basis at square level 7
+    assert run_cli("solve", "--domain", "square", "--bc", "dirichlet", "--level", "7",
+                   "--k", str(k)) == 2
+    assert capsys.readouterr().err == (
+        f"error: k={k} at n=65025 needs {workspace} doubles of eigensolver workspace, "
+        f"over the bound of {eig._MAX_WORKSPACE}\n")
+
+
+@pytest.mark.parametrize("spec", ["mono:7,0,0", "mono:3,4,1", "mono:200,0,0",
+                                  "mono:100000,0,0"])
+def test_a_field_over_the_degree_bound_is_usage_error(capsys, monkeypatch, spec):
+    patch_solve_lowest(monkeypatch, never_solve)
+    assert run_cli("gradient", "--domain", "square", "--bc", "dirichlet", "--level", "0",
+                   "--field", spec, "--formula", "volume") == 2
+    degree = sum(int(b) for b in spec[len("mono:"):].split(",")[:2])
+    assert capsys.readouterr().err == (f"error: field spec {spec!r} has degree {degree}, "
+                                       "over 6\n")
 
 
 def test_golden_command(tmp_path, capsys):

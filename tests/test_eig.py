@@ -309,3 +309,18 @@ def test_nonconvergence_translation(monkeypatch):
     monkeypatch.setattr(eigmod.spla, "eigsh", explode)
     with pytest.raises(NonConvergenceError):
         solve_lowest(A, M, 2, BoundaryCondition.DIRICHLET)
+
+
+@pytest.mark.parametrize("bc", BCS)
+def test_the_workspace_bound_admits_its_own_size_and_refuses_one_more(monkeypatch, bc):
+    import eigshape.eig as eigmod
+
+    _, _, A, M = assembled(Domain.UNIT_SQUARE, bc, 2)
+    n = A.shape[0]
+    # the dense route (2 n^2) and ARPACK at its floor of 20 and at 2k + 1 Lanczos vectors
+    for k, workspace in ((n - 1, 2 * n * n), (1, 20 * n), (20, 41 * n)):
+        monkeypatch.setattr(eigmod, "_MAX_WORKSPACE", workspace)
+        assert len(solve_lowest(A, M, k, bc)) == k
+        monkeypatch.setattr(eigmod, "_MAX_WORKSPACE", workspace - 1)
+        with pytest.raises(ValueError, match=f"needs {workspace} doubles"):
+            solve_lowest(A, M, k, bc)

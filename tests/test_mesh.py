@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from eigshape.mesh import (VERTEX_BUDGET, Domain, Mesh, _disk_fan, boundary_normals,
-                           boundary_vertex_mask, check_budget, export_text, generate,
-                           mesh_size, refine, signed_areas, vertex_count)
+from eigshape.mesh import (VERTEX_BUDGET, Domain, Mesh, _disk_fan, boundary_vertex_mask,
+                           check_budget, export_text, generate, mesh_size, refine,
+                           signed_areas, vertex_count)
+from eigshape.quadrature import boundary_points
 
 from conftest import DOMAINS, traced_peak_bytes
 
@@ -279,7 +280,7 @@ def test_refine_halves_mesh_size(domain):
 
 def test_boundary_normal_square_sides():
     m = generate(Domain.UNIT_SQUARE, 1)
-    normals = boundary_normals(m)
+    normals = boundary_points(m, 1)[2][:, :, 0]
     assert normals.shape == (2, len(m.boundary_edges))
     for row, (a, b, _) in enumerate(m.boundary_edges):
         pa, pb = m.vertices[a], m.vertices[b]
@@ -293,7 +294,7 @@ def test_boundary_normal_square_sides():
 
 def test_boundary_normal_disk_alignment():
     m = generate(Domain.UNIT_DISK, 3)
-    normals = boundary_normals(m)
+    normals = boundary_points(m, 1)[2][:, :, 0]
     mids = 0.5 * (m.vertices[m.boundary_edges[:, 0]] + m.vertices[m.boundary_edges[:, 1]])
     radial = mids / np.linalg.norm(mids, axis=1)[:, None]
     assert np.einsum("ae,ea->e", normals, radial).min() >= 0.999

@@ -73,17 +73,23 @@ def test_points_are_the_interleaved_formula_coordinate_major(domain):
     for degree in (6, 8):
         ref, _ = quadrature.triangle_rule(degree)
         p0, p1, p2 = (mesh.vertices[mesh.triangles[:, i]] for i in range(3))
-        x, y = ref[:, 0], ref[:, 1]
+        x, y = ref
         want = (p0[:, None, :]
                 + x[None, :, None] * (p1 - p0)[:, None, :]
                 + y[None, :, None] * (p2 - p0)[:, None, :])
         got = physical_points(mesh, degree)[0]
         assert got.shape == (2, mesh.num_triangles, len(x))
         assert np.array_equal(got, np.moveaxis(want, -1, 0))
-    t, _ = quadrature.edge_rule(5)
+    t, w = quadrature.edge_rule(5)
     p0, p1 = (mesh.vertices[mesh.boundary_edges[:, i]] for i in range(2))
     want = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
-    assert np.array_equal(boundary_points(mesh, 5)[0], np.moveaxis(want, -1, 0))
+    pts, wts, normals = boundary_points(mesh, 5)
+    assert np.array_equal(pts, np.moveaxis(want, -1, 0))
+    # weights |d| w and normals (d2, -d1) / |d| from the (ne, 2) edge vectors, bit for bit
+    d = p1 - p0
+    assert np.array_equal(wts, np.linalg.norm(d, axis=1)[:, None] * w[None, :])
+    assert np.array_equal(normals, (np.stack([d[:, 1], -d[:, 0]])
+                                    / np.linalg.norm(d, axis=1))[:, :, None])
 
 
 def _rule(domain, rule):

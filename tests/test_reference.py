@@ -116,7 +116,7 @@ def test_exact_eigenpair_unsupported_domain():
 @pytest.mark.parametrize("domain,length", [(Domain.UNIT_SQUARE, 4.0),
                                            (Domain.UNIT_DISK, 2.0 * np.pi)])
 def test_true_boundary_rule(domain, length):
-    points, normals, weights = refmod._boundary_quadrature(domain)
+    points, weights, normals = refmod._boundary_quadrature(domain)
     P, q = refmod._PANELS * (4 if domain is Domain.UNIT_SQUARE else 1), refmod._NPTS
     assert points.shape == normals.shape == (2, P, q)
     assert weights.shape == (P, q)

@@ -14,7 +14,6 @@ from eigshape.velocity import (VelocityBasis, VelocityField, build_basis, consta
                                identity_field, monomial_field, rotation_field)
 from eigshape import reference as refmod
 from eigshape.fem import FemSpace, assemble_mass, assemble_stiffness, element_gradients
-from eigshape.mesh import boundary_normals
 from eigshape.quadrature import edge_rule, physical_points
 
 from conftest import (BCS, DOMAINS, assembled, field_divergence, field_jacobian, field_value,
@@ -392,10 +391,11 @@ def _pointwise_boundary(space, U, lam, field):
     """Oracle: boundary-form matrix of the basis columns U, V.n evaluated pointwise."""
     mesh = space.mesh
     edges = mesh.boundary_edges
-    normals = boundary_normals(mesh).T
     dirichlet = space.bc is BoundaryCondition.DIRICHLET
     t, wt = edge_rule(field.degree + (0 if dirichlet else 2))
     p0, p1 = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
+    d = p1 - p0
+    normals = np.stack([d[:, 1], -d[:, 0]], axis=1) / np.linalg.norm(d, axis=1)[:, None]
     pts = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
     w = np.linalg.norm(p1 - p0, axis=1)[:, None] * wt[None, :]
     vn = np.einsum("ema,ea->em", field_value(field, pts), normals)
@@ -447,7 +447,7 @@ def test_general_fields_match_pointwise_evaluation(domain, bc):
 def test_general_fields_continuous_reference_matches_pointwise_evaluation(domain, bc):
     ref = refmod.continuous_derivatives(domain, bc, VelocityBasis(2, GENERAL_FIELDS))
     exact = refmod.exact_eigenpair(domain, bc)
-    pts, normals, w = refmod._boundary_quadrature(domain)
+    pts, w, normals = refmod._boundary_quadrature(domain)
     # the oracle works point-major, (P, q, 2)
     grad, normals = np.moveaxis(exact.gradient(pts), 0, -1), np.moveaxis(normals, 0, -1)
     dudn = np.einsum("...a,...a->...", grad, normals)
