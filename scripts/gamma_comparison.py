@@ -5,14 +5,13 @@ Usage: python scripts/gamma_comparison.py [--domain square] [--bc dirichlet]
        [--gammas 1 2 3] [--min-level 3] [--max-level 6]
 
 Exit codes as in `eigshape study`: 1 on a numerical failure, 2 on a bad
-setting, each with one line on stderr.
+setting or unwritable output, each with one line on stderr.
 """
 
 import argparse
-import sys
 from dataclasses import replace
 
-from eigshape.cli import NUMERICAL_FAILURES
+from eigshape.cli import run_command
 from eigshape.convergence import StudyConfig, run_study
 from eigshape.eig import Target
 from eigshape.fem import BoundaryCondition
@@ -32,21 +31,13 @@ def main() -> int:
 
     bc = BoundaryCondition(args.bc)
     target = Target.first() if bc is BoundaryCondition.DIRICHLET else Target.match_exact()
-    try:
-        cfg = StudyConfig(Domain(args.domain), bc, args.min_level, args.max_level,
-                          target=target)
-        print("gamma  volume_slope  boundary_slope")
-        for g in args.gammas:
-            result = run_study(replace(cfg, gamma=g))
-            print(f"{g:5d}  {result.volume_fit.slope:12.4f}  {result.boundary_fit.slope:14.4f}")
-    except NUMERICAL_FAILURES as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = StudyConfig(Domain(args.domain), bc, args.min_level, args.max_level, target=target)
+    print("gamma  volume_slope  boundary_slope")
+    for g in args.gammas:
+        result = run_study(replace(cfg, gamma=g))
+        print(f"{g:5d}  {result.volume_fit.slope:12.4f}  {result.boundary_fit.slope:14.4f}")
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run_command(main))

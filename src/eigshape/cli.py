@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -22,8 +23,8 @@ from . import shapegrad
 from .eig import NonConvergenceError, Target, solve_lowest
 from .fem import BoundaryCondition, FemSpace, assemble_mass, assemble_stiffness
 from .mesh import Domain, export_text, generate, mesh_size
-from .velocity import (MAX_GAMMA, FactorizationError, VelocityField, constant_field,
-                       identity_field, monomial_field, rotation_field)
+from .velocity import (MAX_GAMMA, FactorizationError, VelocityField, build_basis,
+                       constant_field, identity_field, monomial_field, rotation_field)
 
 
 # failures that exit 1; a ValueError (ConfigError among them) exits 2
@@ -64,13 +65,6 @@ def _reference_level(text: str) -> int | None:
     raise ValueError("expected analytic | finemesh:<level>")
 
 
-def _gamma(text: str) -> int:
-    gamma = int(text)
-    if not 0 <= gamma <= MAX_GAMMA:
-        raise ValueError(f"gamma must be in [0, {MAX_GAMMA}], got {gamma}")
-    return gamma
-
-
 # config key -> (StudyConfig field, parse the text, show the value as text);
 # the shown snapshot, fed back as a config file, reproduces the run
 _KEYS = {
@@ -78,7 +72,7 @@ _KEYS = {
     "bc": ("bc", _choice(BoundaryCondition), lambda b: b.value),
     "min_level": ("min_level", int, int),
     "max_level": ("max_level", int, int),
-    "gamma": ("gamma", _gamma, int),
+    "gamma": ("gamma", lambda text: build_basis(int(text)).gamma, int),
     "target": ("target", Target.parse, str),
     "reference": ("reference_level", _reference_level,
                   lambda level: "analytic" if level is None else f"finemesh:{level}"),
@@ -161,14 +155,10 @@ def cmd_solve(args) -> int:
         exact = None
     print(f"# {domain.value} {bc.value} level {args.level} "
           f"h {mesh_size(mesh):.6e} dof {space.dof_count}")
-    header = "i lambda_h residual"
-    if exact is not None:
-        header += " exact rel_error"
-    print(header)
-    closest = None
-    if exact is not None:
-        closest = min((i for i, p in enumerate(pairs) if not p.zero_mode),
-                      key=lambda i: abs(pairs[i].lam - exact), default=None)
+    candidates = (i for i, p in enumerate(pairs) if exact is not None and not p.zero_mode)
+    closest = min(candidates, key=lambda i: abs(pairs[i].lam - exact), default=None)
+    # the exact columns only when a row fills them
+    print("i lambda_h residual" + (" exact rel_error" if closest is not None else ""))
     for i, p in enumerate(pairs):
         line = f"{i + 1} {p.lam:.12e} {p.residual:.3e}"
         # the known exact value belongs to whichever pair approximates it
@@ -278,16 +268,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def run_command(command) -> int:
+    """command()'s exit code, or 1 on a numerical failure and 2 on a usage
+    error, each with one line on stderr."""
+    try:
+        code = command()
+        sys.stdout.flush()  # buffered output stdout cannot take fails here, not at exit
+        return code
+    except NUMERICAL_FAILURES as exc:
+        code, message = 1, f"numerical failure: {exc}"
+    except (ValueError, OSError) as exc:  # OSError: a path that cannot be read or written
+        code, message = 2, f"error: {exc}"
+    print(message, file=sys.stderr)
+    try:
+        sys.stdout.flush()
+    except OSError:  # drop what stdout still holds, or the exit flush fails and exits 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except NUMERICAL_FAILURES as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:  # OSError: a path that cannot be read or written
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return run_command(lambda: args.func(args))
 
 
 if __name__ == "__main__":

@@ -32,13 +32,10 @@ _CHUNK_POINTS = 4096  # quadrature points per moments() chunk
 @lru_cache(maxsize=None)
 def triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Reference points (2, npts), coordinate-major, and weights (npts,)."""
-    n = max(1, degree // 2 + 1)
-    xg, wg = roots_legendre(n)
-    xj, wj = roots_jacobi(n, 1.0, 0.0)
+    u, wu = edge_rule(degree)
+    xj, wj = roots_jacobi(u.size, 1.0, 0.0)
     # map to [0, 1]; the (1 - eta) Jacobian is absorbed by the Jacobi weight
-    u = 0.5 * (xg + 1.0)
     eta = 0.5 * (xj + 1.0)
-    wu = 0.5 * wg
     weta = 0.25 * wj
     uu, ee = np.meshgrid(u, eta, indexing="ij")
     x = uu * (1.0 - ee)

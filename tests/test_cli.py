@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -30,6 +33,28 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    [str(REPO / "scripts" / "gamma_comparison.py"), "--gammas", "1",
+     "--min-level", "1", "--max-level", "3"],
+    ["-m", "eigshape.cli", "golden"],
+], ids=["gamma_comparison", "golden"])
+def test_a_full_stdout_exits_2_when_block_buffered(argv):
+    # stdout on a file is block-buffered, so output this short fails only when
+    # flushed; that must happen in the exit-code mapping, not in the exit flush (120)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                      env.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, *argv], stdout=full, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=300)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: [Errno 28] No space left on device"]
+
+
 def test_solve_square_dirichlet(capsys):
     assert run_cli("solve", "--domain", "square", "--bc", "dirichlet",
                    "--level", "5", "--k", "1") == 0
@@ -59,7 +84,9 @@ def test_solve_neumann_single_pair_is_the_zero_mode(capsys):
     # with k=1 the only pair is the zero mode; its residual scale must not vanish
     assert run_cli("solve", "--domain", "square", "--bc", "neumann",
                    "--level", "2", "--k", "1") == 0
-    row = capsys.readouterr().out.strip().splitlines()[-1]
+    _, header, row = capsys.readouterr().out.strip().splitlines()
+    # no row carries the exact value, so no column heads it
+    assert header.split() == ["i", "lambda_h", "residual"]
     assert row.startswith("1 ") and row.endswith("(zero mode)")
     assert float(row.split()[2]) <= 1e-10
 

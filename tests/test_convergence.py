@@ -1,3 +1,4 @@
+import io
 import runpy
 import sys
 from pathlib import Path
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 from eigshape.convergence import (DegenerateFitError, RateFit, StudyConfig,
-                                  StudyRecord, TrackingError, _solve_level, fit_rate,
-                                  loglog_svg, run_levels, run_study, write_csv)
+                                  StudyRecord, TrackingError, _solve_level,
+                                  extrapolated_reference, fit_rate, loglog_svg, run_levels,
+                                  run_study, write_csv)
 from eigshape.eig import Target, cluster, solve_lowest
 from eigshape.fem import BoundaryCondition, FemSpace, assemble_mass, assemble_stiffness
 from eigshape.mesh import Domain, generate
@@ -188,6 +190,62 @@ def test_gamma_comparison_script_maps_failures_to_exit_codes(monkeypatch, capsys
         runpy.run_path(str(script), run_name="__main__")
     assert exit_info.value.code == code
     assert capsys.readouterr().err.splitlines() == [message]
+
+
+class FullStdout(io.StringIO):
+    """A stdout on a full disk."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_gamma_comparison_script_exits_2_on_unwritable_output(monkeypatch, capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "gamma_comparison.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--gammas", "1",
+                                      "--min-level", "1", "--max-level", "3"])
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: [Errno 28] No space left on device"]
+
+
+def three_levels(values, lams):
+    """extrapolated_reference's input: (values, lam) on three levels, coarsest first."""
+    return [(np.array(v, dtype=float), lam) for v, lam in zip(values, lams)]
+
+
+def test_extrapolated_reference_cancels_an_h2_term():
+    # v_l = v* + c 4^-l: each difference shrinks fourfold, a local rate of 2
+    v_star, c = np.array([1.5, -2.0, 0.25]), np.array([0.3, -0.7, 2.0])
+    lam_star, c_lam = 19.7, 4.1
+    ref = extrapolated_reference(three_levels(
+        [v_star + c * 4.0 ** -lv for lv in range(3)],
+        [lam_star + c_lam * 4.0 ** -lv for lv in range(3)]))
+    assert np.allclose(ref.values, v_star, rtol=1e-14, atol=1e-14)
+    assert ref.lam == pytest.approx(lam_star, rel=1e-14)
+
+
+@pytest.mark.parametrize("values", [
+    [[0.0, 5.0], [1.0, 5.0], [3.0, 5.0]],  # one difference grows, the other is zero
+    [[0.0], [1.0], [2.0]],  # a difference that does not shrink
+], ids=["growing", "steady"])
+def test_extrapolated_reference_falls_back_to_rate_2(values):
+    ref = extrapolated_reference(three_levels(values, [10.0, 9.0, 8.5]))
+    v1, v2 = np.array(values[1]), np.array(values[2])
+    assert np.array_equal(ref.values, v2 + (v2 - v1) / 3.0)
+    assert ref.lam == 8.5 + (8.5 - 9.0) / 3.0
+
+
+@pytest.mark.parametrize("rate,clamped", [(5.0, 3.0), (0.25, 0.5)])
+def test_extrapolated_reference_clamps_the_rate(rate, clamped):
+    shrink = 2.0 ** -rate
+    values = [[0.0], [1.0], [1.0 + shrink]]
+    ref = extrapolated_reference(three_levels(values, [10.0, 9.0, 9.0 - shrink]))
+    denom = 2.0 ** clamped - 1.0
+    assert ref.values[0] == pytest.approx(1.0 + shrink + shrink / denom, rel=1e-15)
+    assert ref.lam == pytest.approx(9.0 - shrink - shrink / denom, rel=1e-15)
 
 
 def test_loglog_svg_output():
