@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run every shipped study config and collect CSV/SVG/manifest under results/.
+"""Run study configs, by default every shipped one, and collect
+CSV/SVG/manifest under results/.
 
 Each config runs as `python -m eigshape.cli study` in a child process of its
 own, so that its wall time (perf_counter around the child) and its peak RSS
@@ -12,7 +13,9 @@ each child before the study runs. Two runs that differ only in it show the
 program's own roundoff floor when compare_studies.py diffs them.
 
 Usage: python scripts/run_all_studies.py [--out results] [--only NAME ...]
-                                         [--start-seed N]
+                                         [--start-seed N] [CONFIG ...]
+
+CONFIG paths default to configs/*.cfg; --only then picks among them by stem.
 """
 
 import argparse
@@ -46,11 +49,13 @@ def main() -> int:
     parser.add_argument("--out", default="results")
     parser.add_argument("--only", nargs="*", help="config stems, e.g. square_dirichlet")
     parser.add_argument("--start-seed", type=int, help="eigensolver start seed, >= 0")
+    parser.add_argument("configs", nargs="*", type=Path,
+                        help="study configs to run (default: configs/*.cfg)")
     args = parser.parse_args()
     if args.start_seed is not None and args.start_seed < 0:
         parser.error(f"--start-seed must be >= 0, got {args.start_seed}")
 
-    configs = sorted(CONFIG_DIR.glob("*.cfg"))
+    configs = args.configs or sorted(CONFIG_DIR.glob("*.cfg"))
     if args.only:
         configs = [c for c in configs if c.stem in set(args.only)]
     if not configs:

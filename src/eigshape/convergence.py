@@ -9,11 +9,15 @@ continuous Eulerian derivatives coincide. A fine-mesh reference solves the
 same target eigenpair as the study levels, through the same level solve, and
 Richardson-extrapolates its three finest levels.
 
-Each study or reference level is an independent job: the finest runs on the
-calling thread and the others in order on one helper thread (_run_jobs), or
-all in order on the calling thread when the process has one CPU.
-Each job also checks its volume-form values against exact identities, and on
-the nested square and L-shape meshes lambda_h must not rise from level to level.
+Each study or reference level is an independent job of two stages, the
+solve and the evaluation (volume form, identity guard, and at a study level
+the boundary form and Gramian), which fill one record per level (_Level).
+The finest level runs on the calling thread; one helper thread runs the other
+levels' solves, then their evaluations, then takes blocks of the finest
+volume form (_run_jobs). With one CPU every level runs in order on the
+calling thread. Each evaluation checks the volume-form values against exact
+identities, and on the nested square and L-shape meshes lambda_h must not
+rise from level to level.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import io
 import math
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -109,17 +113,28 @@ class StudyResult:
     reference: refmod.ReferenceDerivatives
 
 
-@dataclass(frozen=True)
-class _StudyLevel:
-    """One solved study level: its record's inputs, and tracking check (iii)'s."""
+@dataclass(eq=False)
+class _Level:
+    """One study or fine-mesh reference level, filled in by its two stages.
+
+    The solve sets the mesh (a reference level builds its own), space, pair
+    and lams; the evaluation sets the volume-form values, and at a study level
+    h, the boundary-form values and the Gramian.
+    """
+    role: str  # "study" or "reference"
     level: int
-    h: float
-    dof: int
-    lam: float
-    lams: np.ndarray  # the computed nonzero eigenvalues
-    volume: np.ndarray
-    boundary: np.ndarray
-    K: Gramian
+    mesh: Mesh | None = None
+    space: FemSpace | None = None
+    pair: EigenPair | None = None
+    lams: np.ndarray | None = None  # the computed nonzero eigenvalues
+    volume: np.ndarray | None = None
+    h: float | None = None
+    boundary: np.ndarray | None = None
+    K: Gramian | None = None
+
+    @property
+    def lam(self) -> float:
+        return self.pair.lam
 
 
 def _solve_level(mesh: Mesh, bc: BoundaryCondition,
@@ -134,60 +149,58 @@ def _solve_level(mesh: Mesh, bc: BoundaryCondition,
                                  target, exact_nodal=exact_nodal))
 
 
-def _level_job(cfg: StudyConfig, basis: VelocityBasis, mesh: Mesh,
-               where: str) -> tuple[FemSpace, EigenPair, np.ndarray, np.ndarray]:
-    """The level solve and its volume-form values, checked against identities
-    that hold on every mesh for an M-normalised u_h: vol(x, 0) + vol(0, y) =
-    -2 lam_h (gamma >= 1) and vol(translation) = 0."""
-    space, pair, lams = _solve_level(mesh, cfg.bc, cfg.target)
-    values = shapegrad.volume_gradients(space, pair, basis.fields)
-    named = dict(zip((f.name for f in basis.fields), values))
+def _solve_stage(cfg: StudyConfig, lv: _Level) -> _Level:
+    if lv.mesh is None:
+        lv.mesh = generate(cfg.domain, lv.level)
+    lv.space, lv.pair, lv.lams = _solve_level(lv.mesh, cfg.bc, cfg.target)
+    return lv
+
+
+def _evaluate_stage(cfg: StudyConfig, basis: VelocityBasis, lv: _Level,
+                    helper: Executor | None = None) -> _Level:
+    """The level's volume-form values, checked against identities that hold on
+    every mesh for an M-normalised u_h: vol(x, 0) + vol(0, y) = -2 lam_h
+    (gamma >= 1) and vol(translation) = 0; at a study level also h, the
+    boundary-form values and the Gramian. `helper` shares the volume form."""
+    lv.volume = shapegrad.volume_gradients(lv.space, lv.pair, basis.fields, helper)
+    named = dict(zip((f.name for f in basis.fields), lv.volume))
     misses = {f"translation {name}": abs(named[name]) for name in _TRANSLATIONS}
     if basis.gamma >= 1:
         misses["identity field"] = abs(named[_IDENTITY_PARTS[0]] + named[_IDENTITY_PARTS[1]]
-                                       + 2.0 * pair.lam)
+                                       + 2.0 * lv.lam)
     name = max(misses, key=misses.get)
-    if misses[name] > _IDENTITY_TOL * abs(pair.lam):
+    if misses[name] > _IDENTITY_TOL * abs(lv.lam):
         raise IdentityError(
-            f"{where}: the volume form of the {name} is off its exact value by "
-            f"{misses[name] / abs(pair.lam):.3e} lambda_h (tolerance {_IDENTITY_TOL:g}); "
-            "the assembly, the quadrature or the normalisation of u_h is wrong")
-    return space, pair, lams, values
+            f"{lv.role} level {lv.level}: the volume form of the {name} is off its exact "
+            f"value by {misses[name] / abs(lv.lam):.3e} lambda_h (tolerance "
+            f"{_IDENTITY_TOL:g}); the assembly, the quadrature or the normalisation of u_h "
+            "is wrong")
+    if lv.role == "study":
+        lv.h = mesh_size(lv.mesh)
+        lv.boundary = shapegrad.boundary_gradients(lv.space, lv.pair, basis.fields)
+        lv.K = gramian(basis, lv.mesh)
+    return lv
 
 
-def _reference_level(cfg: StudyConfig, basis: VelocityBasis,
-                     level: int) -> tuple[np.ndarray, float]:
-    _, pair, _, values = _level_job(cfg, basis, generate(cfg.domain, level),
-                                    f"reference level {level}")
-    return values, pair.lam
-
-
-def _study_level(cfg: StudyConfig, basis: VelocityBasis, level: int,
-                 mesh: Mesh) -> _StudyLevel:
-    space, pair, lams, values = _level_job(cfg, basis, mesh, f"study level {level}")
-    return _StudyLevel(level, mesh_size(mesh), space.dof_count, pair.lam, lams, values,
-                       shapegrad.boundary_gradients(space, pair, basis.fields),
-                       gramian(basis, mesh))
-
-
-def _reference_jobs(cfg: StudyConfig, basis: VelocityBasis) -> list:
-    """A fine-mesh reference's three level jobs, coarsest first."""
+def _reference_levels(cfg: StudyConfig) -> list[_Level]:
+    """A fine-mesh reference's three levels, coarsest first."""
     # the finest level is the largest, so its budget check comes before any mesh
     check_budget(cfg.domain, cfg.reference_level, ReferenceBudgetError)
-    return [partial(_reference_level, cfg, basis, lv)
+    return [_Level("reference", lv)
             for lv in range(cfg.reference_level - 2, cfg.reference_level + 1)]
 
 
 def extrapolated_reference(levels) -> refmod.ReferenceDerivatives:
-    """Richardson extrapolation of the (volume-form values, lam_h) solved on
-    the three finest fine-mesh levels, coarsest first.
+    """Richardson extrapolation of the volume-form values and lam_h of the
+    three finest fine-mesh levels, coarsest first.
 
     One local rate, the median across fields clamped to [0.5, 3], cancels the
     leading error term of the values and of lambda alike. Extrapolation is
     linear, so an identity every level meets, vol(x,0) + vol(0,y) = -2 lambda,
     holds for the reference too.
     """
-    (v0, _), (v1, l1), (v2, l2) = levels
+    v0, v1, v2 = (lv.volume for lv in levels)
+    l1, l2 = levels[1].lam, levels[2].lam
     denom = 2.0 ** _local_rate(v0, v1, v2) - 1.0
     return refmod.ReferenceDerivatives(v2 + (v2 - v1) / denom, float(l2 + (l2 - l1) / denom))
 
@@ -210,37 +223,55 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_jobs(jobs: list, inline: int) -> list:
-    """The jobs' results in list order. jobs[inline], the finest level, runs on
-    the calling thread and the others in order on one helper thread. Each job
-    is single-threaded work on inputs of its own, so its result is the serial
-    one bit for bit. The first failure in list order is raised, after the
-    helper's queued jobs are cancelled and its running one has finished.
+def _run_jobs(levels: list[_Level], solve, evaluate, inline: int) -> list[_Level]:
+    """Every level solved, then evaluated, with the serial loop's results bit
+    for bit; returns levels.
 
-    A failure arrives later than in a serial loop: one on the helper is raised
-    only after the inline job has run to its end (with a fine-mesh reference,
-    the finest reference solve), and an interrupt in the inline job waits for
-    the helper's running job.
+    levels[inline], the finest, runs on the calling thread. One helper thread
+    runs every other level's solve in list order, then every evaluation: its
+    eigensolves, whose ARPACK loops hold the GIL, then overlap the finest
+    level's assembly and factorization, which release it, and its volume
+    forms the finest eigensolve (on 2 vCPUs, a helper running small
+    eigensolves slowed the finest one by 47-76%, a helper running a volume
+    form by 8%). Once free, the helper takes blocks of the finest volume form
+    (quadrature.run_blocks), so the calling thread never waits on its queue.
+    Each stage is single-threaded work on inputs of its own, and a volume-form
+    block's tables do not depend on the thread, so every result is the serial
+    one.
 
-    The finest job stays on the calling thread: on 2 vCPUs, every job on a
+    The first failure in list order is raised, after the helper's queued work
+    is cancelled and its running stage has finished. An evaluation carries its
+    solve's failure, and runs whenever its own solve succeeded, so a level's
+    failure is found even when a later level's solve failed first. A failure
+    on the helper is raised only after the finest level has run to its end,
+    so later than in a serial loop.
+
+    The finest level stays on the calling thread: on 2 vCPUs, every job on a
     two-worker pool raised peak RSS from 97-99 to 103 MB (L-shape study) and
     86 to 90 MB (disk study), and the disk study's wall_per_calib from 29.1-29.5
     to 30.6-31.0, most likely through glibc's per-thread heaps. With one CPU
     nothing can overlap, and a helper would only keep a second level's arrays
-    alive, so the jobs run in order on the calling thread."""
+    alive, so the levels run in order on the calling thread."""
     if _cpus() == 1:
-        return [job() for job in jobs]
+        return [evaluate(solve(lv)) for lv in levels]
     helper = ThreadPoolExecutor(max_workers=1)
     try:
-        futures = [helper.submit(job) if k != inline else Future() for k, job in enumerate(jobs)]
-        # set_result/set_exception are the executor-side API, used here for the inline job
+        solved = {k: helper.submit(solve, lv) for k, lv in enumerate(levels) if k != inline}
+        outcomes = {k: helper.submit(lambda f: evaluate(f.result()), f)
+                    for k, f in solved.items()}
+        # set_result/set_exception are the executor-side API, used here for the inline level
+        outcomes[inline] = Future()
         try:
-            futures[inline].set_result(jobs[inline]())
+            outcomes[inline].set_result(evaluate(solve(levels[inline]), helper))
         except Exception as exc:  # raised below, in list order
-            futures[inline].set_exception(exc)
-        return [future.result() for future in futures]
+            outcomes[inline].set_exception(exc)
+        return [outcomes[k].result() for k in range(len(levels))]
     finally:
         helper.shutdown(cancel_futures=True)
+
+
+def _stages(cfg: StudyConfig, basis: VelocityBasis) -> tuple:
+    return partial(_solve_stage, cfg), partial(_evaluate_stage, cfg, basis)
 
 
 def reference_derivatives_for(cfg: StudyConfig, basis) -> refmod.ReferenceDerivatives:
@@ -248,42 +279,42 @@ def reference_derivatives_for(cfg: StudyConfig, basis) -> refmod.ReferenceDeriva
     reference levels, Richardson-extrapolated."""
     if cfg.reference_level is None:
         return refmod.continuous_derivatives(cfg.domain, cfg.bc, basis)
-    jobs = _reference_jobs(cfg, basis)
-    return extrapolated_reference(_run_jobs(jobs, len(jobs) - 1))
+    levels = _reference_levels(cfg)
+    return extrapolated_reference(_run_jobs(levels, *_stages(cfg, basis), len(levels) - 1))
 
 
 def run_levels(cfg: StudyConfig) -> tuple[list[StudyRecord], refmod.ReferenceDerivatives]:
-    """Every level job of the study, fine-mesh reference levels first, on two
+    """Every level of the study, fine-mesh reference levels first, on two
     threads (see _run_jobs); records and reference as a serial loop gives them."""
     basis = build_basis(cfg.gamma)
     fine_mesh = cfg.reference_level is not None
     # an analytic reference comes first, as in the serial order; a fine-mesh
-    # reference's levels are jobs next to the study's
+    # reference's levels run next to the study's
     ref = None if fine_mesh else reference_derivatives_for(cfg, basis)
-    jobs = _reference_jobs(cfg, basis) if fine_mesh else []
-    n_ref = len(jobs)
+    levels = _reference_levels(cfg) if fine_mesh else []
+    n_ref = len(levels)
     mesh = generate(cfg.domain, cfg.min_level)
     for level in range(cfg.min_level, cfg.max_level + 1):
         if level > cfg.min_level:
             mesh = refine(mesh)
-        jobs.append(partial(_study_level, cfg, basis, level, mesh))
+        levels.append(_Level("study", level, mesh))
     # the finest level is the fine-mesh reference's, or else the study's
-    solved = _run_jobs(jobs, (n_ref or len(jobs)) - 1)
+    _run_jobs(levels, *_stages(cfg, basis), (n_ref or len(levels)) - 1)
     if fine_mesh:
-        ref = extrapolated_reference(solved[:n_ref])
-    levels = solved[n_ref:]
-    records = [StudyRecord(level=s.level, h=s.h, dof=s.dof, lambda_h=s.lam,
+        ref = extrapolated_reference(levels[:n_ref])
+    study = levels[n_ref:]
+    records = [StudyRecord(level=s.level, h=s.h, dof=s.space.dof_count, lambda_h=s.lam,
                            E_volume=dual_norm(ref.values - s.volume, s.K),
                            E_boundary=dual_norm(ref.values - s.boundary, s.K))
-               for s in levels]
+               for s in study]
     if cfg.domain is not Domain.UNIT_DISK:  # nested P1 spaces (the disk's are not)
-        for coarse, fine in zip(levels, levels[1:]):
+        for coarse, fine in zip(study, study[1:]):
             if fine.lam > coarse.lam:
                 raise TrackingError(
                     f"lambda_h rises from {coarse.lam!r} at level {coarse.level} to "
                     f"{fine.lam!r} at level {fine.level}, which nested meshes rule out "
                     "(Courant-Fischer): the target does not follow one eigenpair")
-    finest = levels[-1]
+    finest = study[-1]
     if not fine_mesh:  # the analytic reference is nearest the tracked lam_h
         lams, lam = finest.lams, finest.lam
         others = np.delete(lams, np.argmin(np.abs(lams - lam)))

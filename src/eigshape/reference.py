@@ -56,7 +56,11 @@ def _bessel(order: int, x) -> np.ndarray:
     t, w = edge_rule(126)  # 64 nodes; w are the weights of (1/pi) int_0^pi
     theta = math.pi * t
     phase = order * theta[None, :] - np.abs(x).reshape(-1, 1) * np.sin(theta)[None, :]
-    vals = np.cos(phase) @ w
+    # row by row, so a value does not depend on its batch; in place, because
+    # the temporaries raised a disk study's peak RSS by 2 MB
+    np.cos(phase, out=phase)
+    phase *= w
+    vals = phase.sum(axis=1)
     if order == 1:
         vals = vals * np.sign(x.reshape(-1)) if x.ndim else vals * np.sign(x)
     return vals.reshape(x.shape) if x.ndim else float(vals[0])

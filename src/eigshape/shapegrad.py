@@ -22,6 +22,7 @@ for every field of degree <= _BASE_DEGREE - 2, and one per higher degree.
 
 from __future__ import annotations
 
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,8 +30,8 @@ import numpy as np
 
 from .eig import EigenCluster, EigenPair
 from .fem import BoundaryCondition, FemSpace, element_gradients
-from .quadrature import (boundary_points, cell_chunks, edge_rule, moments, physical_points,
-                         triangle_rule)
+from .quadrature import (block_moments, boundary_points, cell_blocks, edge_rule, moments,
+                         physical_points, run_blocks, sum_chunks, triangle_rule)
 from .velocity import VelocityField, coefficient_stack
 
 _BASE_DEGREE = 6  # volume rule exact for degree max(6, field degree + 2)
@@ -51,9 +52,11 @@ def volume_gradient(space: FemSpace, pair: EigenPair, field: VelocityField) -> f
     return float(volume_gradients(space, pair, (field,))[0])
 
 
-def volume_gradients(space: FemSpace, pair: EigenPair, fields) -> np.ndarray:
-    """Volume-form derivative for each field, sharing one set of tables."""
-    T = _volume_tables(space, pair.coeffs[:, None], pair.lam, _size(fields))
+def volume_gradients(space: FemSpace, pair: EigenPair, fields,
+                     helper: Executor | None = None) -> np.ndarray:
+    """Volume-form derivative for each field, sharing one set of tables; an
+    executor `helper` takes part in building them once it is free."""
+    T = _volume_tables(space, pair.coeffs[:, None], pair.lam, _size(fields), helper)
     return _contract(Formula.VOLUME, fields, T)[:, 0]
 
 
@@ -131,14 +134,17 @@ def _boundary_form_tables(points, weights, normals, density, size: int) -> np.nd
     return T.reshape(e, 2, size, size)
 
 
-def _volume_tables(space: FemSpace, basis: np.ndarray, lam: float, size: int) -> np.ndarray:
+def _volume_tables(space: FemSpace, basis: np.ndarray, lam: float, size: int,
+                   helper: Executor | None = None) -> np.ndarray:
     """T[e, c, b, p, q]: per entry i <= j of the (dof, l) basis (row-major upper
     triangle), the moments x^p y^q multiplying the x_b-derivative of V_c.
 
     The quadrature points and the values of u_i u_j on them are built one
-    chunk of moments' cells at a time, from per-triangle arrays built once,
-    and the chunk tables summed in moments' order, so no (entries,
-    triangles, points) array is held.
+    block of moments' cells at a time, from per-triangle arrays built once,
+    with the u_h interpolation's matrix product per chunk; the chunk tables
+    are summed in moments' order, so no (entries, triangles, points) array is
+    held. The blocks run on the calling thread, and on `helper` too once it is
+    free (quadrature.run_blocks): the tables are the same either way.
     """
     mesh = space.mesh
     degree = max(_BASE_DEGREE, size + 1)
@@ -148,14 +154,17 @@ def _volume_tables(space: FemSpace, basis: np.ndarray, lam: float, size: int) ->
     corners = space.nodal_values(basis).T.take(mesh.triangles, axis=1)  # (l, nt, 3)
     # G[e, a, b]: moments of g_i,a g_j,b (constant per triangle); U: of u_i u_j
     gvals = (grads[i, :, None] * grads[j, None, :]).reshape(-1, nt, 1)
-    G = U = 0.0
-    for cells in cell_chunks(nt, triangle_rule(degree)[1].size):
+
+    def block(cells: slice, chunks: list[slice]) -> list:
         points, weights, bary = physical_points(mesh, degree, cells)
-        uvals = corners[:, cells] @ bary.T
-        g, u = moments(points, weights, [gvals[:, cells], uvals[i] * uvals[j]], size - 1)
-        G += g
-        U += u
+        uvals = np.concatenate([corners[:, cells][:, sl] @ bary.T for sl in chunks], axis=1)
+        return block_moments(points, weights, [gvals[:, cells], uvals[i] * uvals[j]],
+                             size - 1, chunks)
+
+    blocks = cell_blocks(nt, triangle_rule(degree)[1].size)
+    G, U = sum_chunks(run_blocks(block, blocks, helper))
     G = G.reshape(len(i), 2, 2, size, size)
+    U = U.reshape(len(i), size, size)
     T = -(G + G.transpose(0, 2, 1, 3, 4))
     scalar = G[:, 0, 0] + G[:, 1, 1] - lam * U
     T[:, 0, 0] += scalar

@@ -189,11 +189,13 @@ def test_rising_lambda_on_nested_meshes_is_numerical_failure(tmp_path, capsys, m
                                                              domain, code):
     # lambda_h cannot rise under refinement of the nested square and L-shape meshes
     # (Courant-Fischer); the disk's boundary moves, so its spaces are not nested
-    def inflated(cfg, basis, level, mesh, solve=convergence._study_level):
-        s = solve(cfg, basis, level, mesh)
-        return replace(s, lam=s.lam * 1.5) if level == 2 else s
+    def inflated(cfg, basis, lv, helper=None, evaluate=convergence._evaluate_stage):
+        lv = evaluate(cfg, basis, lv, helper)
+        if lv.role == "study" and lv.level == 2:
+            lv.pair = replace(lv.pair, lam=lv.lam * 1.5)
+        return lv
 
-    monkeypatch.setattr(convergence, "_study_level", inflated)
+    monkeypatch.setattr(convergence, "_evaluate_stage", inflated)
     cfg = tmp_path / "nested.cfg"
     cfg.write_text(MINI_CONFIG.replace("domain = square", f"domain = {domain}")
                    + ("reference = finemesh:5\n" if domain == "lshape" else ""))

@@ -2,6 +2,7 @@ import io
 import runpy
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -212,8 +213,9 @@ def test_gamma_comparison_script_exits_2_on_unwritable_output(monkeypatch, capsy
 
 
 def three_levels(values, lams):
-    """extrapolated_reference's input: (values, lam) on three levels, coarsest first."""
-    return [(np.array(v, dtype=float), lam) for v, lam in zip(values, lams)]
+    """extrapolated_reference's input: values and lam on three levels, coarsest first."""
+    return [SimpleNamespace(volume=np.array(v, dtype=float), lam=lam)
+            for v, lam in zip(values, lams)]
 
 
 def test_extrapolated_reference_cancels_an_h2_term():

@@ -41,7 +41,9 @@ def serial_run_levels(cfg):
         for lv in range(cfg.reference_level - 2, cfg.reference_level + 1):
             space, pair, _ = convergence._solve_level(generate(cfg.domain, lv), cfg.bc,
                                                       cfg.target)
-            levels.append((shapegrad.volume_gradients(space, pair, basis.fields), pair.lam))
+            levels.append(convergence._Level("reference", lv, space=space, pair=pair,
+                                             volume=shapegrad.volume_gradients(
+                                                 space, pair, basis.fields)))
         ref = convergence.extrapolated_reference(levels)
     records = []
     mesh = generate(cfg.domain, cfg.min_level)
@@ -147,6 +149,68 @@ def test_a_failure_is_raised_in_serial_order(monkeypatch, reference_level, failu
     assert str(threaded.value) == str(serial.value)
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_coarse_identity_failure_comes_before_a_later_solve_failure(monkeypatch, cpus):
+    # the helper solves level 2 (and fails) before it evaluates level 1; the
+    # serial loop would have stopped at level 1's identity guard
+    monkeypatch.setattr(convergence, "_cpus", lambda: cpus)
+    cfg = config(Domain.UNIT_SQUARE, D, None)
+    fail_at(monkeypatch, cfg.domain, {2: stalled(2)})
+    scale_u_h(monkeypatch, cfg.domain, 1)
+    threads = threading.active_count()
+    with pytest.raises(IdentityError, match="^study level 1: .* identity field"):
+        run_levels(cfg)
+    assert threading.active_count() == threads
+
+
+def test_run_levels_runs_at_most_one_extra_thread(monkeypatch):
+    counts, solve = [], convergence._solve_level
+    points = shapegrad.physical_points
+
+    def counted_solve(*args):
+        counts.append(threading.active_count())
+        return solve(*args)
+
+    def counted_points(*args):
+        counts.append(threading.active_count())
+        return points(*args)
+
+    monkeypatch.setattr(convergence, "_solve_level", counted_solve)
+    monkeypatch.setattr(shapegrad, "physical_points", counted_points)
+    threads = threading.active_count()
+    run_levels(config(Domain.L_SHAPE, N))
+    assert len(counts) > 6 and max(counts) <= threads + 1
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_finest_volume_form_runs_on_both_threads_only_with_two_cpus(monkeypatch, cpus):
+    """Every other level's blocks run on one thread; the finest level's on both
+    once the helper is free (its blocks on the calling thread wait for that)."""
+    monkeypatch.setattr(convergence, "_cpus", lambda: cpus)
+    cfg = StudyConfig(Domain.UNIT_SQUARE, D, 2, 4, gamma=3)  # 4 blocks at level 4
+    finest = generate(cfg.domain, cfg.max_level).num_triangles
+    caller, threads = threading.current_thread(), {}
+    helped = threading.Event()
+    points = shapegrad.physical_points
+
+    def recorded(mesh, degree, cells):
+        threads.setdefault(mesh.num_triangles, set()).add(threading.current_thread())
+        if mesh.num_triangles == finest and cpus > 1:
+            if threading.current_thread() is caller:
+                assert helped.wait(30)
+            else:
+                helped.set()
+        return points(mesh, degree, cells)
+
+    monkeypatch.setattr(shapegrad, "physical_points", recorded)
+    records, _ = run_levels(cfg)
+    assert len(threads[finest]) == cpus and caller in threads[finest]
+    assert all(len(t) == 1 for nt, t in threads.items() if nt != finest)
+    monkeypatch.setattr(shapegrad, "physical_points", points)
+    assert records == serial_run_levels(cfg)[0]
+
+
 @pytest.mark.parametrize("exc,code", [(stalled(1), 1), (budget, 1),
                                       (ValueError("injected bad target"), 2)])
 def test_a_helper_failure_exits_as_before(tmp_path, capsys, monkeypatch, exc, code):
@@ -204,7 +268,8 @@ def test_a_wrongly_normalised_u_h_exits_1(tmp_path, capsys, monkeypatch):
 def test_gamma_zero_checks_the_translations(monkeypatch):
     volume = shapegrad.volume_gradients
     monkeypatch.setattr(shapegrad, "volume_gradients",
-                        lambda space, pair, fields: volume(space, pair, fields) + 1e-6)
+                        lambda space, pair, fields, helper=None:
+                        volume(space, pair, fields, helper) + 1e-6)
     with pytest.raises(IdentityError, match="^study level 1: .* translation mono:0,0,0"):
         run_levels(config(Domain.UNIT_DISK, N, None, Target.match_exact(), gamma=0))
 
@@ -212,10 +277,10 @@ def test_gamma_zero_checks_the_translations(monkeypatch):
 def test_the_identities_hold_far_inside_the_tolerance():
     cfg = config(Domain.L_SHAPE, N)
     basis = build_basis(cfg.gamma)
+    solve, evaluate = convergence._stages(cfg, basis)
     for level in (1, 5):
-        _, pair, _, values = convergence._level_job(cfg, basis, generate(cfg.domain, level),
-                                                    "level")
-        named = dict(zip((f.name for f in basis.fields), values))
+        lv = evaluate(solve(convergence._Level("reference", level)))
+        named = dict(zip((f.name for f in basis.fields), lv.volume))
         assert named["mono:0,0,0"] == 0.0 and named["mono:0,0,1"] == 0.0
-        identity = named["mono:1,0,0"] + named["mono:0,1,1"] + 2.0 * pair.lam
-        assert abs(identity) <= 1e-13 * pair.lam
+        identity = named["mono:1,0,0"] + named["mono:0,1,1"] + 2.0 * lv.lam
+        assert abs(identity) <= 1e-13 * lv.lam

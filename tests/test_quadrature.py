@@ -1,25 +1,31 @@
 """quadrature.moments: one pass for several value arrays, bit for bit.
 
-The oracle is the earlier two-pass design, kept here: a `moments` that takes
-one value array and builds its monomial table cell-major, and a
-`_volume_tables` that calls it once for G and once for U. The one-pass kernel
-must reproduce it exactly, not to a tolerance, because the study's E columns
-are small differences of derivative values and move with every ulp. So must
-the streamed `_volume_tables`, which builds points and u_h values one chunk
-of cells at a time, against the whole-mesh one that built them all at once.
+The oracles are earlier designs, kept here. The two-pass design: a `moments`
+that takes one value array and builds its monomial table cell-major, and a
+`_volume_tables` that calls it once for G and once for U. The per-chunk
+design that came next: a `moments` that does all of its work one chunk of
+cells at a time, and a `_volume_tables` that builds points and u_h values
+one chunk at a time. Today's blocks group the elementwise work of several
+chunks, and a helper thread may build some of them; every table must still
+equal the oracles exactly, sign of zero included, not to a tolerance,
+because the study's E columns are small differences of derivative values
+and move with every ulp.
 """
+
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from eigshape import quadrature, shapegrad
+from eigshape import quadrature, shapegrad, velocity
 from eigshape.eig import EigenCluster, cluster, solve_lowest
 from eigshape.fem import element_gradients
 from eigshape.mesh import generate
 from eigshape.quadrature import boundary_points, moments, physical_points
 from eigshape.shapegrad import (Formula, boundary_gradients, directional_matrix,
                                 volume_gradients)
-from eigshape.velocity import build_basis
+from eigshape.velocity import build_basis, gramian
 
 from conftest import BCS, DOMAINS, assembled
 
@@ -47,7 +53,7 @@ def oracle_moments(points, weights, values, degree):
     return out.reshape(k, size, size)
 
 
-def oracle_volume_tables(space, basis, lam, size):
+def oracle_volume_tables(space, basis, lam, size, helper=None):
     """The volume tables with one oracle_moments call for G and one for U."""
     points, weights, bary = physical_points(space.mesh, max(shapegrad._BASE_DEGREE, size + 1))
     nt = points.shape[1]
@@ -64,6 +70,60 @@ def oracle_volume_tables(space, basis, lam, size):
     T[:, 0, 0] += scalar
     T[:, 1, 1] += scalar
     return T
+
+
+def per_chunk_moments(points, weights, values, degree):
+    """moments as one chunk of cells at a time: monomials, sums and products alike."""
+    n, npts = weights.shape
+    size = degree + 1
+    outs = [np.zeros((v.shape[0], size * size)) for v in values]
+    for sl in quadrature.cell_chunks(n, npts):
+        m = sl.stop - sl.start
+        xp = np.empty((size, m * npts))
+        yp = np.empty_like(xp)
+        xp[0] = weights[sl].ravel()
+        yp[0] = 1.0
+        x, y = points[0, sl].ravel(), points[1, sl].ravel()
+        for d in range(1, size):
+            xp[d] = xp[d - 1] * x
+            yp[d] = yp[d - 1] * y
+        monoT = (xp[:, None, :] * yp[None, :, :]).reshape(size * size, -1)
+        mono = np.ascontiguousarray(monoT.T).reshape(m, npts, -1)
+        summed = mono.sum(axis=1) if any(v.shape[2] == 1 for v in values) else None
+        for v, out in zip(values, outs):
+            table = summed if v.shape[2] == 1 else mono
+            out += v[:, sl].reshape(v.shape[0], -1) @ table.reshape(-1, size * size)
+    return [out.reshape(-1, size, size) for out in outs]
+
+
+def per_chunk_volume_tables(space, basis, lam, size):
+    """The volume tables with points, u_h values and moments built chunk by chunk."""
+    mesh = space.mesh
+    degree = max(shapegrad._BASE_DEGREE, size + 1)
+    nt = mesh.num_triangles
+    i, j = np.triu_indices(basis.shape[1])
+    grads = element_gradients(space, basis).swapaxes(0, 1)[..., None]
+    corners = space.nodal_values(basis).T.take(mesh.triangles, axis=1)
+    gvals = (grads[i, :, None] * grads[j, None, :]).reshape(-1, nt, 1)
+    G = U = 0.0
+    for cells in quadrature.cell_chunks(nt, quadrature.triangle_rule(degree)[1].size):
+        points, weights, bary = physical_points(mesh, degree, cells)
+        uvals = corners[:, cells] @ bary.T
+        g, u = per_chunk_moments(points, weights, [gvals[:, cells], uvals[i] * uvals[j]],
+                                 size - 1)
+        G += g
+        U += u
+    G = G.reshape(len(i), 2, 2, size, size)
+    T = -(G + G.transpose(0, 2, 1, 3, 4))
+    scalar = G[:, 0, 0] + G[:, 1, 1] - lam * U
+    T[:, 0, 0] += scalar
+    T[:, 1, 1] += scalar
+    return T
+
+
+def identical(a, b) -> bool:
+    """Equal values, and the same sign on every zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
@@ -147,7 +207,8 @@ def whole_mesh_volume_tables(space, basis, lam, size):
 
 def _lowest_live_pairs(domain, bc, level, count):
     _, space, A, M = assembled(domain, bc, level)
-    live = [p for p in solve_lowest(A, M, count + 1, bc) if not p.zero_mode][:count]
+    live = [p for p in solve_lowest(A, M, min(count + 1, A.shape[0]), bc)
+            if not p.zero_mode][:count]
     return space, np.stack([p.coeffs for p in live], axis=1), live[0].lam
 
 
@@ -170,24 +231,100 @@ def test_streamed_volume_tables_equal_the_whole_mesh_ones(monkeypatch, bc, level
             assert np.array_equal(got, whole_mesh_volume_tables(space, basis[:, :l], lam, size))
 
 
-def test_volume_tables_call_moments_once(monkeypatch):
-    """Once per chunk of cells, on a mesh of several chunks, with G and U together."""
+def test_volume_tables_call_block_moments_once_per_block(monkeypatch):
+    """Once per block of cells, on a mesh of several blocks, with G and U together."""
     calls = []
 
-    def counted(points, weights, values, degree):
-        calls.append([v.shape for v in values])
-        return moments(points, weights, values, degree)
+    def counted(points, weights, values, degree, chunks):
+        calls.append(([v.shape for v in values], chunks))
+        return quadrature.block_moments(points, weights, values, degree, chunks)
 
-    monkeypatch.setattr(shapegrad, "moments", counted)
+    monkeypatch.setattr(shapegrad, "block_moments", counted)
     for l in (1, 2, 3):
         space, basis, lam = _lowest_live_pairs(DOMAINS[2], BCS[0], 3, l)
         calls.clear()
         shapegrad._volume_tables(space, basis, lam, 4)
         e = l * (l + 1) // 2
-        chunks = quadrature.cell_chunks(space.mesh.num_triangles, 16)
-        assert len(chunks) == 6  # the L-shape at level 3 has 1536 triangles
-        assert calls == [[(4 * e, c.stop - c.start, 1), (e, c.stop - c.start, 16)]
-                         for c in chunks]
+        blocks = quadrature.cell_blocks(space.mesh.num_triangles, 16)
+        assert len(blocks) == 3  # the L-shape at level 3 has 1536 triangles, 6 chunks
+        assert calls == [([(4 * e, c.stop - c.start, 1), (e, c.stop - c.start, 16)], chunks)
+                         for c, chunks in blocks]
+
+
+# the levels' triangle counts give, over the table sizes, a single block (level 0),
+# odd block counts, and a partial last chunk (163 cells per chunk at size 7)
+@pytest.mark.parametrize("bc", BCS)
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_volume_tables_equal_the_per_chunk_loop_with_and_without_a_helper(domain, bc):
+    seen = set()
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for level in range(6):
+            space, basis, lam = _lowest_live_pairs(domain, bc, level, 3)
+            for size in range(1, 8):
+                npts = quadrature.triangle_rule(max(shapegrad._BASE_DEGREE, size + 1))[1].size
+                nt = space.mesh.num_triangles
+                blocks = len(quadrature.cell_blocks(nt, npts))
+                seen |= {"single block"} if blocks == 1 else set()
+                seen |= {"odd block count"} if blocks % 2 and blocks > 1 else set()
+                seen |= {"partial last chunk"} if nt % quadrature.cell_chunks(
+                    nt, npts)[0].stop else set()
+                for l in range(1, basis.shape[1] + 1):
+                    want = per_chunk_volume_tables(space, basis[:, :l], lam, size)
+                    assert identical(shapegrad._volume_tables(space, basis[:, :l], lam, size),
+                                     want)
+                    assert identical(shapegrad._volume_tables(space, basis[:, :l], lam, size,
+                                                              helper), want)
+    assert seen == {"single block", "odd block count", "partial last chunk"}
+
+
+@pytest.mark.parametrize("bc", BCS)
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_boundary_tables_and_gramian_equal_the_per_chunk_loop(monkeypatch, domain, bc):
+    def tables():
+        out = []
+        for level in range(6):
+            space, basis, lam = _lowest_live_pairs(domain, bc, level, 3)
+            out += [shapegrad._boundary_tables(space, basis[:, :l], lam, size)
+                    for l in range(1, basis.shape[1] + 1) for size in range(1, 8)]
+            out += [gramian(build_basis(gamma), space.mesh).matrix for gamma in range(7)]
+        return out
+
+    got = tables()
+    monkeypatch.setattr(shapegrad, "moments", per_chunk_moments)
+    monkeypatch.setattr(velocity, "moments", per_chunk_moments)
+    want = tables()
+    assert len(got) == len(want) >= 5 * (3 * 7 + 7)
+    assert all(identical(a, b) for a, b in zip(got, want))
+
+
+def test_a_helper_takes_blocks_only_once_it_is_free(monkeypatch):
+    """The calling thread builds every block while the helper is busy, and
+    shares them once it is free; the tables are the same either way."""
+    space, basis, lam = _lowest_live_pairs(DOMAINS[2], BCS[0], 4, 1)
+    want = per_chunk_volume_tables(space, basis, lam, 4)
+    caller, threads = threading.current_thread(), []
+    release, helped = threading.Event(), threading.Event()
+    points = quadrature.physical_points
+
+    def recorded(*args):
+        threads.append(threading.current_thread())
+        if threads[-1] is not caller:
+            helped.set()
+        elif release.is_set():  # the caller's blocks wait until the helper has taken one
+            assert helped.wait(30)
+        return points(*args)
+
+    monkeypatch.setattr(shapegrad, "physical_points", recorded)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        busy = helper.submit(release.wait, 30)
+        try:
+            assert identical(shapegrad._volume_tables(space, basis, lam, 4, helper), want)
+            assert set(threads) == {caller} and not busy.done()
+        finally:
+            release.set()
+        threads.clear()
+        assert identical(shapegrad._volume_tables(space, basis, lam, 4, helper), want)
+        assert len(set(threads)) == 2 and len(threads) == 12  # 12 blocks, each built once
 
 
 def _two_member_cluster(M, live):

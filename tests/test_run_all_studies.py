@@ -66,3 +66,18 @@ def test_start_seed_reaches_each_child_solver(tmp_path, monkeypatch, capfd):
     with pytest.raises(SystemExit) as exc:
         run(tmp_path / "negative", monkeypatch, configs, "--start-seed", "-1")
     assert exc.value.code == 2
+
+
+def test_config_paths_pick_the_studies_in_their_order(tmp_path, monkeypatch, capfd):
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    for stem in ("x", "y"):
+        (elsewhere / f"{stem}.cfg").write_text(SMALL)
+    paths = [str(elsewhere / "y.cfg"), str(elsewhere / "x.cfg")]
+    # the shipped-config directory holds "a", which the paths leave out
+    assert run(tmp_path, monkeypatch, {"a": SMALL}, *paths) == 0
+    assert [r[0] for r in table(capfd.readouterr().out)[2:]] == ["y", "x"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "x.csv", "x.manifest.json", "x.svg", "y.csv", "y.manifest.json", "y.svg"]
+    assert run(tmp_path / "only", monkeypatch, {"a": SMALL}, *paths, "--only", "x") == 0
+    assert [r[0] for r in table(capfd.readouterr().out)[2:]] == ["x"]
