@@ -12,10 +12,10 @@ study that fails stops the run, with its exit code.
 each child before the study runs. Two runs that differ only in it show the
 program's own roundoff floor when compare_studies.py diffs them.
 
-Usage: python scripts/run_all_studies.py [--out results] [--only NAME ...]
-                                         [--start-seed N] [CONFIG ...]
+Usage: python scripts/run_all_studies.py [--out results] [--start-seed N] [CONFIG ...]
 
-CONFIG paths default to configs/*.cfg; --only then picks among them by stem.
+CONFIG paths default to configs/*.cfg. Each study writes its outputs under
+its config's stem, so two configs with the same stem exit 2 before any runs.
 """
 
 import argparse
@@ -47,7 +47,6 @@ def run_study(cfg: Path, out: str, start_seed: int | None = None) -> tuple[int, 
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", default="results")
-    parser.add_argument("--only", nargs="*", help="config stems, e.g. square_dirichlet")
     parser.add_argument("--start-seed", type=int, help="eigensolver start seed, >= 0")
     parser.add_argument("configs", nargs="*", type=Path,
                         help="study configs to run (default: configs/*.cfg)")
@@ -56,10 +55,14 @@ def main() -> int:
         parser.error(f"--start-seed must be >= 0, got {args.start_seed}")
 
     configs = args.configs or sorted(CONFIG_DIR.glob("*.cfg"))
-    if args.only:
-        configs = [c for c in configs if c.stem in set(args.only)]
     if not configs:
         print("no configs selected", file=sys.stderr)
+        return 2
+    stems = [c.stem for c in configs]
+    shared = next((stem for stem in stems if stems.count(stem) > 1), None)
+    if shared is not None:
+        print(f"two configs share the stem {shared!r}; both would write {shared}.*",
+              file=sys.stderr)
         return 2
     rows = ["| study | wall s | peak RSS MB |", "|---|---|---|"]
     code = 0

@@ -234,7 +234,7 @@ def _run_jobs(levels: list[_Level], solve, evaluate, inline: int) -> list[_Level
     forms the finest eigensolve (on 2 vCPUs, a helper running small
     eigensolves slowed the finest one by 47-76%, a helper running a volume
     form by 8%). Once free, the helper takes blocks of the finest volume form
-    (quadrature.run_blocks), so the calling thread never waits on its queue.
+    (quadrature.moments), so the calling thread never waits on its queue.
     Each stage is single-threaded work on inputs of its own, and a volume-form
     block's tables do not depend on the thread, so every result is the serial
     one.

@@ -7,13 +7,14 @@ area 1/2; physical weights are w * 2|K|.
 
 Every polynomial integral in the package goes through `moments`: weighted
 monomial moment tables that polynomial coefficients are contracted against.
-One call serves every value array on a rule. The cells are cut into chunks
-(cell_chunks), and the chunks fix the rounding: each chunk's tables come from
-one matrix product per value array, and the tables are summed in chunk order.
-Blocks of consecutive chunks (cell_blocks) only group the elementwise work,
-the powers, monomial products and per-cell sums, into fewer and larger numpy
-calls; a block's chunk tables are the same whichever block holds the chunk
-and whichever thread computes it (run_blocks).
+One call serves every value array on a rule, and reads the cells from its
+caller one block at a time, so no array over all cells need be built. The
+cells are cut into chunks (cell_chunks), and the chunks fix the rounding: each
+chunk's tables come from one matrix product per value array, and the tables
+are summed in chunk order. Blocks of consecutive chunks only group the
+elementwise work, the powers, monomial products and per-cell sums, into fewer
+and larger numpy calls; a chunk's tables are the same in any block and on any
+thread, so a helper thread may build some of the blocks.
 
 Points are coordinate-major, (2, n, npts) over n cells (triangles or edges):
 points[0] holds the x1 and points[1] the x2 coordinates, each a contiguous
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Callable, Sequence
-from concurrent.futures import Executor, Future
+from concurrent.futures import Executor
 from functools import lru_cache
 
 import numpy as np
@@ -109,58 +110,8 @@ def cell_chunks(n: int, npts: int) -> list[slice]:
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def cell_blocks(n: int, npts: int) -> list[tuple[slice, list[slice]]]:
-    """cell_chunks in consecutive groups of _BLOCK_CHUNKS: each block's cells,
-    and its chunks as slices of those cells."""
-    chunks = cell_chunks(n, npts)
-    blocks = []
-    for group in (chunks[k:k + _BLOCK_CHUNKS] for k in range(0, len(chunks), _BLOCK_CHUNKS)):
-        lo = group[0].start
-        blocks.append((slice(lo, group[-1].stop),
-                       [slice(c.start - lo, c.stop - lo) for c in group]))
-    return blocks
-
-
-def run_blocks(work: Callable, blocks: list, helper: Executor | None = None) -> list:
-    """[work(*block) for block in blocks], with the helper taking blocks too.
-
-    A task on `helper` and the calling thread take blocks from one shared
-    index, so the task takes any only once the helper has run what was
-    queued before it. The calling thread never waits for that queued work:
-    it waits only for the blocks the helper has taken, and a task still
-    queued when the last block is taken is cancelled.
-    """
-    if helper is None:
-        return [work(*block) for block in blocks]
-    results = [Future() for _ in blocks]
-    todo = iter(range(len(blocks)))
-    lock = threading.Lock()
-
-    def take() -> None:
-        while True:
-            with lock:
-                k = next(todo, None)
-            if k is None:
-                return
-            # set_result/set_exception are the executor-side API; read in block order below
-            try:
-                results[k].set_result(work(*blocks[k]))
-            except Exception as exc:
-                results[k].set_exception(exc)
-
-    task = helper.submit(take)
-    try:
-        take()
-    finally:
-        with lock:  # an interrupt here leaves the helper no blocks
-            for _ in todo:
-                pass
-        task.cancel()
-    return [result.result() for result in results]
-
-
-def block_moments(points: np.ndarray, weights: np.ndarray, values: Sequence[np.ndarray],
-                  degree: int, chunks: list[slice]) -> list[list[np.ndarray]]:
+def _block_moments(points: np.ndarray, weights: np.ndarray, values: Sequence[np.ndarray],
+                   degree: int, chunks: list[slice]) -> list[list[np.ndarray]]:
     """The (k, table) moments of each value array on each chunk of one block,
     unsummed: points, weights and values hold the block's cells, as in
     moments, and chunks are slices of them.
@@ -194,33 +145,50 @@ def block_moments(points: np.ndarray, weights: np.ndarray, values: Sequence[np.n
              for v in values] for sl in chunks]
 
 
-def sum_chunks(blocks: list[list[list[np.ndarray]]]) -> list[np.ndarray]:
-    """Each value array's chunk tables from block_moments, summed in chunk order."""
-    outs = [np.zeros_like(t) for t in blocks[0][0]]
-    for block in blocks:
-        for tables in block:
-            for out, table in zip(outs, tables):
-                out += table
-    return outs
+def moments(source: Callable[[slice], tuple], n: int, npts: int, degree: int,
+            helper: Executor | None = None) -> list[np.ndarray]:
+    """Weighted monomial moments out[k, p, q] = sum of w * values[k] * x1^p x2^q
+    over n cells with npts points each, one table per value array.
 
+    source(cells) returns the points (2, m, npts), coordinate-major, the
+    weights (m, npts) and the value arrays of a slice of m cells (triangles
+    or edges); each value array is (k, m, 1) when constant per cell or
+    (k, m, npts) per point. The tables are square, p, q <= degree; entries
+    with p + q beyond the rule's exactness are left to the caller to ignore.
 
-def moments(points: np.ndarray, weights: np.ndarray, values: Sequence[np.ndarray],
-            degree: int) -> list[np.ndarray]:
-    """Weighted monomial moments out[k, p, q] = sum of w * values[k] * x1^p x2^q,
-    one table per array in values.
-
-    points (2, n, npts), coordinate-major, and weights (n, npts) hold a rule
-    over n cells (triangles or edges); each value array is (k, n, 1) when
-    constant per cell or (k, n, npts) per point. The tables are square,
-    p, q <= degree; entries with p + q beyond the rule's exactness are left to
-    the caller to ignore. Cells are streamed in blocks (block_moments) so no
-    (k, points, table) array is built; each block reads its coordinates as
-    contiguous (cells, npts) views and builds its monomials once for all
-    arrays.
+    The cells are read in blocks of _BLOCK_CHUNKS chunks (_block_moments), so
+    no (k, points, table) array is built. A task on `helper` and the calling
+    thread take blocks from one shared index, so the task takes any only once
+    the helper has run what was queued before it, and the calling thread
+    never waits for that queued work: a task that has not started when the
+    last block is taken is cancelled, and one that has is waited for, raising
+    its failure. The chunk tables are summed in chunk order, so they are the
+    same whichever thread built their block.
     """
-    n, npts = weights.shape
-    size = degree + 1
-    tables = sum_chunks([block_moments(points[:, cells], weights[cells],
-                                       [v[:, cells] for v in values], degree, chunks)
-                         for cells, chunks in cell_blocks(n, npts)])
-    return [t.reshape(-1, size, size) for t in tables]
+    chunks = cell_chunks(n, npts)
+    blocks = [chunks[k:k + _BLOCK_CHUNKS] for k in range(0, len(chunks), _BLOCK_CHUNKS)]
+    tables = [None] * len(blocks)
+    todo = iter(range(len(blocks)))
+    lock = threading.Lock()
+
+    def take() -> None:
+        while True:
+            with lock:
+                k = next(todo, None)
+            if k is None:
+                return
+            lo = blocks[k][0].start
+            tables[k] = _block_moments(*source(slice(lo, blocks[k][-1].stop)), degree,
+                                       [slice(c.start - lo, c.stop - lo) for c in blocks[k]])
+
+    task = helper.submit(take) if helper is not None else None
+    try:
+        take()
+    finally:
+        with lock:  # an interrupt here leaves the helper no blocks
+            for _ in todo:
+                pass
+        if task is not None and not task.cancel():
+            task.result()
+    per_chunk = [chunk for block in tables for chunk in block]
+    return [sum(array).reshape(-1, degree + 1, degree + 1) for array in zip(*per_chunk)]

@@ -30,8 +30,7 @@ import numpy as np
 
 from .eig import EigenCluster, EigenPair
 from .fem import BoundaryCondition, FemSpace, element_gradients
-from .quadrature import (block_moments, boundary_points, cell_blocks, edge_rule, moments,
-                         physical_points, run_blocks, sum_chunks, triangle_rule)
+from .quadrature import boundary_points, edge_rule, moments, physical_points, triangle_rule
 from .velocity import VelocityField, coefficient_stack
 
 _BASE_DEGREE = 6  # volume rule exact for degree max(6, field degree + 2)
@@ -129,9 +128,10 @@ def _contract(formula: Formula, fields, T: np.ndarray) -> np.ndarray:
 def _boundary_form_tables(points, weights, normals, density, size: int) -> np.ndarray:
     """T[e, c, p, q]: moments x^p y^q of density_e n_c, for boundary_form."""
     values = density[:, None] * normals  # (e, 2, n, npts or 1)
-    e = density.shape[0]
-    [T] = moments(points, weights, [values.reshape((2 * e,) + values.shape[2:])], size - 1)
-    return T.reshape(e, 2, size, size)
+    values = values.reshape((-1,) + values.shape[2:])
+    [T] = moments(lambda cells: (points[:, cells], weights[cells], [values[:, cells]]),
+                  *weights.shape, size - 1)
+    return T.reshape(-1, 2, size, size)
 
 
 def _volume_tables(space: FemSpace, basis: np.ndarray, lam: float, size: int,
@@ -141,10 +141,9 @@ def _volume_tables(space: FemSpace, basis: np.ndarray, lam: float, size: int,
 
     The quadrature points and the values of u_i u_j on them are built one
     block of moments' cells at a time, from per-triangle arrays built once,
-    with the u_h interpolation's matrix product per chunk; the chunk tables
-    are summed in moments' order, so no (entries, triangles, points) array is
-    held. The blocks run on the calling thread, and on `helper` too once it is
-    free (quadrature.run_blocks): the tables are the same either way.
+    so no (entries, triangles, points) array is held. The blocks run on the
+    calling thread, and on `helper` too once it is free (quadrature.moments):
+    the tables are the same either way.
     """
     mesh = space.mesh
     degree = max(_BASE_DEGREE, size + 1)
@@ -155,14 +154,12 @@ def _volume_tables(space: FemSpace, basis: np.ndarray, lam: float, size: int,
     # G[e, a, b]: moments of g_i,a g_j,b (constant per triangle); U: of u_i u_j
     gvals = (grads[i, :, None] * grads[j, None, :]).reshape(-1, nt, 1)
 
-    def block(cells: slice, chunks: list[slice]) -> list:
+    def block(cells: slice) -> tuple:
         points, weights, bary = physical_points(mesh, degree, cells)
-        uvals = np.concatenate([corners[:, cells][:, sl] @ bary.T for sl in chunks], axis=1)
-        return block_moments(points, weights, [gvals[:, cells], uvals[i] * uvals[j]],
-                             size - 1, chunks)
+        uvals = corners[:, cells] @ bary.T
+        return points, weights, [gvals[:, cells], uvals[i] * uvals[j]]
 
-    blocks = cell_blocks(nt, triangle_rule(degree)[1].size)
-    G, U = sum_chunks(run_blocks(block, blocks, helper))
+    G, U = moments(block, nt, triangle_rule(degree)[1].size, size - 1, helper)
     G = G.reshape(len(i), 2, 2, size, size)
     U = U.reshape(len(i), size, size)
     T = -(G + G.transpose(0, 2, 1, 3, 4))

@@ -134,7 +134,8 @@ def gramian(basis: VelocityBasis, mesh: Mesh) -> Gramian:
     size = max(f.degree for f in basis.fields) + 1
     degree = 2 * (size - 1)
     pts, wts, normals = boundary_points(mesh, degree + 1)
-    flux = moments(pts, wts, [normals[:1]], degree + 1)[0][0]
+    flux = moments(lambda cells: (pts[:, cells], wts[cells], [normals[:1, cells]]),
+                   *wts.shape, degree + 1)[0][0]
     mom = flux[1:, :-1] / np.arange(1, degree + 2)[:, None]
     idx = np.arange(size)
     hankel = mom[idx[:, None, None, None] + idx[None, None, :, None],

@@ -22,12 +22,33 @@ from eigshape import quadrature, shapegrad, velocity
 from eigshape.eig import EigenCluster, cluster, solve_lowest
 from eigshape.fem import element_gradients
 from eigshape.mesh import generate
-from eigshape.quadrature import boundary_points, moments, physical_points
+from eigshape.quadrature import boundary_points, physical_points
 from eigshape.shapegrad import (Formula, boundary_gradients, directional_matrix,
                                 volume_gradients)
 from eigshape.velocity import build_basis, gramian
 
 from conftest import BCS, DOMAINS, assembled
+
+
+def moments(points, weights, values, degree):
+    """quadrature.moments over whole arrays."""
+    return quadrature.moments(
+        lambda cells: (points[:, cells], weights[cells], [v[:, cells] for v in values]),
+        *weights.shape, degree)
+
+
+def sourced(whole_array_moments):
+    """A moments over whole arrays, called as quadrature.moments is: on a source."""
+    def call(source, n, npts, degree, helper=None):
+        points, weights, values = source(slice(None))
+        return whole_array_moments(points, weights, values, degree)
+    return call
+
+
+def blocks(n, npts):
+    """moments' blocks: consecutive cell_chunks, _BLOCK_CHUNKS at a time."""
+    chunks, size = quadrature.cell_chunks(n, npts), quadrature._BLOCK_CHUNKS
+    return [chunks[k:k + size] for k in range(0, len(chunks), size)]
 
 
 def oracle_moments(points, weights, values, degree):
@@ -233,22 +254,25 @@ def test_streamed_volume_tables_equal_the_whole_mesh_ones(monkeypatch, bc, level
 
 def test_volume_tables_call_block_moments_once_per_block(monkeypatch):
     """Once per block of cells, on a mesh of several blocks, with G and U together."""
-    calls = []
+    calls, block_moments = [], quadrature._block_moments
 
     def counted(points, weights, values, degree, chunks):
         calls.append(([v.shape for v in values], chunks))
-        return quadrature.block_moments(points, weights, values, degree, chunks)
+        return block_moments(points, weights, values, degree, chunks)
 
-    monkeypatch.setattr(shapegrad, "block_moments", counted)
+    monkeypatch.setattr(quadrature, "_block_moments", counted)
     for l in (1, 2, 3):
         space, basis, lam = _lowest_live_pairs(DOMAINS[2], BCS[0], 3, l)
         calls.clear()
         shapegrad._volume_tables(space, basis, lam, 4)
         e = l * (l + 1) // 2
-        blocks = quadrature.cell_blocks(space.mesh.num_triangles, 16)
-        assert len(blocks) == 3  # the L-shape at level 3 has 1536 triangles, 6 chunks
-        assert calls == [([(4 * e, c.stop - c.start, 1), (e, c.stop - c.start, 16)], chunks)
-                         for c, chunks in blocks]
+        want = []
+        for group in blocks(space.mesh.num_triangles, 16):
+            lo, m = group[0].start, group[-1].stop - group[0].start
+            want.append(([(4 * e, m, 1), (e, m, 16)],
+                         [slice(c.start - lo, c.stop - lo) for c in group]))
+        assert len(want) == 3  # the L-shape at level 3 has 1536 triangles, 6 chunks
+        assert calls == want
 
 
 # the levels' triangle counts give, over the table sizes, a single block (level 0),
@@ -263,9 +287,9 @@ def test_volume_tables_equal_the_per_chunk_loop_with_and_without_a_helper(domain
             for size in range(1, 8):
                 npts = quadrature.triangle_rule(max(shapegrad._BASE_DEGREE, size + 1))[1].size
                 nt = space.mesh.num_triangles
-                blocks = len(quadrature.cell_blocks(nt, npts))
-                seen |= {"single block"} if blocks == 1 else set()
-                seen |= {"odd block count"} if blocks % 2 and blocks > 1 else set()
+                count = len(blocks(nt, npts))
+                seen |= {"single block"} if count == 1 else set()
+                seen |= {"odd block count"} if count % 2 and count > 1 else set()
                 seen |= {"partial last chunk"} if nt % quadrature.cell_chunks(
                     nt, npts)[0].stop else set()
                 for l in range(1, basis.shape[1] + 1):
@@ -290,8 +314,8 @@ def test_boundary_tables_and_gramian_equal_the_per_chunk_loop(monkeypatch, domai
         return out
 
     got = tables()
-    monkeypatch.setattr(shapegrad, "moments", per_chunk_moments)
-    monkeypatch.setattr(velocity, "moments", per_chunk_moments)
+    monkeypatch.setattr(shapegrad, "moments", sourced(per_chunk_moments))
+    monkeypatch.setattr(velocity, "moments", sourced(per_chunk_moments))
     want = tables()
     assert len(got) == len(want) >= 5 * (3 * 7 + 7)
     assert all(identical(a, b) for a, b in zip(got, want))
@@ -327,6 +351,42 @@ def test_a_helper_takes_blocks_only_once_it_is_free(monkeypatch):
         assert len(set(threads)) == 2 and len(threads) == 12  # 12 blocks, each built once
 
 
+def test_a_failure_on_the_helper_is_raised_once_no_task_is_left_on_it():
+    """A block that fails on the helper fails moments on the calling thread; a
+    task queued behind busy work is cancelled. Either way moments leaves no
+    task of its own queued or running on the executor."""
+    rng = np.random.default_rng(3)
+    n, npts = 1000, 16  # 4 chunks, 2 blocks
+    points, weights = rng.random((2, n, npts)), rng.random((n, npts))
+    values = rng.random((1, n, npts))
+    caller, helped, release = threading.current_thread(), threading.Event(), threading.Event()
+
+    def source(cells):
+        if threading.current_thread() is not caller:
+            helped.set()
+            raise RuntimeError("a block on the helper")
+        assert helped.wait(30)  # the caller's blocks wait until the helper has taken one
+        return points[:, cells], weights[cells], [values[:, cells]]
+
+    class Recorded(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            tasks.append(super().submit(*args, **kwargs))
+            return tasks[-1]
+
+    tasks = []
+    with Recorded(max_workers=1) as helper:
+        with pytest.raises(RuntimeError, match="a block on the helper"):
+            quadrature.moments(source, n, npts, 3, helper)
+        assert len(tasks) == 1 and tasks[0].done()
+        busy = helper.submit(release.wait, 30)  # the helper takes no block until released
+        try:
+            want = moments(points, weights, [values], 3)
+            assert identical(quadrature.moments(source, n, npts, 3, helper)[0], want[0])
+            assert len(tasks) == 3 and tasks[2].cancelled() and not busy.done()
+        finally:
+            release.set()
+
+
 def _two_member_cluster(M, live):
     """The two lowest nonzero pairs as one cluster (a gap wide enough to group them)."""
     cl = cluster(live[:2], M, rel_gap=10.0)[0]
@@ -355,8 +415,8 @@ def test_derivatives_are_bit_identical_to_the_two_pass_oracle(monkeypatch, domai
 
     with monkeypatch.context() as m:
         m.setattr(shapegrad, "_volume_tables", oracle_volume_tables)
-        m.setattr(shapegrad, "moments",
-                  lambda p, w, values, d: [oracle_moments(p, w, v, d) for v in values])
+        m.setattr(shapegrad, "moments", sourced(
+            lambda p, w, values, d: [oracle_moments(p, w, v, d) for v in values]))
         want_grads, want_mats = evaluate()
     got_grads, got_mats = evaluate()
     assert got_grads.keys() == want_grads.keys()

@@ -50,7 +50,8 @@ def test_the_first_failing_study_stops_the_run_with_its_exit_code(tmp_path, monk
     captured = capfd.readouterr()
     assert "unknown key (key 'wibble', line 7)" in captured.err
     assert [r[0] for r in table(captured.out)[2:]] == ["a"]
-    assert run(tmp_path / "none", monkeypatch, {"a": SMALL}, "--only", "x") == 2
+    assert run(tmp_path / "none", monkeypatch, {}) == 2  # an empty config directory
+    assert "no configs selected" in capfd.readouterr().err
 
 
 def test_start_seed_reaches_each_child_solver(tmp_path, monkeypatch, capfd):
@@ -79,5 +80,14 @@ def test_config_paths_pick_the_studies_in_their_order(tmp_path, monkeypatch, cap
     assert [r[0] for r in table(capfd.readouterr().out)[2:]] == ["y", "x"]
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         "x.csv", "x.manifest.json", "x.svg", "y.csv", "y.manifest.json", "y.svg"]
-    assert run(tmp_path / "only", monkeypatch, {"a": SMALL}, *paths, "--only", "x") == 0
-    assert [r[0] for r in table(capfd.readouterr().out)[2:]] == ["x"]
+
+
+def test_two_configs_with_one_stem_exit_2_before_any_study_runs(tmp_path, monkeypatch, capfd):
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    (elsewhere / "a.cfg").write_text(SMALL.replace("gamma = 1", "gamma = 2"))
+    paths = [str(tmp_path / "configs" / "a.cfg"), str(elsewhere / "a.cfg")]
+    assert run(tmp_path, monkeypatch, {"a": SMALL}, *paths) == 2
+    captured = capfd.readouterr()
+    assert "two configs share the stem 'a'" in captured.err
+    assert "==" not in captured.out and not (tmp_path / "out").exists()
