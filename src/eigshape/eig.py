@@ -130,16 +130,33 @@ def solve_lowest(A, M, k: int, bc: BoundaryCondition) -> list[EigenPair]:
     sigma = 0.0 if bc is BoundaryCondition.DIRICHLET else _NEUMANN_SIGMA
     v0 = np.random.default_rng(_START_SEED).standard_normal(n)
     try:
-        # no .tocsc(): eigsh factors a symmetric CSR through its CSC transpose,
-        # a view, and a CSR product with M sums as the CSC one does
-        vals, vecs = spla.eigsh(A, k=k, M=M, sigma=sigma,
-                                which="LM", v0=v0, tol=1e-12, maxiter=2000)
+        vals, vecs = _shift_invert(A, M, k, sigma, v0)
     except spla.ArpackNoConvergence as exc:
         best = np.inf
         if exc.eigenvalues is not None and len(exc.eigenvalues):
             best = float(np.min(np.abs(exc.eigenvalues)))
         raise NonConvergenceError("eigensolver iteration budget exhausted", best) from exc
     return _package(A, M, vals, vecs, bc)
+
+
+def _shift_invert(A, M, k: int, sigma: float, v0: np.ndarray):
+    """eigsh in shift-invert mode on the factor it would build itself: the LU
+    of A - sigma M (of A when sigma is 0) through its CSC transpose, a view of
+    the symmetric CSR matrix, not a .tocsc() copy. The factor's solve and M's
+    CSR product go to ARPACK as bare callbacks, skipping the per-iteration
+    checks and copies of scipy's operator wrappers, with the same bits; the
+    factor lives for this call only, as eigsh's own does."""
+    lu = spla.splu((A - sigma * M).T if sigma else A.T)
+    return spla.eigsh(A, k=k, M=_callback(M.dot, A.shape), sigma=sigma,
+                      OPinv=_callback(lu.solve, A.shape),
+                      which="LM", v0=v0, tol=1e-12, maxiter=2000)
+
+
+def _callback(matvec, shape) -> spla.LinearOperator:
+    """A LinearOperator whose matvec is `matvec` itself, unwrapped."""
+    op = spla.LinearOperator(shape, matvec, dtype=float)
+    op.matvec = matvec
+    return op
 
 
 def solve_lowest_dense(A, M, k: int, bc: BoundaryCondition) -> list[EigenPair]:

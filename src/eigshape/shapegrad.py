@@ -25,6 +25,7 @@ from __future__ import annotations
 from concurrent.futures import Executor
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,7 +84,7 @@ def directional_matrix(space: FemSpace, cl: EigenCluster, field: VelocityField,
         cl._tables[key] = build(space, cl.basis, cl.mean, size)
     values = _contract(formula, (field,), cl._tables[key])[0]
     mat = np.empty((cl.multiplicity, cl.multiplicity))
-    i, j = np.triu_indices(cl.multiplicity)
+    i, j = _entries(cl.multiplicity)
     mat[i, j] = values
     mat[j, i] = values
     return DirectionalMatrix(mat, np.linalg.eigvalsh(mat))
@@ -113,6 +114,16 @@ def boundary_form(fields, points: np.ndarray, weights: np.ndarray, normals: np.n
     return _contract(Formula.BOUNDARY, fields, T)
 
 
+@lru_cache(maxsize=None)
+def _entries(l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows i and columns j of the entries i <= j of an l x l symmetric matrix,
+    row-major: the order of the tables' entry axis. Cached, so read-only."""
+    i, j = np.triu_indices(l)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
 def _size(fields) -> int:
     return max(f.degree for f in fields) + 1
 
@@ -136,8 +147,8 @@ def _boundary_form_tables(points, weights, normals, density, size: int) -> np.nd
 
 def _volume_tables(space: FemSpace, basis: np.ndarray, lam: float, size: int,
                    helper: Executor | None = None) -> np.ndarray:
-    """T[e, c, b, p, q]: per entry i <= j of the (dof, l) basis (row-major upper
-    triangle), the moments x^p y^q multiplying the x_b-derivative of V_c.
+    """T[e, c, b, p, q]: per entry i <= j of the (dof, l) basis (in _entries'
+    order), the moments x^p y^q multiplying the x_b-derivative of V_c.
 
     The quadrature points and the values of u_i u_j on them are built one
     block of moments' cells at a time, from per-triangle arrays built once,
@@ -148,7 +159,7 @@ def _volume_tables(space: FemSpace, basis: np.ndarray, lam: float, size: int,
     mesh = space.mesh
     degree = max(_BASE_DEGREE, size + 1)
     nt = mesh.num_triangles
-    i, j = np.triu_indices(basis.shape[1])
+    i, j = _entries(basis.shape[1])
     grads = element_gradients(space, basis).swapaxes(0, 1)[..., None]  # (l, 2, nt, 1)
     corners = space.nodal_values(basis).T.take(mesh.triangles, axis=1)  # (l, nt, 3)
     # G[e, a, b]: moments of g_i,a g_j,b (constant per triangle); U: of u_i u_j
@@ -176,7 +187,7 @@ def _boundary_tables(space: FemSpace, basis: np.ndarray, lam: float, size: int) 
     dirichlet = space.bc is BoundaryCondition.DIRICHLET
     degree = size - 1 + (0 if dirichlet else 2)
     points, weights, normals = boundary_points(mesh, degree)
-    i, j = np.triu_indices(basis.shape[1])
+    i, j = _entries(basis.shape[1])
     gx, gy = element_gradients(space, basis)[:, :, edges[:, 2]]  # (l, ne) each
     nx, ny = normals[:, :, 0]
     dudn = gx * nx + gy * ny

@@ -207,6 +207,27 @@ def test_one_call_for_several_arrays_equals_one_call_per_array(monkeypatch, doma
                        zip(got, [oracle_moments(pts, wts, v, degree) for v in subset]))
 
 
+# the edge rules of 1 to 7 points and the degree-6 and degree-8 triangle rules
+@pytest.mark.parametrize("npts", [1, 2, 3, 4, 5, 6, 7, 16, 25])
+def test_block_moments_sum_points_as_numpy_does_at_every_shape(npts):
+    """_block_moments against the per-chunk oracle's mono.sum(axis=1): table sizes
+    1 to 14 (the Gramian's at MAX_GAMMA), in a one-cell block and a full one,
+    with cell-constant and per-point value arrays together."""
+    rng = np.random.default_rng(npts)
+    full = quadrature._BLOCK_CHUNKS * max(1, quadrature._CHUNK_POINTS // npts)
+    for n in (1, full):
+        points = rng.standard_normal((2, n, npts))
+        weights = rng.uniform(0.5, 1.0, (n, npts))
+        values = [rng.standard_normal((3, n, 1)), rng.standard_normal((2, n, npts))]
+        chunks = quadrature.cell_chunks(n, npts)
+        assert len(chunks) == (1 if n == 1 else quadrature._BLOCK_CHUNKS)
+        for degree in range(2 * velocity.MAX_GAMMA + 2):
+            per_chunk = quadrature._block_moments(points, weights, values, degree, chunks)
+            got = [sum(tables).reshape(-1, degree + 1, degree + 1) for tables in zip(*per_chunk)]
+            want = per_chunk_moments(points, weights, values, degree)
+            assert all(identical(a, b) for a, b in zip(got, want))
+
+
 def whole_mesh_volume_tables(space, basis, lam, size):
     """The volume tables from one moments call over every triangle at once."""
     points, weights, bary = physical_points(space.mesh, max(shapegrad._BASE_DEGREE, size + 1))

@@ -330,6 +330,39 @@ def test_tables_built_once_per_space_formula_and_size(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
+def _fresh_indices(space, cl, field, formula):
+    """Oracle: directional_matrix with the entry indices np.triu_indices gives per call."""
+    size = max(field.degree + 1, shapegrad._BASE_DEGREE - 1)
+    build = shapegrad._volume_tables if formula is Formula.VOLUME else shapegrad._boundary_tables
+    values = shapegrad._contract(formula, (field,), build(space, cl.basis, cl.mean, size))[0]
+    mat = np.empty((cl.multiplicity, cl.multiplicity))
+    i, j = np.triu_indices(cl.multiplicity)
+    mat[i, j] = values
+    mat[j, i] = values
+    return mat, np.linalg.eigvalsh(mat)
+
+
+@pytest.mark.parametrize("bc", BCS)
+def test_the_shared_entry_indices_are_read_only_and_change_no_matrix(bc):
+    _, space, A, M = assembled(Domain.UNIT_SQUARE, bc, 3)
+    live = [p for p in solve_lowest(A, M, 4, bc) if not p.zero_mode]
+    for l in (1, 2, 3):
+        i, j = shapegrad._entries(l)
+        assert shapegrad._entries(l)[0] is i
+        assert all(np.array_equal(a, b) for a, b in zip((i, j), np.triu_indices(l)))
+        for index in (i, j):
+            with pytest.raises(ValueError, match="read-only"):
+                index[0] = 1
+        cl = EigenCluster(np.array([p.lam for p in live[:l]]),
+                          np.stack([p.coeffs for p in live[:l]], axis=1))
+        for formula in Formula:
+            for field in build_basis(2).fields:
+                got = directional_matrix(space, cl, field, formula)
+                mat, eigenvalues = _fresh_indices(space, cl, field, formula)
+                assert np.array_equal(got.matrix, mat)
+                assert np.array_equal(got.eigenvalues, eigenvalues)
+
+
 def test_weyl_bound_trivial_cases():
     A = np.diag([1.0, 2.0])
     assert weyl_bound(2, A, A) == (0.0, 0.0)
