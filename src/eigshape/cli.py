@@ -21,7 +21,7 @@ from . import convergence as conv
 from . import reference as refmod
 from . import shapegrad
 from .eig import NonConvergenceError, Target, solve_lowest
-from .fem import BoundaryCondition, FemSpace, assemble_mass, assemble_stiffness
+from .fem import BoundaryCondition, FemSpace, assemble_pencil
 from .mesh import Domain, export_text, generate, mesh_size
 from .velocity import (MAX_GAMMA, FactorizationError, VelocityField, build_basis,
                        constant_field, identity_field, monomial_field, rotation_field)
@@ -148,7 +148,7 @@ def cmd_solve(args) -> int:
     domain, bc = Domain(args.domain), BoundaryCondition(args.bc)
     mesh = generate(domain, args.level)
     space = FemSpace(mesh, bc)
-    pairs = solve_lowest(assemble_stiffness(space), assemble_mass(space), args.k, bc)
+    pairs = solve_lowest(*assemble_pencil(space), args.k, bc)
     try:
         exact = refmod.exact_eigenpair(domain, bc).lam
     except refmod.UnsupportedDomainError:

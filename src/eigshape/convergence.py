@@ -13,11 +13,11 @@ Each study or reference level is an independent job of two stages, the
 solve and the evaluation (volume form, identity guard, and at a study level
 the boundary form and Gramian), which fill one record per level (_Level).
 The finest level runs on the calling thread; one helper thread runs the other
-levels' solves, then their evaluations, then takes blocks of the finest
-volume form (_run_jobs). With one CPU every level runs in order on the
-calling thread. Each evaluation checks the volume-form values against exact
-identities, and on the nested square and L-shape meshes lambda_h must not
-rise from level to level.
+levels' solves, largest level first, then their evaluations, then takes
+blocks of the finest volume form (_run_jobs). With one CPU every level runs
+in order on the calling thread. Each evaluation checks the volume-form values
+against exact identities, and on the nested square and L-shape meshes
+lambda_h must not rise from level to level.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from . import reference as refmod
 from . import shapegrad
 from .eig import EigenPair, Target, TargetKind, solve_target
-from .fem import BoundaryCondition, FemSpace, assemble_mass, assemble_stiffness
+from .fem import BoundaryCondition, FemSpace, assemble_pencil
 from .mesh import Domain, Mesh, check_budget, generate, mesh_size, refine
 from .velocity import Gramian, VelocityBasis, build_basis, dual_norm, gramian
 
@@ -145,8 +145,7 @@ def _solve_level(mesh: Mesh, bc: BoundaryCondition,
     exact_nodal = None
     if target.kind is TargetKind.MATCH_EXACT:
         exact_nodal = space.interpolate(refmod.exact_eigenpair(mesh.domain, bc).value)
-    return (space, *solve_target(assemble_stiffness(space), assemble_mass(space), bc,
-                                 target, exact_nodal=exact_nodal))
+    return (space, *solve_target(*assemble_pencil(space), bc, target, exact_nodal=exact_nodal))
 
 
 def _solve_stage(cfg: StudyConfig, lv: _Level) -> _Level:
@@ -228,23 +227,27 @@ def _run_jobs(levels: list[_Level], solve, evaluate, inline: int) -> list[_Level
     for bit; returns levels.
 
     levels[inline], the finest, runs on the calling thread. One helper thread
-    runs every other level's solve in list order, then every evaluation: its
-    eigensolves, whose ARPACK loops hold the GIL, then overlap the finest
-    level's assembly and factorization, which release it, and its volume
-    forms the finest eigensolve (on 2 vCPUs, a helper running small
-    eigensolves slowed the finest one by 47-76%, a helper running a volume
-    form by 8%). Once free, the helper takes blocks of the finest volume form
-    (quadrature.moments), so the calling thread never waits on its queue.
-    Each stage is single-threaded work on inputs of its own, and a volume-form
-    block's tables do not depend on the thread, so every result is the serial
-    one.
+    runs every other level's solve, largest level first (ties in list order),
+    then every evaluation in list order. So the largest coarse eigensolve,
+    whose ARPACK loop holds the GIL, overlaps the finest level's assembly and
+    not its factorization, which is not GIL-free in practice: at L-shape level
+    5 on 2 vCPUs, splu(A.T) took 19.4 ms alone, 19.5-19.7 ms next to a numpy
+    stream, 28.0-29.1 ms next to a thread looping level-4 eigensolves and
+    32-51 ms next to a pure-Python loop. The helper's volume forms overlap the
+    finest eigensolve (a helper running small eigensolves slowed it by
+    47-76%, a helper running a volume form by 8%). Once free, the helper
+    takes blocks of the finest volume form (quadrature.moments), so the
+    calling thread never waits on its queue. Each stage is single-threaded
+    work on inputs of its own, and a volume-form block's tables do not depend
+    on the thread, so every result is the serial one.
 
     The first failure in list order is raised, after the helper's queued work
-    is cancelled and its running stage has finished. An evaluation carries its
-    solve's failure, and runs whenever its own solve succeeded, so a level's
-    failure is found even when a later level's solve failed first. A failure
-    on the helper is raised only after the finest level has run to its end,
-    so later than in a serial loop.
+    is cancelled and its running stage has finished. Every queued solve runs
+    whatever failed before it, and an evaluation carries its solve's failure
+    and runs whenever its own solve succeeded, so a level's failure is found
+    even when a larger or later level's solve failed first. A failure on the
+    helper is raised only after the finest level has run to its end, so later
+    than in a serial loop.
 
     The finest level stays on the calling thread: on 2 vCPUs, every job on a
     two-worker pool raised peak RSS from 97-99 to 103 MB (L-shape study) and
@@ -256,9 +259,11 @@ def _run_jobs(levels: list[_Level], solve, evaluate, inline: int) -> list[_Level
         return [evaluate(solve(lv)) for lv in levels]
     helper = ThreadPoolExecutor(max_workers=1)
     try:
-        solved = {k: helper.submit(solve, lv) for k, lv in enumerate(levels) if k != inline}
-        outcomes = {k: helper.submit(lambda f: evaluate(f.result()), f)
-                    for k, f in solved.items()}
+        others = sorted((k for k in range(len(levels)) if k != inline),
+                        key=lambda k: -levels[k].level)
+        solved = {k: helper.submit(solve, levels[k]) for k in others}
+        outcomes = {k: helper.submit(lambda f: evaluate(f.result()), solved[k])
+                    for k in sorted(solved)}
         # set_result/set_exception are the executor-side API, used here for the inline level
         outcomes[inline] = Future()
         try:

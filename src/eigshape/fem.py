@@ -96,12 +96,32 @@ def assemble_mass(space: FemSpace) -> sp.csr_matrix:
     return _assemble(space, _mass_local)
 
 
-def _stiffness_local(mesh: Mesh) -> np.ndarray:
-    """(nt, 3, 3) element stiffness matrices (gx_i gx_j + gy_i gy_j) * area; a
-    product commutes exactly, so entry (j, i) is a copy of entry (i, j)."""
-    planes = _gradient_planes(mesh)
+def assemble_pencil(space: FemSpace) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(assemble_stiffness(space), assemble_mass(space)) bit for bit, from one
+    index pass, one COO->CSR conversion and one mirror of the values A + iM.
+
+    A complex sum adds its real and imaginary parts apart and in the real sums'
+    order, so each part holds the real pass's values. The complex mirror add
+    keeps an entry that only one part makes zero, so each part then drops its
+    exact zeros (signed ones too), as the real mirror add does.
+    """
+    pencil = _assemble(space, _pencil_local)
+    A, M = (sp.csr_matrix((values.copy(), pencil.indices.copy(), pencil.indptr.copy()),
+                          shape=pencil.shape)
+            for values in (pencil.data.real, pencil.data.imag))
+    A.eliminate_zeros()
+    M.eliminate_zeros()
+    return A, M
+
+
+_MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
+
+
+def _stiffness_into(planes: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """Fill the (nt, 3, 3) local with the element stiffness matrices
+    (gx_i gx_j + gy_i gy_j) * area of the _gradient_planes; a product commutes
+    exactly, so entry (j, i) is a copy of entry (i, j)."""
     gx, gy, areas = planes[0:3], planes[3:6], 0.5 * planes[6]
-    local = np.empty((len(areas), 3, 3))
     for i in range(3):
         for j in range(i, 3):
             local[:, i, j] = (gx[i] * gx[j] + gy[i] * gy[j]) * areas
@@ -109,9 +129,24 @@ def _stiffness_local(mesh: Mesh) -> np.ndarray:
     return local
 
 
+def _stiffness_local(mesh: Mesh) -> np.ndarray:
+    """(nt, 3, 3) element stiffness matrices."""
+    planes = _gradient_planes(mesh)
+    return _stiffness_into(planes, np.empty((planes.shape[1], 3, 3)))
+
+
 def _mass_local(mesh: Mesh) -> np.ndarray:
-    pattern = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    return signed_areas(mesh)[:, None, None] * pattern[None, :, :]
+    return signed_areas(mesh)[:, None, None] * _MASS_PATTERN[None, :, :]
+
+
+def _pencil_local(mesh: Mesh) -> np.ndarray:
+    """(nt, 3, 3) complex element matrices, stiffness + i mass, from one planes
+    array: 0.5 * det is signed_areas' arithmetic."""
+    planes = _gradient_planes(mesh)
+    local = np.empty((planes.shape[1], 3, 3), dtype=complex)
+    _stiffness_into(planes, local.real)
+    np.multiply((0.5 * planes[6])[:, None, None], _MASS_PATTERN[None, :, :], out=local.imag)
+    return local
 
 
 def _assemble(space: FemSpace, element_matrices: Callable[[Mesh], np.ndarray]) -> sp.csr_matrix:

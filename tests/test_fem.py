@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from eigshape import fem
-from eigshape.fem import (BoundaryCondition, FemSpace, assemble_mass,
+from eigshape.fem import (BoundaryCondition, FemSpace, assemble_mass, assemble_pencil,
                           assemble_stiffness, element_gradients)
 from eigshape.mesh import Domain, Mesh, generate, signed_areas
 from eigshape.reference import exact_eigenpair
@@ -258,15 +258,43 @@ def test_scatter_is_bit_identical_to_the_array_scatter(domain, bc, level):
     assert_identical_csr(fem._assemble(space, lambda _: local), array_scatter(space, local))
 
 
+def complex_locals(nt: int, seed: int) -> np.ndarray:
+    """signed_zero_locals as the real and the imaginary part of one array, set
+    part by part: 1j * x would turn a -0.0 imaginary part into +0.0."""
+    local = np.empty((nt, 3, 3), dtype=complex)
+    local.real = signed_zero_locals(nt, seed)
+    local.imag = signed_zero_locals(nt, seed + 1000)
+    return local
+
+
+@pytest.mark.parametrize("level", range(6))
+@pytest.mark.parametrize("bc", BCS)
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_pencil_is_bit_identical_to_the_two_passes(monkeypatch, domain, bc, level):
+    # square and L-shape stiffness sums hold exact zeros, which the real mirror
+    # add drops and the complex one keeps wherever the mass entry is nonzero
+    space = FemSpace(generate(domain, level), bc)
+    A, M = assemble_pencil(space)
+    assert_identical_csr(A, assemble_stiffness(space))
+    assert_identical_csr(M, assemble_mass(space))
+    local = complex_locals(space.mesh.num_triangles, seed=level)
+    monkeypatch.setattr(fem, "_pencil_local", lambda _: local)
+    A, M = assemble_pencil(space)
+    assert_identical_csr(A, array_scatter(space, local.real))
+    assert_identical_csr(M, array_scatter(space, local.imag))
+
+
 @pytest.mark.parametrize("bc", BCS)
 def test_assembly_heap_high_water_per_triangle(bc):
     # glibc keeps the assembly's freed heap resident under the eigensolve, so
     # its high-water is part of every study's peak RSS; the int64 scatter with
-    # a precomputed element array read about 495 and 440 bytes per triangle
+    # a precomputed element array read about 495 and 440 bytes per triangle;
+    # the lean passes read 216-217 and 189-194, the pencil 298-307
     space = FemSpace(generate(Domain.L_SHAPE, 5), bc)
     nt = space.mesh.num_triangles
     assert nt == 24576
-    for fn in (assemble_stiffness, assemble_mass):
+    for fn in (assemble_stiffness, assemble_mass, assemble_pencil):
         fn(space)  # first call: lazy imports and caches outside the scatter
     assert traced_peak_bytes(assemble_stiffness, space) <= 300 * nt
     assert traced_peak_bytes(assemble_mass, space) <= 250 * nt
+    assert traced_peak_bytes(assemble_pencil, space) <= 340 * nt

@@ -101,6 +101,29 @@ def test_one_cpu_runs_every_level_on_the_calling_thread(monkeypatch, cpus):
     assert records == want_records and np.array_equal(ref.values, want_ref.values)
 
 
+@pytest.mark.parametrize("reference_level,helper_order", [
+    (None, [("study", 2), ("study", 1)]),
+    # ties keep list order: the reference's level 3 before the study's
+    (5, [("reference", 4), ("reference", 3), ("study", 3), ("study", 2), ("study", 1)]),
+], ids=["analytic", "finemesh"])
+def test_the_helper_solves_the_largest_level_first(monkeypatch, reference_level, helper_order):
+    # so the largest coarse eigensolve overlaps the finest level's assembly,
+    # not its factorization
+    stage, order = convergence._solve_stage, []
+
+    def recording(cfg, lv):
+        if threading.current_thread() is not threading.main_thread():
+            order.append((lv.role, lv.level))
+        return stage(cfg, lv)
+
+    monkeypatch.setattr(convergence, "_solve_stage", recording)
+    cfg = config(Domain.UNIT_SQUARE, D, reference_level)
+    records, ref = run_levels(cfg)
+    assert order == helper_order
+    want_records, want_ref = serial_run_levels(cfg)
+    assert records == want_records and np.array_equal(ref.values, want_ref.values)
+
+
 def fail_at(monkeypatch, domain, failures):
     """Make the level solve raise failures[level] on the mesh of that level."""
     solve = convergence._solve_level
@@ -132,8 +155,12 @@ def stalled(level):
     # the finest reference level (inline) comes before every study level (helper)
     (5, {5: stalled(5), 1: budget}, NonConvergenceError),
     (5, {2: stalled(2)}, NonConvergenceError),
+    # a small level before a large one in list order, the large one solved first
+    (None, {1: stalled(1), 2: budget}, NonConvergenceError),
+    (5, {1: budget, 4: stalled(4)}, NonConvergenceError),
 ], ids=["study_helper", "study_helper_first", "helper_before_inline", "reference_helper",
-        "reference_inline", "study_after_reference"])
+        "reference_inline", "study_after_reference", "small_before_large",
+        "large_reference_before_small_study"])
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_failure_is_raised_in_serial_order(monkeypatch, reference_level, failures, raised,
                                              cpus):
