@@ -29,7 +29,7 @@ from .velocity import (MAX_GAMMA, FactorizationError, VelocityField, build_basis
 
 # failures that exit 1; a ValueError (ConfigError among them) exits 2
 NUMERICAL_FAILURES = (NonConvergenceError, FactorizationError, conv.DegenerateFitError,
-                      conv.TrackingError, conv.IdentityError, conv.ReferenceBudgetError)
+                      conv.TrackingError, conv.IdentityError)
 
 
 class ConfigError(ValueError):

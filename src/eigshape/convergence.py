@@ -52,10 +52,6 @@ class IdentityError(RuntimeError):
     """The volume form misses an identity that holds exactly on every mesh."""
 
 
-class ReferenceBudgetError(RuntimeError):
-    """The fine-mesh reference's finest level is over the vertex budget."""
-
-
 _DEGENERATE_FLOOR = 1e-12  # dual-norm values below this are roundoff of an exact zero
 _FIT_WINDOW = 4  # rates are fitted over this many finest levels
 _IDENTITY_TOL = 1e-10  # relative to lam_h; the identities hold to about 1e-15
@@ -81,8 +77,10 @@ class StudyConfig:
             raise ValueError("a study needs at least 3 levels to fit a rate")
         if self.reference_level is None or self.target.kind is TargetKind.MATCH_EXACT:
             refmod.exact_eigenpair(self.domain, self.bc)  # raises UnsupportedDomainError
-        if self.reference_level is not None and self.reference_level < self.max_level + 2:
-            raise ValueError("reference_level must be at least max_level + 2")
+        if self.reference_level is not None:
+            if self.reference_level < self.max_level + 2:
+                raise ValueError("reference_level must be at least max_level + 2")
+            check_budget(self.domain, self.reference_level)
 
 
 @dataclass(frozen=True)
@@ -181,14 +179,6 @@ def _evaluate_stage(cfg: StudyConfig, basis: VelocityBasis, lv: _Level,
     return lv
 
 
-def _reference_levels(cfg: StudyConfig) -> list[_Level]:
-    """A fine-mesh reference's three levels, coarsest first."""
-    # the finest level is the largest, so its budget check comes before any mesh
-    check_budget(cfg.domain, cfg.reference_level, ReferenceBudgetError)
-    return [_Level("reference", lv)
-            for lv in range(cfg.reference_level - 2, cfg.reference_level + 1)]
-
-
 def extrapolated_reference(levels) -> refmod.ReferenceDerivatives:
     """Richardson extrapolation of the volume-form values and lam_h of the
     three finest fine-mesh levels, coarsest first.
@@ -222,24 +212,25 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_jobs(levels: list[_Level], solve, evaluate, inline: int) -> list[_Level]:
+def _run_jobs(levels: list[_Level], solve, evaluate) -> list[_Level]:
     """Every level solved, then evaluated, with the serial loop's results bit
     for bit; returns levels.
 
-    levels[inline], the finest, runs on the calling thread. One helper thread
-    runs every other level's solve, largest level first (ties in list order),
-    then every evaluation in list order. So the largest coarse eigensolve,
-    whose ARPACK loop holds the GIL, overlaps the finest level's assembly and
-    not its factorization, which is not GIL-free in practice: at L-shape level
-    5 on 2 vCPUs, splu(A.T) took 19.4 ms alone, 19.5-19.7 ms next to a numpy
-    stream, 28.0-29.1 ms next to a thread looping level-4 eigensolves and
-    32-51 ms next to a pure-Python loop. The helper's volume forms overlap the
-    finest eigensolve (a helper running small eigensolves slowed it by
-    47-76%, a helper running a volume form by 8%). Once free, the helper
-    takes blocks of the finest volume form (quadrature.moments), so the
-    calling thread never waits on its queue. Each stage is single-threaded
-    work on inputs of its own, and a volume-form block's tables do not depend
-    on the thread, so every result is the serial one.
+    The largest level, the finest, runs on the calling thread; no other level
+    has its level number. One helper thread runs every other level's solve,
+    largest level first (ties in list order), then every evaluation in list
+    order. So the largest coarse eigensolve, whose ARPACK loop holds the GIL,
+    overlaps the finest level's assembly and not its factorization, which is
+    not GIL-free in practice: at L-shape level 5 on 2 vCPUs, splu(A.T) took
+    19.4 ms alone, 19.5-19.7 ms next to a numpy stream, 28.0-29.1 ms next to a
+    thread looping level-4 eigensolves and 32-51 ms next to a pure-Python
+    loop. The helper's volume forms overlap the finest eigensolve (a helper
+    running small eigensolves slowed it by 47-76%, a helper running a volume
+    form by 8%). Once free, the helper takes blocks of the finest volume form
+    (quadrature.moments), so the calling thread never waits on its queue. Each
+    stage is single-threaded work on inputs of its own, and a volume-form
+    block's tables do not depend on the thread, so every result is the serial
+    one.
 
     The first failure in list order is raised, after the helper's queued work
     is cancelled and its running stage has finished. Every queued solve runs
@@ -259,8 +250,7 @@ def _run_jobs(levels: list[_Level], solve, evaluate, inline: int) -> list[_Level
         return [evaluate(solve(lv)) for lv in levels]
     helper = ThreadPoolExecutor(max_workers=1)
     try:
-        others = sorted((k for k in range(len(levels)) if k != inline),
-                        key=lambda k: -levels[k].level)
+        inline, *others = sorted(range(len(levels)), key=lambda k: -levels[k].level)
         solved = {k: helper.submit(solve, levels[k]) for k in others}
         outcomes = {k: helper.submit(lambda f: evaluate(f.result()), solved[k])
                     for k in sorted(solved)}
@@ -275,17 +265,9 @@ def _run_jobs(levels: list[_Level], solve, evaluate, inline: int) -> list[_Level
         helper.shutdown(cancel_futures=True)
 
 
-def _stages(cfg: StudyConfig, basis: VelocityBasis) -> tuple:
-    return partial(_solve_stage, cfg), partial(_evaluate_stage, cfg, basis)
-
-
 def reference_derivatives_for(cfg: StudyConfig, basis) -> refmod.ReferenceDerivatives:
-    """Analytic reference, or volume-form derivatives on the three finest
-    reference levels, Richardson-extrapolated."""
-    if cfg.reference_level is None:
-        return refmod.continuous_derivatives(cfg.domain, cfg.bc, basis)
-    levels = _reference_levels(cfg)
-    return extrapolated_reference(_run_jobs(levels, *_stages(cfg, basis), len(levels) - 1))
+    """The analytic reference: the continuous derivatives of the exact eigenpair."""
+    return refmod.continuous_derivatives(cfg.domain, cfg.bc, basis)
 
 
 def run_levels(cfg: StudyConfig) -> tuple[list[StudyRecord], refmod.ReferenceDerivatives]:
@@ -294,17 +276,18 @@ def run_levels(cfg: StudyConfig) -> tuple[list[StudyRecord], refmod.ReferenceDer
     basis = build_basis(cfg.gamma)
     fine_mesh = cfg.reference_level is not None
     # an analytic reference comes first, as in the serial order; a fine-mesh
-    # reference's levels run next to the study's
+    # reference's three levels, coarsest first, run next to the study's
     ref = None if fine_mesh else reference_derivatives_for(cfg, basis)
-    levels = _reference_levels(cfg) if fine_mesh else []
+    levels = ([_Level("reference", lv)
+               for lv in range(cfg.reference_level - 2, cfg.reference_level + 1)]
+              if fine_mesh else [])
     n_ref = len(levels)
     mesh = generate(cfg.domain, cfg.min_level)
     for level in range(cfg.min_level, cfg.max_level + 1):
         if level > cfg.min_level:
             mesh = refine(mesh)
         levels.append(_Level("study", level, mesh))
-    # the finest level is the fine-mesh reference's, or else the study's
-    _run_jobs(levels, *_stages(cfg, basis), (n_ref or len(levels)) - 1)
+    _run_jobs(levels, partial(_solve_stage, cfg), partial(_evaluate_stage, cfg, basis))
     if fine_mesh:
         ref = extrapolated_reference(levels[:n_ref])
     study = levels[n_ref:]

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, boundary_vertex_mask, signed_areas
+from .mesh import Mesh, boundary_vertex_mask
 
 
 class BoundaryCondition(Enum):
@@ -136,12 +136,13 @@ def _stiffness_local(mesh: Mesh) -> np.ndarray:
 
 
 def _mass_local(mesh: Mesh) -> np.ndarray:
-    return signed_areas(mesh)[:, None, None] * _MASS_PATTERN[None, :, :]
+    """(nt, 3, 3) element mass matrices, area * (1 + delta_ij) / 12."""
+    return (0.5 * _gradient_planes(mesh)[6])[:, None, None] * _MASS_PATTERN[None, :, :]
 
 
 def _pencil_local(mesh: Mesh) -> np.ndarray:
     """(nt, 3, 3) complex element matrices, stiffness + i mass, from one planes
-    array: 0.5 * det is signed_areas' arithmetic."""
+    array."""
     planes = _gradient_planes(mesh)
     local = np.empty((planes.shape[1], 3, 3), dtype=complex)
     _stiffness_into(planes, local.real)

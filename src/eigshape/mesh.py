@@ -85,16 +85,16 @@ def vertex_count(domain: Domain, level: int) -> int:
     return (n + 1) ** 2
 
 
-def check_budget(domain: Domain, level: int, error: type[Exception] = ValueError) -> None:
-    """Raise error, naming the level, its vertex count and the budget, when
+def check_budget(domain: Domain, level: int) -> None:
+    """Raise ValueError, naming the level, its vertex count and the budget, when
     generate(domain, level) would have more than VERTEX_BUDGET vertices."""
     if level > 64:  # over 4^level vertices: a number too long to form and print
-        raise error(f"{domain.value} level {level} has more than 4^{level} vertices, "
-                    f"over the budget of {VERTEX_BUDGET}")
+        raise ValueError(f"{domain.value} level {level} has more than 4^{level} vertices, "
+                         f"over the budget of {VERTEX_BUDGET}")
     vertices = vertex_count(domain, level)
     if vertices > VERTEX_BUDGET:
-        raise error(f"{domain.value} level {level} has {vertices} vertices, "
-                    f"over the budget of {VERTEX_BUDGET}")
+        raise ValueError(f"{domain.value} level {level} has {vertices} vertices, "
+                         f"over the budget of {VERTEX_BUDGET}")
 
 
 def refine(mesh: Mesh) -> Mesh:
@@ -125,15 +125,6 @@ def refine(mesh: Mesh) -> Mesh:
     ])
     verts = np.vstack([mesh.vertices, mids])
     return Mesh(verts, children, _child_boundary_edges(mesh, mid_idx), mesh.domain)
-
-
-def signed_areas(mesh: Mesh) -> np.ndarray:
-    p0 = mesh.vertices[mesh.triangles[:, 0]]
-    p1 = mesh.vertices[mesh.triangles[:, 1]]
-    p2 = mesh.vertices[mesh.triangles[:, 2]]
-    e1 = p1 - p0
-    e2 = p2 - p0
-    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
 def mesh_size(mesh: Mesh) -> float:

@@ -25,6 +25,17 @@ def assembled(domain, bc, level):
     return mesh, space, assemble_stiffness(space), assemble_mass(space)
 
 
+def signed_areas(mesh) -> np.ndarray:
+    """Triangle areas, positive for counterclockwise corners, from the corner
+    coordinates alone: an oracle independent of the library's gradient planes."""
+    p0 = mesh.vertices[mesh.triangles[:, 0]]
+    p1 = mesh.vertices[mesh.triangles[:, 1]]
+    p2 = mesh.vertices[mesh.triangles[:, 2]]
+    e1 = p1 - p0
+    e2 = p2 - p0
+    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+
+
 def traced_peak_bytes(fn, *args) -> int:
     """tracemalloc high-water of one call, above what was live before it."""
     tracemalloc.start()

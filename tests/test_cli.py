@@ -595,9 +595,12 @@ def test_an_over_budget_level_is_usage_error(capsys, no_mesh, argv, domain):
                    f"over the budget of {mesh.VERTEX_BUDGET}\n")
 
 
-def test_an_over_budget_max_level_is_config_error(tmp_path, capsys, no_mesh):
+@pytest.mark.parametrize("text", [MINI_CONFIG.replace("max_level = 3", "max_level = 40"),
+                                  MINI_CONFIG + "reference = finemesh:40\n"],
+                         ids=["max_level", "finemesh_reference"])
+def test_an_over_budget_study_level_is_config_error(tmp_path, capsys, no_mesh, text):
     cfg = tmp_path / "big.cfg"
-    cfg.write_text(MINI_CONFIG.replace("max_level = 3", "max_level = 40"))
+    cfg.write_text(text)
     out = tmp_path / "results"
     assert run_cli("study", str(cfg), "--out", str(out)) == 2
     count = mesh.vertex_count(mesh.Domain.UNIT_SQUARE, 40)

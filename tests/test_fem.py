@@ -5,10 +5,10 @@ import scipy.sparse as sp
 from eigshape import fem
 from eigshape.fem import (BoundaryCondition, FemSpace, assemble_mass, assemble_pencil,
                           assemble_stiffness, element_gradients)
-from eigshape.mesh import Domain, Mesh, generate, signed_areas
+from eigshape.mesh import Domain, Mesh, generate
 from eigshape.reference import exact_eigenpair
 
-from conftest import BCS, DOMAINS, assembled, traced_peak_bytes
+from conftest import BCS, DOMAINS, assembled, signed_areas, traced_peak_bytes
 
 
 # Single-element oracles, computed one triangle at a time.

@@ -11,6 +11,7 @@ on any machine; with one CPU every job runs on the calling thread.
 
 import threading
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -137,7 +138,11 @@ def fail_at(monkeypatch, domain, failures):
     monkeypatch.setattr(convergence, "_solve_level", failing)
 
 
-budget = convergence.ReferenceBudgetError("injected at a reference level")
+class InjectedError(RuntimeError):
+    """A failure of another type than a stalled solve."""
+
+
+injected = InjectedError("injected at a reference level")
 
 
 def stalled(level):
@@ -147,17 +152,17 @@ def stalled(level):
 @pytest.mark.parametrize("reference_level,failures,raised", [
     # a coarse study level, on the helper thread
     (None, {1: stalled(1)}, NonConvergenceError),
-    (None, {1: stalled(1), 3: budget}, NonConvergenceError),
+    (None, {1: stalled(1), 3: injected}, NonConvergenceError),
     # the finest study level, inline, after a helper failure in list order
-    (None, {3: stalled(3), 2: budget}, convergence.ReferenceBudgetError),
+    (None, {3: stalled(3), 2: injected}, InjectedError),
     # the coarsest reference level (helper) comes before the finest (inline)
-    (5, {3: budget, 5: stalled(5), 1: stalled(1)}, convergence.ReferenceBudgetError),
+    (5, {3: injected, 5: stalled(5), 1: stalled(1)}, InjectedError),
     # the finest reference level (inline) comes before every study level (helper)
-    (5, {5: stalled(5), 1: budget}, NonConvergenceError),
+    (5, {5: stalled(5), 1: injected}, NonConvergenceError),
     (5, {2: stalled(2)}, NonConvergenceError),
     # a small level before a large one in list order, the large one solved first
-    (None, {1: stalled(1), 2: budget}, NonConvergenceError),
-    (5, {1: budget, 4: stalled(4)}, NonConvergenceError),
+    (None, {1: stalled(1), 2: injected}, NonConvergenceError),
+    (5, {1: injected, 4: stalled(4)}, NonConvergenceError),
 ], ids=["study_helper", "study_helper_first", "helper_before_inline", "reference_helper",
         "reference_inline", "study_after_reference", "small_before_large",
         "large_reference_before_small_study"])
@@ -238,7 +243,8 @@ def test_the_finest_volume_form_runs_on_both_threads_only_with_two_cpus(monkeypa
     assert records == serial_run_levels(cfg)[0]
 
 
-@pytest.mark.parametrize("exc,code", [(stalled(1), 1), (budget, 1),
+@pytest.mark.parametrize("exc,code", [(stalled(1), 1),
+                                      (convergence.TrackingError("injected tracking"), 1),
                                       (ValueError("injected bad target"), 2)])
 def test_a_helper_failure_exits_as_before(tmp_path, capsys, monkeypatch, exc, code):
     cfg = tmp_path / "study.cfg"
@@ -304,7 +310,8 @@ def test_gamma_zero_checks_the_translations(monkeypatch):
 def test_the_identities_hold_far_inside_the_tolerance():
     cfg = config(Domain.L_SHAPE, N)
     basis = build_basis(cfg.gamma)
-    solve, evaluate = convergence._stages(cfg, basis)
+    solve = partial(convergence._solve_stage, cfg)
+    evaluate = partial(convergence._evaluate_stage, cfg, basis)
     for level in (1, 5):
         lv = evaluate(solve(convergence._Level("reference", level)))
         named = dict(zip((f.name for f in basis.fields), lv.volume))

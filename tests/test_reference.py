@@ -3,9 +3,9 @@ import pytest
 import scipy.special
 from scipy.special import roots_legendre
 
-from eigshape import convergence, mesh
+from eigshape import mesh
 from eigshape import reference as refmod
-from eigshape.convergence import ReferenceBudgetError, StudyConfig, reference_derivatives_for
+from eigshape.convergence import StudyConfig, run_levels
 from eigshape.fem import BoundaryCondition
 from eigshape.mesh import Domain
 from eigshape.reference import (UnsupportedDomainError, bessel_j0,
@@ -186,7 +186,7 @@ def _finemesh_config(max_level, reference_level):
 def test_finemesh_square_cross_check_against_analytic():
     basis = build_basis(3)
     ana = continuous_derivatives(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, basis)
-    fm = reference_derivatives_for(_finemesh_config(6, 8), basis)
+    fm = run_levels(_finemesh_config(6, 8))[1]  # gamma 3, as basis
     assert np.abs(fm.values - ana.values).max() <= 5e-5
 
 
@@ -205,7 +205,7 @@ def test_finemesh_reference_meets_the_identity_to_roundoff():
     basis = build_basis(1)
     cfg = StudyConfig(Domain.L_SHAPE, BoundaryCondition.DIRICHLET, 1, 3, gamma=1,
                       reference_level=5)
-    ref = reference_derivatives_for(cfg, basis)
+    ref = run_levels(cfg)[1]
     names = [f.name for f in basis.fields]
     v_id = ref.values[names.index("mono:1,0,0")] + ref.values[names.index("mono:0,1,1")]
     assert abs(v_id + 2.0 * ref.lam) <= 1e-12 * ref.lam
@@ -214,27 +214,23 @@ def test_finemesh_reference_meets_the_identity_to_roundoff():
 def test_finemesh_budget_error(monkeypatch):
     # the study's max_level 5 (4225 vertices) fits; reference level 7 (66049) does not
     monkeypatch.setattr(mesh, "VERTEX_BUDGET", 5000)
-    with pytest.raises(ReferenceBudgetError):
-        reference_derivatives_for(_finemesh_config(5, 7), build_basis(1))
+    with pytest.raises(ValueError, match="level 7 has 66049 vertices, over the budget of 5000"):
+        _finemesh_config(5, 7)
 
 
 def test_finemesh_budget_is_checked_before_any_solve(monkeypatch):
     solved = record_pair_counts(monkeypatch)
     # levels 5 and 6 fit in the budget; level 7 (66049 vertices) does not
     monkeypatch.setattr(mesh, "VERTEX_BUDGET", 20000)
-    with pytest.raises(ReferenceBudgetError, match="level 7 has 66049 vertices"):
-        reference_derivatives_for(_finemesh_config(5, 7), build_basis(1))
+    with pytest.raises(ValueError, match="level 7 has 66049 vertices"):
+        _finemesh_config(5, 7)
     assert solved == []
 
 
-def test_finemesh_budget_is_checked_before_any_mesh(monkeypatch):
+def test_finemesh_budget_is_checked_before_any_mesh(no_mesh):
     # square level 12 has 8193^2 vertices, several GB as a mesh: never build it
-    def no_mesh(domain, level):
-        raise AssertionError(f"generate({domain}, {level}) called")
-
-    monkeypatch.setattr(convergence, "generate", no_mesh)
-    with pytest.raises(ReferenceBudgetError, match="level 12 has 67125249 vertices"):
-        reference_derivatives_for(_finemesh_config(5, 12), build_basis(1))
+    with pytest.raises(ValueError, match="level 12 has 67125249 vertices"):
+        _finemesh_config(5, 12)
 
 
 def test_golden_values_content():

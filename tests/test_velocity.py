@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigshape import quadrature
-from eigshape.mesh import Domain, Mesh, generate, signed_areas
+from eigshape.mesh import Domain, Mesh, generate
 from eigshape.quadrature import physical_points
 from eigshape.velocity import (FactorizationError, Gramian, VelocityBasis, VelocityField,
                                _factorize, build_basis, constant_field, dual_norm,
                                gramian, identity_field, monomial_field, rotation_field)
 
-from conftest import field_divergence, field_jacobian, field_value
+from conftest import field_divergence, field_jacobian, field_value, signed_areas
 
 _CHUNK = 200_000  # quadrature points per oracle evaluation chunk
 
