@@ -9,15 +9,17 @@ continuous Eulerian derivatives coincide. A fine-mesh reference solves the
 same target eigenpair as the study levels, through the same level solve, and
 Richardson-extrapolates its three finest levels.
 
-Each study or reference level is an independent job of two stages, the
-solve and the evaluation (volume form, identity guard, and at a study level
-the boundary form and Gramian), which fill one record per level (_Level).
-The finest level runs on the calling thread; one helper thread runs the other
-levels' solves, largest level first, then their evaluations, then takes
-blocks of the finest volume form (_run_jobs). With one CPU every level runs
-in order on the calling thread. Each evaluation checks the volume-form values
-against exact identities, and on the nested square and L-shape meshes
-lambda_h must not rise from level to level.
+Each study or reference level is an independent job of three stages, the
+solve, the evaluation (volume form, identity guard, and at a study level the
+boundary form) and the mesh stage (a study level's h and Gramian), which
+fill one record per level (_Level). The finest level runs on the calling
+thread. One helper thread builds the analytic reference, then runs the other
+levels' solves, largest level first, then the finest study level's mesh-only
+work (its match_exact interpolant, h and Gramian), then the other levels'
+evaluations, then takes blocks of the finest volume form (_run_jobs). With
+one CPU every level runs in order on the calling thread. Each evaluation
+checks the volume-form values against exact identities, and on the nested
+square and L-shape meshes lambda_h must not rise from level to level.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import io
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -57,6 +60,7 @@ _FIT_WINDOW = 4  # rates are fitted over this many finest levels
 _IDENTITY_TOL = 1e-10  # relative to lam_h; the identities hold to about 1e-15
 _TRANSLATIONS = ("mono:0,0,0", "mono:0,0,1")
 _IDENTITY_PARTS = ("mono:1,0,0", "mono:0,1,1")  # (x, 0) + (0, y), the identity field
+_BATCH = 8192  # vertices per call of the exact eigenfunction
 
 
 @dataclass(frozen=True)
@@ -113,11 +117,13 @@ class StudyResult:
 
 @dataclass(eq=False)
 class _Level:
-    """One study or fine-mesh reference level, filled in by its two stages.
+    """One study or fine-mesh reference level, filled in by its stages.
 
     The solve sets the mesh (a reference level builds its own), space, pair
     and lams; the evaluation sets the volume-form values, and at a study level
-    h, the boundary-form values and the Gramian.
+    the boundary-form values; the mesh stage sets a study level's h and
+    Gramian. `exact_nodal`, when set, returns the match_exact interpolant
+    built ahead on the helper thread.
     """
     role: str  # "study" or "reference"
     level: int
@@ -129,27 +135,41 @@ class _Level:
     h: float | None = None
     boundary: np.ndarray | None = None
     K: Gramian | None = None
+    exact_nodal: Callable[[], np.ndarray] | None = None
 
     @property
     def lam(self) -> float:
         return self.pair.lam
 
 
-def _solve_level(mesh: Mesh, bc: BoundaryCondition,
-                 target: Target) -> tuple[FemSpace, EigenPair, np.ndarray]:
+def _exact_nodal(mesh: Mesh, bc: BoundaryCondition) -> np.ndarray:
+    """The exact eigenfunction's interpolant on the free dofs, by which a
+    match_exact target is picked, evaluated _BATCH vertices at a time (a
+    point's value does not depend on its batch): in one call at disk level 7,
+    the Bessel rule's two (vertices, 64) temporaries, next to the finest
+    solve, raised the disk Neumann study's peak RSS from 237 to 260-283 MB."""
+    value = refmod.exact_eigenpair(mesh.domain, bc).value
+    return FemSpace(mesh, bc).interpolate(lambda p: np.concatenate(
+        [value(p[:, i:i + _BATCH]) for i in range(0, p.shape[1], _BATCH)]))
+
+
+def _solve_level(mesh: Mesh, bc: BoundaryCondition, target: Target,
+                 exact_nodal: Callable[[], np.ndarray] | None = None
+                 ) -> tuple[FemSpace, EigenPair, np.ndarray]:
     """Target pair and nonzero eigenvalues on one mesh: study levels, reference
-    levels and `eigshape gradient` alike."""
+    levels and `eigshape gradient` alike. A match_exact target reads its
+    interpolant at the pick, from `exact_nodal()` when it is built elsewhere
+    (the study runner's helper thread), else built here."""
     space = FemSpace(mesh, bc)
-    exact_nodal = None
-    if target.kind is TargetKind.MATCH_EXACT:
-        exact_nodal = space.interpolate(refmod.exact_eigenpair(mesh.domain, bc).value)
+    if target.kind is TargetKind.MATCH_EXACT and exact_nodal is None:
+        exact_nodal = partial(_exact_nodal, mesh, bc)
     return (space, *solve_target(*assemble_pencil(space), bc, target, exact_nodal=exact_nodal))
 
 
 def _solve_stage(cfg: StudyConfig, lv: _Level) -> _Level:
     if lv.mesh is None:
         lv.mesh = generate(cfg.domain, lv.level)
-    lv.space, lv.pair, lv.lams = _solve_level(lv.mesh, cfg.bc, cfg.target)
+    lv.space, lv.pair, lv.lams = _solve_level(lv.mesh, cfg.bc, cfg.target, lv.exact_nodal)
     return lv
 
 
@@ -157,8 +177,8 @@ def _evaluate_stage(cfg: StudyConfig, basis: VelocityBasis, lv: _Level,
                     helper: Executor | None = None) -> _Level:
     """The level's volume-form values, checked against identities that hold on
     every mesh for an M-normalised u_h: vol(x, 0) + vol(0, y) = -2 lam_h
-    (gamma >= 1) and vol(translation) = 0; at a study level also h, the
-    boundary-form values and the Gramian. `helper` shares the volume form."""
+    (gamma >= 1) and vol(translation) = 0; at a study level also the
+    boundary-form values. `helper` shares the volume form."""
     lv.volume = shapegrad.volume_gradients(lv.space, lv.pair, basis.fields, helper)
     named = dict(zip((f.name for f in basis.fields), lv.volume))
     misses = {f"translation {name}": abs(named[name]) for name in _TRANSLATIONS}
@@ -173,9 +193,14 @@ def _evaluate_stage(cfg: StudyConfig, basis: VelocityBasis, lv: _Level,
             f"{_IDENTITY_TOL:g}); the assembly, the quadrature or the normalisation of u_h "
             "is wrong")
     if lv.role == "study":
-        lv.h = mesh_size(lv.mesh)
         lv.boundary = shapegrad.boundary_gradients(lv.space, lv.pair, basis.fields)
-        lv.K = gramian(basis, lv.mesh)
+    return lv
+
+
+def _mesh_stage(basis: VelocityBasis, lv: _Level) -> _Level:
+    """A study level's values that need only its mesh: h and the Gramian."""
+    if lv.role == "study":
+        lv.h, lv.K = mesh_size(lv.mesh), gramian(basis, lv.mesh)
     return lv
 
 
@@ -212,57 +237,83 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_jobs(levels: list[_Level], solve, evaluate) -> list[_Level]:
-    """Every level solved, then evaluated, with the serial loop's results bit
-    for bit; returns levels.
+def _start(helper: Executor | None, fn, *args) -> Future:
+    """fn(*args) queued on the helper, or run at once when there is none."""
+    if helper is not None:
+        return helper.submit(fn, *args)
+    done = Future()
+    done.set_result(fn(*args))
+    return done
+
+
+def _run_jobs(cfg: StudyConfig, basis: VelocityBasis, levels: list[_Level],
+              helper: Executor | None, reference: Future | None = None) -> list[_Level]:
+    """Every level solved, evaluated and measured, with the serial loop's
+    results bit for bit; returns levels. `reference` is the analytic reference,
+    which comes before every level.
 
     The largest level, the finest, runs on the calling thread; no other level
-    has its level number. One helper thread runs every other level's solve,
-    largest level first (ties in list order), then every evaluation in list
-    order. So the largest coarse eigensolve, whose ARPACK loop holds the GIL,
-    overlaps the finest level's assembly and not its factorization, which is
-    not GIL-free in practice: at L-shape level 5 on 2 vCPUs, splu(A.T) took
-    19.4 ms alone, 19.5-19.7 ms next to a numpy stream, 28.0-29.1 ms next to a
-    thread looping level-4 eigensolves and 32-51 ms next to a pure-Python
-    loop. The helper's volume forms overlap the finest eigensolve (a helper
-    running small eigensolves slowed it by 47-76%, a helper running a volume
-    form by 8%). Once free, the helper takes blocks of the finest volume form
-    (quadrature.moments), so the calling thread never waits on its queue. Each
+    has its level number. One helper thread runs, after the analytic
+    reference that run_levels queues on it first: every other level's solve,
+    largest level first (ties in list order); the finest study level's
+    mesh-only work, its match_exact interpolant (read by the finest solve at
+    the target pick) and then its h and Gramian (read at the end of its
+    evaluation); every other evaluation in list order; and then blocks of the
+    finest volume form (quadrature.moments), so the calling thread never
+    waits on its queue. At disk Neumann levels 3-5 on 2 vCPUs (median of 60
+    calls, about 100 ms each), the helper's level-4 solve ran from 4.5 to
+    29.9 ms, next to the finest assembly (3.3-10.7 ms) and factorization
+    (11.3-33.0 ms; splu is not GIL-free in practice: at L-shape level 5 it
+    took 19.4 ms alone and 28.0-29.1 ms next to a thread looping level-4
+    eigensolves). Its level-3 solve, the finest mesh-only work and the
+    coarse evaluations ran from 30.1 to 62.9 ms, next to the finest
+    eigensolve (33.0-84.7 ms). A helper running small eigensolves slowed that
+    eigensolve by 47-76%, one running a volume form by 8%. So the mesh-only
+    work goes after the coarse solves: ahead of them, it pushed the level-4
+    eigensolve into the finest one, and the benchmark gained no more. Each
     stage is single-threaded work on inputs of its own, and a volume-form
-    block's tables do not depend on the thread, so every result is the serial
-    one.
+    block's tables do not depend on the thread, so every result is the
+    serial one.
 
-    The first failure in list order is raised, after the helper's queued work
-    is cancelled and its running stage has finished. Every queued solve runs
+    The first failure in the serial order, the analytic reference and then
+    list order, is raised after the helper's queued work is cancelled and its
+    running task has finished. Within a level that order is solve, identity
+    guard, Gramian: the finest level reads its interpolant inside its solve
+    and its h and Gramian after its evaluation. Every queued solve runs
     whatever failed before it, and an evaluation carries its solve's failure
     and runs whenever its own solve succeeded, so a level's failure is found
     even when a larger or later level's solve failed first. A failure on the
-    helper is raised only after the finest level has run to its end, so later
-    than in a serial loop.
+    helper, the analytic reference's included, is raised only after the
+    finest level has run to its end, so later than in a serial loop.
 
     The finest level stays on the calling thread: on 2 vCPUs, every job on a
     two-worker pool raised peak RSS from 97-99 to 103 MB (L-shape study) and
     86 to 90 MB (disk study), and the disk study's wall_per_calib from 29.1-29.5
     to 30.6-31.0, most likely through glibc's per-thread heaps. With one CPU
-    nothing can overlap, and a helper would only keep a second level's arrays
-    alive, so the levels run in order on the calling thread."""
-    if _cpus() == 1:
-        return [evaluate(solve(lv)) for lv in levels]
-    helper = ThreadPoolExecutor(max_workers=1)
+    (no helper) nothing can overlap, and a helper would only keep a second
+    level's arrays alive, so the levels run in order on the calling thread."""
+    solve, evaluate = partial(_solve_stage, cfg), partial(_evaluate_stage, cfg, basis)
+    measure = partial(_mesh_stage, basis)
+    if helper is None:
+        return [measure(evaluate(solve(lv))) for lv in levels]
+    inline, *others = sorted(range(len(levels)), key=lambda k: -levels[k].level)
+    finest = levels[inline]
+    solved = {k: helper.submit(solve, levels[k]) for k in others}
+    if finest.role == "study" and cfg.target.kind is TargetKind.MATCH_EXACT:
+        finest.exact_nodal = helper.submit(_exact_nodal, finest.mesh, cfg.bc).result
+    measured = helper.submit(measure, finest)
+    outcomes = {k: helper.submit(lambda f: measure(evaluate(f.result())), solved[k])
+                for k in sorted(solved)}
+    # set_result/set_exception are the executor-side API, used here for the inline level
+    outcomes[inline] = Future()
     try:
-        inline, *others = sorted(range(len(levels)), key=lambda k: -levels[k].level)
-        solved = {k: helper.submit(solve, levels[k]) for k in others}
-        outcomes = {k: helper.submit(lambda f: evaluate(f.result()), solved[k])
-                    for k in sorted(solved)}
-        # set_result/set_exception are the executor-side API, used here for the inline level
-        outcomes[inline] = Future()
-        try:
-            outcomes[inline].set_result(evaluate(solve(levels[inline]), helper))
-        except Exception as exc:  # raised below, in list order
-            outcomes[inline].set_exception(exc)
-        return [outcomes[k].result() for k in range(len(levels))]
-    finally:
-        helper.shutdown(cancel_futures=True)
+        evaluate(solve(finest), helper)
+        outcomes[inline].set_result(measured.result())
+    except Exception as exc:  # raised below, in the serial order
+        outcomes[inline].set_exception(exc)
+    if reference is not None:
+        reference.result()
+    return [outcomes[k].result() for k in range(len(levels))]
 
 
 def reference_derivatives_for(cfg: StudyConfig, basis) -> refmod.ReferenceDerivatives:
@@ -275,21 +326,26 @@ def run_levels(cfg: StudyConfig) -> tuple[list[StudyRecord], refmod.ReferenceDer
     threads (see _run_jobs); records and reference as a serial loop gives them."""
     basis = build_basis(cfg.gamma)
     fine_mesh = cfg.reference_level is not None
-    # an analytic reference comes first, as in the serial order; a fine-mesh
-    # reference's three levels, coarsest first, run next to the study's
-    ref = None if fine_mesh else reference_derivatives_for(cfg, basis)
-    levels = ([_Level("reference", lv)
-               for lv in range(cfg.reference_level - 2, cfg.reference_level + 1)]
-              if fine_mesh else [])
-    n_ref = len(levels)
-    mesh = generate(cfg.domain, cfg.min_level)
-    for level in range(cfg.min_level, cfg.max_level + 1):
-        if level > cfg.min_level:
-            mesh = refine(mesh)
-        levels.append(_Level("study", level, mesh))
-    _run_jobs(levels, partial(_solve_stage, cfg), partial(_evaluate_stage, cfg, basis))
-    if fine_mesh:
-        ref = extrapolated_reference(levels[:n_ref])
+    helper = ThreadPoolExecutor(max_workers=1) if _cpus() > 1 else None
+    try:
+        # an analytic reference comes first, as in the serial order, and the
+        # helper builds it while the meshes are built here; a fine-mesh
+        # reference's three levels, coarsest first, run next to the study's
+        ref = None if fine_mesh else _start(helper, reference_derivatives_for, cfg, basis)
+        levels = ([_Level("reference", lv)
+                   for lv in range(cfg.reference_level - 2, cfg.reference_level + 1)]
+                  if fine_mesh else [])
+        n_ref = len(levels)
+        mesh = generate(cfg.domain, cfg.min_level)
+        for level in range(cfg.min_level, cfg.max_level + 1):
+            if level > cfg.min_level:
+                mesh = refine(mesh)
+            levels.append(_Level("study", level, mesh))
+        _run_jobs(cfg, basis, levels, helper, ref)
+    finally:
+        if helper is not None:
+            helper.shutdown(cancel_futures=True)
+    ref = extrapolated_reference(levels[:n_ref]) if fine_mesh else ref.result()
     study = levels[n_ref:]
     records = [StudyRecord(level=s.level, h=s.h, dof=s.space.dof_count, lambda_h=s.lam,
                            E_volume=dual_norm(ref.values - s.volume, s.K),

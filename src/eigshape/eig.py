@@ -9,6 +9,7 @@ ordering but flagged so downstream target selection can skip it.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -192,11 +193,14 @@ def cluster(pairs: list[EigenPair], M, rel_gap: float) -> list[EigenCluster]:
 
 
 def pick_target(pairs: list[EigenPair], A, M, target: Target,
-                exact_nodal: np.ndarray | None = None) -> EigenPair:
+                exact_nodal: np.ndarray | Callable[[], np.ndarray] | None = None) -> EigenPair:
     """Select the study eigenpair, skipping flagged zero modes.
 
-    A cluster member is a re-orthonormalised combination of the computed
-    pairs, so its residual is measured afresh against the pencil (A, M).
+    A match_exact target is picked by `exact_nodal`, the exact eigenfunction's
+    interpolant, or by a function that returns it, called only here, so that
+    it can be built while the pencil is solved. A cluster member is a
+    re-orthonormalised combination of the computed pairs, so its residual is
+    measured afresh against the pencil (A, M).
     """
     live = [p for p in pairs if not p.zero_mode]
     if not live:
@@ -206,7 +210,7 @@ def pick_target(pairs: list[EigenPair], A, M, target: Target,
     if target.kind is TargetKind.MATCH_EXACT:
         if exact_nodal is None:
             raise ValueError("match_exact target needs the exact nodal interpolant")
-        m_exact = M @ exact_nodal
+        m_exact = M @ (exact_nodal() if callable(exact_nodal) else exact_nodal)
         scores = [abs(float(p.coeffs @ m_exact)) for p in live]
         return live[int(np.argmax(scores))]
     clusters = cluster(live, M, target.rel_gap)
@@ -224,7 +228,8 @@ def pick_target(pairs: list[EigenPair], A, M, target: Target,
 
 
 def solve_target(A, M, bc: BoundaryCondition, target: Target,
-                 exact_nodal: np.ndarray | None = None) -> tuple[EigenPair, np.ndarray]:
+                 exact_nodal: np.ndarray | Callable[[], np.ndarray] | None = None
+                 ) -> tuple[EigenPair, np.ndarray]:
     """Solve as many of the lowest pairs as the target needs, then pick it;
     returns the pair and the computed nonzero eigenvalues, ascending.
 

@@ -135,7 +135,7 @@ def test_match_exact_on_lshape_is_rejected_before_any_solve(tmp_path, capsys, mo
 @pytest.mark.parametrize("min_level,max_level,extra,message", [
     ("5", "6", "", "at least 3 levels"),
     ("4", "3", "", "at least 3 levels"),
-    # a fine-mesh reference is solved before the first study level is meshed
+    # with a fine-mesh reference too, the config check comes before any mesh is built
     ("-1", "3", "reference = finemesh:5\n", "min_level must be >= 0"),
 ], ids=["too_few", "min_above_max", "negative_min"])
 def test_too_few_levels_is_rejected_before_any_solve(tmp_path, capsys, monkeypatch,

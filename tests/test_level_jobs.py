@@ -75,7 +75,9 @@ CASES += [config(d, bc) for d in Domain for bc in (D, N)]
 
 @pytest.mark.parametrize("cfg", CASES, ids=lambda c: f"{c.domain.value}-{c.bc.value}-"
                          f"{'analytic' if c.reference_level is None else 'finemesh'}")
-def test_run_levels_equals_the_serial_loop(cfg):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_run_levels_equals_the_serial_loop(monkeypatch, cfg, cpus):
+    monkeypatch.setattr(convergence, "_cpus", lambda: cpus)
     threads = threading.active_count()
     records, ref = run_levels(cfg)
     want_records, want_ref = serial_run_levels(cfg)
@@ -89,9 +91,9 @@ def test_one_cpu_runs_every_level_on_the_calling_thread(monkeypatch, cpus):
     monkeypatch.setattr(convergence, "_cpus", lambda: cpus)
     solve, threads = convergence._solve_level, {}
 
-    def recording(mesh, bc, target):
+    def recording(mesh, bc, target, *ahead):
         threads[mesh.num_vertices] = threading.current_thread() is threading.main_thread()
-        return solve(mesh, bc, target)
+        return solve(mesh, bc, target, *ahead)
 
     monkeypatch.setattr(convergence, "_solve_level", recording)
     cfg = config(Domain.UNIT_SQUARE, D)
@@ -108,8 +110,8 @@ def test_one_cpu_runs_every_level_on_the_calling_thread(monkeypatch, cpus):
     (5, [("reference", 4), ("reference", 3), ("study", 3), ("study", 2), ("study", 1)]),
 ], ids=["analytic", "finemesh"])
 def test_the_helper_solves_the_largest_level_first(monkeypatch, reference_level, helper_order):
-    # so the largest coarse eigensolve overlaps the finest level's assembly,
-    # not its factorization
+    # so the largest coarse eigensolve starts as early as the finest level's
+    # mesh-only work allows
     stage, order = convergence._solve_stage, []
 
     def recording(cfg, lv):
@@ -130,10 +132,10 @@ def fail_at(monkeypatch, domain, failures):
     solve = convergence._solve_level
     by_vertices = {vertex_count(domain, lv): exc for lv, exc in failures.items()}
 
-    def failing(mesh, bc, target):
+    def failing(mesh, bc, target, *ahead):
         if mesh.num_vertices in by_vertices:
             raise by_vertices[mesh.num_vertices]
-        return solve(mesh, bc, target)
+        return solve(mesh, bc, target, *ahead)
 
     monkeypatch.setattr(convergence, "_solve_level", failing)
 
@@ -179,6 +181,71 @@ def test_a_failure_is_raised_in_serial_order(monkeypatch, reference_level, failu
     with pytest.raises(raised) as serial:
         serial_run_levels(cfg)
     assert str(threaded.value) == str(serial.value)
+
+
+def fail_gramian_at(monkeypatch, domain, level):
+    """Make the Gramian raise on the mesh of that study level."""
+    K, triangles = convergence.gramian, generate(domain, level).num_triangles
+
+    def failing(basis, mesh):
+        if mesh.num_triangles == triangles:
+            raise InjectedError(f"injected Gramian failure at level {level}")
+        return K(basis, mesh)
+
+    monkeypatch.setattr(convergence, "gramian", failing)
+    monkeypatch.setitem(globals(), "gramian", failing)  # the serial oracle's
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("cfg", [config(Domain.UNIT_SQUARE, D, None),
+                                 config(Domain.UNIT_DISK, N, None, Target.match_exact())],
+                         ids=["square-first", "disk-match_exact"])
+def test_a_finest_solve_failure_comes_before_its_gramian_failure(monkeypatch, cfg, cpus):
+    # on two CPUs the helper builds the finest Gramian while the finest level solves
+    monkeypatch.setattr(convergence, "_cpus", lambda: cpus)
+    fail_at(monkeypatch, cfg.domain, {3: stalled(3)})
+    fail_gramian_at(monkeypatch, cfg.domain, 3)
+    threads = threading.active_count()
+    with pytest.raises(NonConvergenceError) as threaded:
+        run_levels(cfg)
+    assert threading.active_count() == threads
+    with pytest.raises(NonConvergenceError) as serial:
+        serial_run_levels(cfg)
+    assert str(threaded.value) == str(serial.value)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_finest_identity_failure_comes_before_its_gramian_failure(monkeypatch, cpus):
+    monkeypatch.setattr(convergence, "_cpus", lambda: cpus)
+    cfg = config(Domain.UNIT_SQUARE, D, None)
+    scale_u_h(monkeypatch, cfg.domain, 3)
+    fail_gramian_at(monkeypatch, cfg.domain, 3)
+    threads = threading.active_count()
+    with pytest.raises(IdentityError, match="^study level 3: .* identity field"):
+        run_levels(cfg)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("failures", [{}, {3: stalled(3)}, {1: stalled(1), 3: injected}],
+                         ids=["no_level", "finest", "coarse_and_finest"])
+def test_an_analytic_reference_failure_comes_before_any_level_failure(monkeypatch, failures,
+                                                                      cpus):
+    monkeypatch.setattr(convergence, "_cpus", lambda: cpus)
+    cfg = config(Domain.UNIT_DISK, N, None, Target.match_exact())
+    fail_at(monkeypatch, cfg.domain, failures)
+
+    def failing(*args):
+        raise InjectedError("injected analytic reference failure")
+
+    monkeypatch.setattr(refmod, "continuous_derivatives", failing)
+    threads = threading.active_count()
+    with pytest.raises(InjectedError) as threaded:
+        run_levels(cfg)
+    assert threading.active_count() == threads
+    with pytest.raises(InjectedError) as serial:
+        serial_run_levels(cfg)
+    assert str(threaded.value) == str(serial.value) == "injected analytic reference failure"
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -243,6 +310,37 @@ def test_the_finest_volume_form_runs_on_both_threads_only_with_two_cpus(monkeypa
     assert records == serial_run_levels(cfg)[0]
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_finest_mesh_only_work_runs_on_the_helper_only_with_two_cpus(monkeypatch, cpus):
+    """The finest study level's interpolant, h and Gramian, and the analytic
+    reference, go to the helper ahead of the coarse solves."""
+    monkeypatch.setattr(convergence, "_cpus", lambda: cpus)
+    cfg = config(Domain.UNIT_DISK, N, None, Target.match_exact())
+    finest = generate(cfg.domain, cfg.max_level).num_triangles
+    caller, threads = threading.current_thread(), {}
+
+    def recorded(name, fn, mesh_of=lambda *args: None):
+        def wrapped(*args):
+            mesh = mesh_of(*args)
+            if mesh is None or mesh.num_triangles == finest:
+                threads.setdefault(name, set()).add(threading.current_thread() is caller)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(convergence.FemSpace, "interpolate", recorded(
+        "interpolant", convergence.FemSpace.interpolate, lambda space, f: space.mesh))
+    monkeypatch.setattr(convergence, "gramian", recorded(
+        "gramian", convergence.gramian, lambda basis, mesh: mesh))
+    monkeypatch.setattr(convergence, "mesh_size", recorded(
+        "mesh_size", convergence.mesh_size, lambda mesh: mesh))
+    monkeypatch.setattr(convergence, "reference_derivatives_for", recorded(
+        "reference", convergence.reference_derivatives_for))
+    records, _ = run_levels(cfg)
+    assert threads == {name: {cpus == 1}
+                       for name in ("interpolant", "gramian", "mesh_size", "reference")}
+    assert records == serial_run_levels(cfg)[0]
+
+
 @pytest.mark.parametrize("exc,code", [(stalled(1), 1),
                                       (convergence.TrackingError("injected tracking"), 1),
                                       (ValueError("injected bad target"), 2)])
@@ -265,8 +363,8 @@ def scale_u_h(monkeypatch, domain, level, factor=1.01):
     mesh when level is None."""
     solve = convergence._solve_level
 
-    def scaled(mesh, bc, target):
-        space, pair, lams = solve(mesh, bc, target)
+    def scaled(mesh, bc, target, *ahead):
+        space, pair, lams = solve(mesh, bc, target, *ahead)
         if level is None or mesh.num_vertices == vertex_count(domain, level):
             pair = replace(pair, coeffs=factor * pair.coeffs)
         return space, pair, lams
