@@ -9,8 +9,9 @@ prints one Markdown table row: whether the CSV and SVG are byte-identical,
 the largest relative deviation of lambda_h, E_volume and E_boundary, and the
 absolute deviation of the two fitted slopes. It exits 1 when a deviation is
 beyond the project's tolerances (1e-12 relative; slopes equal to 3
-decimals, |delta| < 5e-4), when the rows (level, dof) differ or when a config
-is in one directory only; 2 when BASE_DIR holds no CSV.
+decimals, |delta| < 5e-4), when the rows (level, dof) differ, when a config
+is in one directory only or when a CSV cannot be read (say, it has no rates
+footer); 2 when BASE_DIR holds no CSV.
 """
 
 from __future__ import annotations
@@ -61,8 +62,16 @@ def compare(base: Path, new: Path) -> tuple[list[str], bool]:
         same = all((base / f"{stem}{ext}").exists() and (new / f"{stem}{ext}").exists()
                    and (base / f"{stem}{ext}").read_bytes() == (new / f"{stem}{ext}").read_bytes()
                    for ext in (".csv", ".svg"))
-        brows, bslopes = read_csv(b)
-        nrows, nslopes = read_csv(n)
+        try:
+            where = "base"
+            brows, bslopes = read_csv(b)
+            where = "new"
+            nrows, nslopes = read_csv(n)
+        except ValueError:
+            table.append(f"| {stem} | {'identical' if same else 'differ'} "
+                         f"| | | | | | unreadable in {where} |")
+            ok = False
+            continue
         if ([(r["level"], r["dof"]) for r in brows] != [(r["level"], r["dof"]) for r in nrows]
                 or bslopes.keys() != nslopes.keys()):
             table.append(f"| {stem} | {'identical' if same else 'differ'} "

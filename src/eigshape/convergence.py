@@ -13,13 +13,12 @@ Each study or reference level is an independent job of three stages, the
 solve, the evaluation (volume form, identity guard, and at a study level the
 boundary form) and the mesh stage (a study level's h and Gramian), which
 fill one record per level (_Level). The finest level runs on the calling
-thread. One helper thread builds the analytic reference, then runs the other
-levels' solves, largest level first, then the finest study level's mesh-only
-work (its match_exact interpolant, h and Gramian), then the other levels'
-evaluations, then takes blocks of the finest volume form (_run_jobs). With
-one CPU every level runs in order on the calling thread. Each evaluation
-checks the volume-form values against exact identities, and on the nested
-square and L-shape meshes lambda_h must not rise from level to level.
+thread, and every other task goes to one executor: a helper thread with two
+or more CPUs, else _Inline, which runs each task on the calling thread as it
+is queued. The plan and its measured timeline are in _run_jobs. Each
+evaluation checks the volume-form values against exact identities, and on
+the nested square and L-shape meshes lambda_h must not rise from level to
+level.
 """
 
 from __future__ import annotations
@@ -122,9 +121,7 @@ class _Level:
     The solve sets the mesh (a reference level builds its own), space, pair
     and lams; the evaluation sets the volume-form values, and at a study level
     the boundary-form values; the mesh stage sets a study level's h and
-    Gramian. `exact_nodal`, when set, returns the match_exact interpolant
-    built ahead on the helper thread.
-    """
+    Gramian."""
     role: str  # "study" or "reference"
     level: int
     mesh: Mesh | None = None
@@ -135,7 +132,6 @@ class _Level:
     h: float | None = None
     boundary: np.ndarray | None = None
     K: Gramian | None = None
-    exact_nodal: Callable[[], np.ndarray] | None = None
 
     @property
     def lam(self) -> float:
@@ -159,17 +155,18 @@ def _solve_level(mesh: Mesh, bc: BoundaryCondition, target: Target,
     """Target pair and nonzero eigenvalues on one mesh: study levels, reference
     levels and `eigshape gradient` alike. A match_exact target reads its
     interpolant at the pick, from `exact_nodal()` when it is built elsewhere
-    (the study runner's helper thread), else built here."""
+    (on the study runner's executor), else built here."""
     space = FemSpace(mesh, bc)
     if target.kind is TargetKind.MATCH_EXACT and exact_nodal is None:
         exact_nodal = partial(_exact_nodal, mesh, bc)
     return (space, *solve_target(*assemble_pencil(space), bc, target, exact_nodal=exact_nodal))
 
 
-def _solve_stage(cfg: StudyConfig, lv: _Level) -> _Level:
+def _solve_stage(cfg: StudyConfig, lv: _Level,
+                 exact_nodal: Callable[[], np.ndarray] | None = None) -> _Level:
     if lv.mesh is None:
         lv.mesh = generate(cfg.domain, lv.level)
-    lv.space, lv.pair, lv.lams = _solve_level(lv.mesh, cfg.bc, cfg.target, lv.exact_nodal)
+    lv.space, lv.pair, lv.lams = _solve_level(lv.mesh, cfg.bc, cfg.target, exact_nodal)
     return lv
 
 
@@ -237,32 +234,41 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _start(helper: Executor | None, fn, *args) -> Future:
-    """fn(*args) queued on the helper, or run at once when there is none."""
-    if helper is not None:
-        return helper.submit(fn, *args)
-    done = Future()
-    done.set_result(fn(*args))
-    return done
+class _Inline(Executor):
+    """An executor without a thread: each task runs when it is submitted, on
+    the calling thread, and its result or failure is kept in its Future."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        done = Future()
+        try:
+            done.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # raised where the Future is read
+            done.set_exception(exc)
+        return done
 
 
 def _run_jobs(cfg: StudyConfig, basis: VelocityBasis, levels: list[_Level],
-              helper: Executor | None, reference: Future | None = None) -> list[_Level]:
+              helper: Executor, reference: Future | None = None) -> list[_Level]:
     """Every level solved, evaluated and measured, with the serial loop's
     results bit for bit; returns levels. `reference` is the analytic reference,
     which comes before every level.
 
     The largest level, the finest, runs on the calling thread; no other level
-    has its level number. One helper thread runs, after the analytic
-    reference that run_levels queues on it first: every other level's solve,
-    largest level first (ties in list order); the finest study level's
-    mesh-only work, its match_exact interpolant (read by the finest solve at
-    the target pick) and then its h and Gramian (read at the end of its
-    evaluation); every other evaluation in list order; and then blocks of the
-    finest volume form (quadrature.moments), so the calling thread never
-    waits on its queue. At disk Neumann levels 3-5 on 2 vCPUs (median of 60
-    calls, about 100 ms each), the helper's level-4 solve ran from 4.5 to
-    29.9 ms, next to the finest assembly (3.3-10.7 ms) and factorization
+    has its level number. `helper` runs, after the analytic reference that
+    run_levels queues on it first: every other level's solve, largest level
+    first (ties in list order); the finest study level's mesh-only work, its
+    match_exact interpolant (read by the finest solve at the target pick) and
+    then its h and Gramian (read at the end of its evaluation); every other
+    evaluation in list order; and then blocks of the finest volume form
+    (quadrature.moments). With one CPU `helper` is _Inline, so that queue runs
+    in that order on the calling thread before the finest solve and
+    evaluation, and nothing overlaps. With two or more it is one helper
+    thread, and the calling thread never waits on its queue.
+
+    At disk Neumann levels 3-5 on 2 vCPUs (median of 60 calls, about 100 ms
+    each), the calling thread built the meshes while the helper built the
+    reference (to 4.2 ms). The helper's level-4 solve ran from 4.5 to 29.9
+    ms, next to the finest assembly (3.3-10.7 ms) and factorization
     (11.3-33.0 ms; splu is not GIL-free in practice: at L-shape level 5 it
     took 19.4 ms alone and 28.0-29.1 ms next to a thread looping level-4
     eigensolves). Its level-3 solve, the finest mesh-only work and the
@@ -282,35 +288,26 @@ def _run_jobs(cfg: StudyConfig, basis: VelocityBasis, levels: list[_Level],
     and its h and Gramian after its evaluation. Every queued solve runs
     whatever failed before it, and an evaluation carries its solve's failure
     and runs whenever its own solve succeeded, so a level's failure is found
-    even when a larger or later level's solve failed first. A failure on the
-    helper, the analytic reference's included, is raised only after the
+    even when a larger or later level's solve failed first. A failure in the
+    queue, the analytic reference's included, is raised only after the
     finest level has run to its end, so later than in a serial loop.
 
     The finest level stays on the calling thread: on 2 vCPUs, every job on a
     two-worker pool raised peak RSS from 97-99 to 103 MB (L-shape study) and
     86 to 90 MB (disk study), and the disk study's wall_per_calib from 29.1-29.5
-    to 30.6-31.0, most likely through glibc's per-thread heaps. With one CPU
-    (no helper) nothing can overlap, and a helper would only keep a second
-    level's arrays alive, so the levels run in order on the calling thread."""
+    to 30.6-31.0, most likely through glibc's per-thread heaps."""
     solve, evaluate = partial(_solve_stage, cfg), partial(_evaluate_stage, cfg, basis)
     measure = partial(_mesh_stage, basis)
-    if helper is None:
-        return [measure(evaluate(solve(lv))) for lv in levels]
     inline, *others = sorted(range(len(levels)), key=lambda k: -levels[k].level)
-    finest = levels[inline]
+    finest, exact_nodal = levels[inline], None
     solved = {k: helper.submit(solve, levels[k]) for k in others}
     if finest.role == "study" and cfg.target.kind is TargetKind.MATCH_EXACT:
-        finest.exact_nodal = helper.submit(_exact_nodal, finest.mesh, cfg.bc).result
+        exact_nodal = helper.submit(_exact_nodal, finest.mesh, cfg.bc).result
     measured = helper.submit(measure, finest)
     outcomes = {k: helper.submit(lambda f: measure(evaluate(f.result())), solved[k])
                 for k in sorted(solved)}
-    # set_result/set_exception are the executor-side API, used here for the inline level
-    outcomes[inline] = Future()
-    try:
-        evaluate(solve(finest), helper)
-        outcomes[inline].set_result(measured.result())
-    except Exception as exc:  # raised below, in the serial order
-        outcomes[inline].set_exception(exc)
+    done = _Inline().submit(lambda: evaluate(solve(finest, exact_nodal), helper))
+    outcomes[inline] = measured if done.exception() is None else done
     if reference is not None:
         reference.result()
     return [outcomes[k].result() for k in range(len(levels))]
@@ -322,16 +319,16 @@ def reference_derivatives_for(cfg: StudyConfig, basis) -> refmod.ReferenceDeriva
 
 
 def run_levels(cfg: StudyConfig) -> tuple[list[StudyRecord], refmod.ReferenceDerivatives]:
-    """Every level of the study, fine-mesh reference levels first, on two
-    threads (see _run_jobs); records and reference as a serial loop gives them."""
+    """Every level of the study, fine-mesh reference levels first, by the plan
+    of _run_jobs; records and reference as a serial loop gives them."""
     basis = build_basis(cfg.gamma)
     fine_mesh = cfg.reference_level is not None
-    helper = ThreadPoolExecutor(max_workers=1) if _cpus() > 1 else None
+    helper = ThreadPoolExecutor(max_workers=1) if _cpus() > 1 else _Inline()
     try:
         # an analytic reference comes first, as in the serial order, and the
         # helper builds it while the meshes are built here; a fine-mesh
         # reference's three levels, coarsest first, run next to the study's
-        ref = None if fine_mesh else _start(helper, reference_derivatives_for, cfg, basis)
+        ref = None if fine_mesh else helper.submit(reference_derivatives_for, cfg, basis)
         levels = ([_Level("reference", lv)
                    for lv in range(cfg.reference_level - 2, cfg.reference_level + 1)]
                   if fine_mesh else [])
@@ -343,8 +340,7 @@ def run_levels(cfg: StudyConfig) -> tuple[list[StudyRecord], refmod.ReferenceDer
             levels.append(_Level("study", level, mesh))
         _run_jobs(cfg, basis, levels, helper, ref)
     finally:
-        if helper is not None:
-            helper.shutdown(cancel_futures=True)
+        helper.shutdown(cancel_futures=True)
     ref = extrapolated_reference(levels[:n_ref]) if fine_mesh else ref.result()
     study = levels[n_ref:]
     records = [StudyRecord(level=s.level, h=s.h, dof=s.space.dof_count, lambda_h=s.lam,

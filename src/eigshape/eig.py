@@ -193,12 +193,12 @@ def cluster(pairs: list[EigenPair], M, rel_gap: float) -> list[EigenCluster]:
 
 
 def pick_target(pairs: list[EigenPair], A, M, target: Target,
-                exact_nodal: np.ndarray | Callable[[], np.ndarray] | None = None) -> EigenPair:
+                exact_nodal: Callable[[], np.ndarray] | None = None) -> EigenPair:
     """Select the study eigenpair, skipping flagged zero modes.
 
-    A match_exact target is picked by `exact_nodal`, the exact eigenfunction's
-    interpolant, or by a function that returns it, called only here, so that
-    it can be built while the pencil is solved. A cluster member is a
+    A match_exact target is picked by the exact eigenfunction's interpolant,
+    which `exact_nodal()` returns; it is called only here, so that the
+    interpolant can be built while the pencil is solved. A cluster member is a
     re-orthonormalised combination of the computed pairs, so its residual is
     measured afresh against the pencil (A, M).
     """
@@ -210,7 +210,7 @@ def pick_target(pairs: list[EigenPair], A, M, target: Target,
     if target.kind is TargetKind.MATCH_EXACT:
         if exact_nodal is None:
             raise ValueError("match_exact target needs the exact nodal interpolant")
-        m_exact = M @ (exact_nodal() if callable(exact_nodal) else exact_nodal)
+        m_exact = M @ exact_nodal()
         scores = [abs(float(p.coeffs @ m_exact)) for p in live]
         return live[int(np.argmax(scores))]
     clusters = cluster(live, M, target.rel_gap)
@@ -228,7 +228,7 @@ def pick_target(pairs: list[EigenPair], A, M, target: Target,
 
 
 def solve_target(A, M, bc: BoundaryCondition, target: Target,
-                 exact_nodal: np.ndarray | Callable[[], np.ndarray] | None = None
+                 exact_nodal: Callable[[], np.ndarray] | None = None
                  ) -> tuple[EigenPair, np.ndarray]:
     """Solve as many of the lowest pairs as the target needs, then pick it;
     returns the pair and the computed nonzero eigenvalues, ascending.

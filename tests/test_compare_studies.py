@@ -44,6 +44,16 @@ def test_exit_code_follows_the_tolerances(tmp_path, monkeypatch, capsys, edit, c
     assert ("| identical |" in out) == (edit(CSV) == CSV)
 
 
+@pytest.mark.parametrize("where", ["base", "new"])
+def test_a_csv_without_rates_is_an_unreadable_row(tmp_path, monkeypatch, capsys, where):
+    cut = CSV[:CSV.index("rates")]
+    base = _write(tmp_path / "base", cut if where == "base" else CSV)
+    new = _write(tmp_path / "new", cut if where == "new" else CSV)
+    monkeypatch.setattr("sys.argv", ["compare_studies.py", str(base), str(new)])
+    assert compare_studies.main() == 1
+    assert f"| square | differ | | | | | | unreadable in {where} |" in capsys.readouterr().out
+
+
 def test_missing_config_and_empty_base(tmp_path, monkeypatch):
     base = _write(tmp_path / "base")
     _write(base, stem="disk")

@@ -6,7 +6,8 @@ first, then the study levels by refinement, each solved on the calling
 thread. The threaded run must give the same records and reference bit for
 bit, and raise the first failure in the same order, with the same type and
 message. The process is made to see two CPUs, so that the helper thread runs
-on any machine; with one CPU every job runs on the calling thread.
+on any machine; with one CPU every job runs on the calling thread, in the
+order of the helper's queue.
 """
 
 import threading
@@ -114,15 +115,64 @@ def test_the_helper_solves_the_largest_level_first(monkeypatch, reference_level,
     # mesh-only work allows
     stage, order = convergence._solve_stage, []
 
-    def recording(cfg, lv):
+    def recording(cfg, lv, *ahead):
         if threading.current_thread() is not threading.main_thread():
             order.append((lv.role, lv.level))
-        return stage(cfg, lv)
+        return stage(cfg, lv, *ahead)
 
     monkeypatch.setattr(convergence, "_solve_stage", recording)
     cfg = config(Domain.UNIT_SQUARE, D, reference_level)
     records, ref = run_levels(cfg)
     assert order == helper_order
+    want_records, want_ref = serial_run_levels(cfg)
+    assert records == want_records and np.array_equal(ref.values, want_ref.values)
+
+
+def evaluated(role, *levels):
+    return [(stage, role, lv) for lv in levels for stage in ("evaluate", "measure")]
+
+
+@pytest.mark.parametrize("cfg,helper_queue", [
+    # reference, coarse solves largest first (each builds its own interpolant
+    # at the pick), the finest interpolant, h and Gramian, coarse evaluations
+    (config(Domain.UNIT_DISK, N, None, Target.match_exact()),
+     [("reference",), ("solve", "study", 2), ("interpolant", 2), ("solve", "study", 1),
+      ("interpolant", 1), ("interpolant", 3), ("measure", "study", 3),
+      *evaluated("study", 1, 2)]),
+    # the finest level is the reference's level 5, which needs no h or Gramian
+    (config(Domain.UNIT_SQUARE, D),
+     [("solve", "reference", 4), ("solve", "reference", 3), ("solve", "study", 3),
+      ("solve", "study", 2), ("solve", "study", 1), ("measure", "reference", 5),
+      *evaluated("reference", 3, 4), *evaluated("study", 1, 2, 3)]),
+], ids=["disk-neumann-match_exact", "square-dirichlet-finemesh"])
+def test_one_cpu_follows_the_two_thread_plan(monkeypatch, cfg, helper_queue):
+    """With one CPU the helper's queue runs in its order on the calling thread,
+    and then the finest level's solve and evaluation."""
+    monkeypatch.setattr(convergence, "_cpus", lambda: 1)
+    order, threads = [], set()
+    levels = {vertex_count(cfg.domain, lv): lv for lv in range(1, 6)}
+
+    def recorded(name, fn):
+        def wrapped(*args, **kwargs):
+            threads.add(threading.current_thread())
+            lv = next((a for a in args if isinstance(a, convergence._Level)), None)
+            if name == "interpolant":
+                order.append((name, levels[args[0].num_vertices]))
+            else:
+                order.append((name,) if lv is None else (name, lv.role, lv.level))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name, attr in [("reference", "reference_derivatives_for"), ("solve", "_solve_stage"),
+                       ("interpolant", "_exact_nodal"), ("evaluate", "_evaluate_stage"),
+                       ("measure", "_mesh_stage")]:
+        monkeypatch.setattr(convergence, attr, recorded(name, getattr(convergence, attr)))
+    records, ref = run_levels(cfg)
+    finest = [("solve", "study", 3), ("evaluate", "study", 3)]
+    if cfg.reference_level is not None:
+        finest = [("solve", "reference", 5), ("evaluate", "reference", 5)]
+    assert order == helper_queue + finest
+    assert threads == {threading.main_thread()}
     want_records, want_ref = serial_run_levels(cfg)
     assert records == want_records and np.array_equal(ref.values, want_ref.values)
 
