@@ -11,7 +11,8 @@ absolute deviation of the two fitted slopes. It exits 1 when a deviation is
 beyond the project's tolerances (1e-12 relative; slopes equal to 3
 decimals, |delta| < 5e-4), when the rows (level, dof) differ, when a config
 is in one directory only or when a CSV cannot be read (say, it has no rates
-footer); 2 when BASE_DIR holds no CSV.
+footer, a short row or a cell that is not a number); 2 when BASE_DIR holds
+no CSV.
 """
 
 from __future__ import annotations
@@ -24,18 +25,25 @@ from pathlib import Path
 REL_TOL = 1e-12
 SLOPE_TOL = 5e-4
 COLUMNS = ("lambda_h", "E_volume", "E_boundary")
+FIELDS = ("level", "h", "dof", *COLUMNS)
+FORMULAS = ("volume", "boundary")
 
 
 def read_csv(path: Path) -> tuple[list[dict], dict]:
-    """Level rows as dicts, and {formula: slope} from the rates footer."""
+    """Level rows as {column: number}, and {formula: slope} from the rates
+    footer; ValueError when the file is not a study CSV with level rows."""
     lines = path.read_text().splitlines()
     split = lines.index("rates")
-    header = lines[0].split(",")
-    rows = [dict(zip(header, line.split(","))) for line in lines[1:split]]
+    if tuple(lines[0].split(",")) != FIELDS or split < 2:
+        raise ValueError("no study header or no level rows")
+    rows = [dict(zip(FIELDS, map(float, line.split(",")), strict=True))
+            for line in lines[1:split]]
     slopes = {}
     for line in lines[split + 2:]:
         formula, slope = line.split(",")[:2]
         slopes[formula] = float(slope)
+    if sorted(slopes) != sorted(FORMULAS):
+        raise ValueError("the rates footer needs a volume and a boundary slope")
     return rows, slopes
 
 
@@ -72,15 +80,14 @@ def compare(base: Path, new: Path) -> tuple[list[str], bool]:
                          f"| | | | | | unreadable in {where} |")
             ok = False
             continue
-        if ([(r["level"], r["dof"]) for r in brows] != [(r["level"], r["dof"]) for r in nrows]
-                or bslopes.keys() != nslopes.keys()):
+        if [(r["level"], r["dof"]) for r in brows] != [(r["level"], r["dof"]) for r in nrows]:
             table.append(f"| {stem} | {'identical' if same else 'differ'} "
                          "| | | | | | rows differ |")
             ok = False
             continue
-        devs = [max(rel_dev(float(r[c]), float(s[c])) for r, s in zip(nrows, brows))
+        devs = [max(rel_dev(r[c], s[c]) for r, s in zip(nrows, brows))
                 for c in COLUMNS]
-        slope_devs = [abs(nslopes[f] - bslopes[f]) for f in ("volume", "boundary")]
+        slope_devs = [abs(nslopes[f] - bslopes[f]) for f in FORMULAS]
         within = all(d <= REL_TOL for d in devs) and all(d < SLOPE_TOL for d in slope_devs)
         ok &= within
         cells = [f"{d:.1e}" for d in devs + slope_devs]

@@ -105,7 +105,8 @@ def parse_config(path: Path) -> tuple[conv.StudyConfig, dict]:
     raw: dict[str, str] = {}
     lines_seen: dict[str, int] = {}
     section = None
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    # utf-8-sig: a byte-order mark (Windows Notepad writes one) is not text of line 1
+    for lineno, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue

@@ -263,7 +263,10 @@ def _run_jobs(cfg: StudyConfig, basis: VelocityBasis, levels: list[_Level],
     (quadrature.moments). With one CPU `helper` is _Inline, so that queue runs
     in that order on the calling thread before the finest solve and
     evaluation, and nothing overlaps. With two or more it is one helper
-    thread, and the calling thread never waits on its queue.
+    thread, and the calling thread waits on that queue at two points only,
+    and only when the helper is behind: inside the finest solve, for the
+    match_exact interpolant, and after the finest evaluation, for the finest
+    h and Gramian and the other levels' outcomes.
 
     At disk Neumann levels 3-5 on 2 vCPUs (median of 60 calls, about 100 ms
     each), the calling thread built the meshes while the helper built the

@@ -389,6 +389,15 @@ def test_config_parse_full(tmp_path):
     assert snapshot["reference"] == "finemesh:7"
 
 
+def test_a_config_with_a_byte_order_mark_parses_as_without(tmp_path):
+    # Windows Notepad saves UTF-8 with a byte-order mark
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(MINI_CONFIG, encoding="utf-8")
+    marked.write_text(MINI_CONFIG, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert parse_config(marked) == parse_config(plain)
+
+
 @pytest.mark.parametrize("key,value", [("num_pairs", "4"), ("output_dir", "results"),
                                        ("cluster_rel_gap", "0.05"), ("fit_window", "4")])
 def test_removed_config_keys_are_unknown(tmp_path, capsys, key, value):

@@ -45,10 +45,16 @@ def test_exit_code_follows_the_tolerances(tmp_path, monkeypatch, capsys, edit, c
 
 
 @pytest.mark.parametrize("where", ["base", "new"])
-def test_a_csv_without_rates_is_an_unreadable_row(tmp_path, monkeypatch, capsys, where):
-    cut = CSV[:CSV.index("rates")]
-    base = _write(tmp_path / "base", cut if where == "base" else CSV)
-    new = _write(tmp_path / "new", cut if where == "new" else CSV)
+@pytest.mark.parametrize("bad", [
+    CSV[:CSV.index("rates")],
+    CSV.replace("0.0025", "oops"),
+    CSV.replace("19.86,0.0025,0.01", "19.86"),
+    CSV.replace("E_volume", "E_vol"),
+    CSV.replace("boundary,1.0,0.2,0.0\n", ""),
+], ids=["no_rates", "non_numeric_cell", "short_row", "renamed_column", "no_boundary_slope"])
+def test_a_malformed_csv_is_an_unreadable_row(tmp_path, monkeypatch, capsys, bad, where):
+    base = _write(tmp_path / "base", bad if where == "base" else CSV)
+    new = _write(tmp_path / "new", bad if where == "new" else CSV)
     monkeypatch.setattr("sys.argv", ["compare_studies.py", str(base), str(new)])
     assert compare_studies.main() == 1
     assert f"| square | differ | | | | | | unreadable in {where} |" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import io
+import os
 import runpy
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from eigshape import convergence
 from eigshape.convergence import (DegenerateFitError, RateFit, StudyConfig,
                                   StudyRecord, TrackingError, _solve_level,
                                   extrapolated_reference, fit_rate, loglog_svg, run_levels,
@@ -99,6 +101,28 @@ def test_study_determinism():
     a = write_csv(run_study(cfg))
     b = write_csv(run_study(cfg))
     assert a == b
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs sched_setaffinity and two CPUs")
+def test_a_one_cpu_affinity_mask_runs_the_study_without_a_thread(monkeypatch):
+    # the other study-runner tests patch convergence._cpus; this one reads the
+    # real affinity mask, pinned for the calling thread only
+    cfg = StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 1, 3, gamma=1)
+    want, _ = run_levels(cfg)
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        assert convergence._cpus() == 1
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-CPU process started a helper thread")
+
+        monkeypatch.setattr(convergence, "ThreadPoolExecutor", no_thread)
+        records, _ = run_levels(cfg)
+    finally:
+        os.sched_setaffinity(0, mask)
+    assert records == want
 
 
 def test_csv_schema():
