@@ -30,15 +30,20 @@ SEEDED_CLI = ("import sys; from eigshape import cli, eig; "
               "eig._START_SEED = int(sys.argv[1]); sys.exit(cli.main(sys.argv[2:]))")
 
 
-def run_study(cfg: Path, out: str, start_seed: int | None = None) -> tuple[int, float, float]:
-    """Exit code, wall seconds and peak RSS in MB of one study in a child process."""
+def run_study(cfg: Path, out: str, start_seed: int | None = None, env: dict | None = None,
+              stdout: int | None = None) -> tuple[int, float, float]:
+    """Exit code, wall seconds and peak RSS in MB of one study in a child process.
+    The child's environment is env and its stdout the file descriptor stdout,
+    by default this process's."""
     args = ["study", str(cfg), "--out", out]
     if start_seed is None:
         argv = [sys.executable, "-m", "eigshape.cli", *args]
     else:
         argv = [sys.executable, "-c", SEEDED_CLI, str(start_seed), *args]
+    actions = [] if stdout is None else [(os.POSIX_SPAWN_DUP2, stdout, 1)]
     start = time.perf_counter()
-    pid = os.posix_spawn(sys.executable, argv, os.environ)
+    pid = os.posix_spawn(sys.executable, argv, os.environ if env is None else env,
+                         file_actions=actions)
     _, status, usage = os.wait4(pid, 0)
     wall = time.perf_counter() - start
     return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024  # KiB on Linux

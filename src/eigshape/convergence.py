@@ -15,7 +15,7 @@ boundary form) and the mesh stage (a study level's h and Gramian), which
 fill one record per level (_Level). The finest level runs on the calling
 thread, and every other task goes to one executor: a helper thread with two
 or more CPUs, else _Inline, which runs each task on the calling thread as it
-is queued. The plan and its measured timeline are in _run_jobs. Each
+is queued. The plan and its reasons are in _run_jobs. Each
 evaluation checks the volume-form values against exact identities, and on
 the nested square and L-shape meshes lambda_h must not rise from level to
 level.
@@ -268,21 +268,16 @@ def _run_jobs(cfg: StudyConfig, basis: VelocityBasis, levels: list[_Level],
     match_exact interpolant, and after the finest evaluation, for the finest
     h and Gramian and the other levels' outcomes.
 
-    At disk Neumann levels 3-5 on 2 vCPUs (median of 60 calls, about 100 ms
-    each), the calling thread built the meshes while the helper built the
-    reference (to 4.2 ms). The helper's level-4 solve ran from 4.5 to 29.9
-    ms, next to the finest assembly (3.3-10.7 ms) and factorization
-    (11.3-33.0 ms; splu is not GIL-free in practice: at L-shape level 5 it
-    took 19.4 ms alone and 28.0-29.1 ms next to a thread looping level-4
-    eigensolves). Its level-3 solve, the finest mesh-only work and the
-    coarse evaluations ran from 30.1 to 62.9 ms, next to the finest
-    eigensolve (33.0-84.7 ms). A helper running small eigensolves slowed that
-    eigensolve by 47-76%, one running a volume form by 8%. So the mesh-only
-    work goes after the coarse solves: ahead of them, it pushed the level-4
-    eigensolve into the finest one, and the benchmark gained no more. Each
-    stage is single-threaded work on inputs of its own, and a volume-form
-    block's tables do not depend on the thread, so every result is the
-    serial one.
+    The threads overlap less than their native code suggests. SuperLU
+    releases the GIL while it factors, but scipy's allocator for it takes
+    the GIL back on every allocation (PyGILState_Ensure), so the finest splu
+    waits whenever the helper holds the GIL, as it does between the small
+    calls of a coarse eigensolve; CHANGES.md has the measured timeline. So
+    the mesh-only work goes after the coarse solves: ahead of them, it
+    pushed the level-4 eigensolve into the finest one, and the benchmark
+    gained no more. Each stage is single-threaded work on inputs of its own,
+    and a volume-form block's tables do not depend on the thread, so every
+    result is the serial one.
 
     The first failure in the serial order, the analytic reference and then
     list order, is raised after the helper's queued work is cancelled and its
