@@ -16,9 +16,9 @@ fill one record per level (_Level). The finest level runs on the calling
 thread, and every other task goes to one executor: a helper thread with two
 or more CPUs, else _Inline, which runs each task on the calling thread as it
 is queued. The plan and its reasons are in _run_jobs. Each
-evaluation checks the volume-form values against exact identities, and on
+evaluation checks the volume-form values against exact identities; on
 the nested square and L-shape meshes lambda_h must not rise from level to
-level.
+level, and the tracked pair keeps one place among the computed eigenvalues.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ class DegenerateFitError(RuntimeError):
 
 class TrackingError(RuntimeError):
     """The study does not track one eigenvalue: lambda_h rises under nested
-    refinement, or the analytic reference belongs to another eigenvalue."""
+    refinement, the analytic reference belongs to another eigenvalue, or the
+    tracked pair's place among the computed eigenvalues changes with the level."""
 
 
 class IdentityError(RuntimeError):
@@ -59,7 +60,6 @@ _FIT_WINDOW = 4  # rates are fitted over this many finest levels
 _IDENTITY_TOL = 1e-10  # relative to lam_h; the identities hold to about 1e-15
 _TRANSLATIONS = ("mono:0,0,0", "mono:0,0,1")
 _IDENTITY_PARTS = ("mono:1,0,0", "mono:0,1,1")  # (x, 0) + (0, y), the identity field
-_BATCH = 8192  # vertices per call of the exact eigenfunction
 
 
 @dataclass(frozen=True)
@@ -140,13 +140,8 @@ class _Level:
 
 def _exact_nodal(mesh: Mesh, bc: BoundaryCondition) -> np.ndarray:
     """The exact eigenfunction's interpolant on the free dofs, by which a
-    match_exact target is picked, evaluated _BATCH vertices at a time (a
-    point's value does not depend on its batch): in one call at disk level 7,
-    the Bessel rule's two (vertices, 64) temporaries, next to the finest
-    solve, raised the disk Neumann study's peak RSS from 237 to 260-283 MB."""
-    value = refmod.exact_eigenpair(mesh.domain, bc).value
-    return FemSpace(mesh, bc).interpolate(lambda p: np.concatenate(
-        [value(p[:, i:i + _BATCH]) for i in range(0, p.shape[1], _BATCH)]))
+    match_exact target is picked."""
+    return FemSpace(mesh, bc).interpolate(refmod.exact_eigenpair(mesh.domain, bc).value)
 
 
 def _solve_level(mesh: Mesh, bc: BoundaryCondition, target: Target,
@@ -362,6 +357,15 @@ def run_levels(cfg: StudyConfig) -> tuple[list[StudyRecord], refmod.ReferenceDer
                 f"the study tracks lambda_h = {lam!r} at level {finest.level}, but the "
                 f"analytic reference lambda = {ref.lam!r} is nearer the computed eigenvalue "
                 f"{float(nearest)!r}: the target does not follow the reference eigenpair")
+    for role in ("reference", "study"):  # one ordinal among the computed eigenvalues
+        ordinals = [(lv.level, int(np.argmin(np.abs(lv.lams - lv.lam))))
+                    for lv in levels if lv.role == role]
+        for (coarse, i), (fine, j) in zip(ordinals, ordinals[1:]):
+            if i != j:
+                raise TrackingError(
+                    f"the tracked lambda_h is computed eigenvalue {i} (from 0, with "
+                    f"multiplicity) at {role} level {coarse} but {j} at {role} level {fine}: "
+                    "the target does not follow one eigenpair")
     return records, ref
 
 

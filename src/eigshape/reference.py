@@ -7,11 +7,11 @@ arcs of the true circle for the disk). Points, normals and the exact
 gradients are coordinate-major, (2, ...), as in quadrature. The L-shape has
 no closed form; its fine-mesh reference is built by the convergence module.
 
-Bessel J0 and J1 are evaluated from their integral representation
-J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt with the 64-point
-Gauss-Legendre edge_rule, which is accurate far below 1e-12 for |x| <= 30
-(the program's arguments stay below about 4); no external special-function
-dependency. Roots come from bracketed bisection on a 0.1-step sign scan.
+Bessel J0 and J1 are in house, because scipy.special's move the disk E by
+3.0e-10: the integral J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt by the
+64-point Gauss-Legendre edge_rule, _BATCH points at a time, accurate far below
+1e-12 for |x| <= 30 (the program's arguments stay below about 4). Roots come
+from bracketed bisection on a 0.1-step sign scan.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ from .velocity import VelocityBasis
 
 _PANELS = 64  # Gauss panels on each square side, and on the circle
 _NPTS = 10  # Gauss points per panel
+# points per pass of the Bessel rule: in one pass at disk level 7, next to the finest
+# solve, its two (points, 64) temporaries raised disk Neumann's peak RSS 237 -> 260-283 MB
+_BATCH = 8192
 
 
 class UnsupportedDomainError(ValueError):
@@ -55,15 +58,18 @@ def _bessel(order: int, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     t, w = edge_rule(126)  # 64 nodes; w are the weights of (1/pi) int_0^pi
     theta = math.pi * t
-    phase = order * theta[None, :] - np.abs(x).reshape(-1, 1) * np.sin(theta)[None, :]
-    # row by row, so a value does not depend on its batch; in place, because
-    # the temporaries raised a disk study's peak RSS by 2 MB
-    np.cos(phase, out=phase)
-    phase *= w
-    vals = phase.sum(axis=1)
+    r = np.abs(x).reshape(-1, 1)
+    vals = np.empty(r.shape[0])
+    for i in range(0, r.shape[0], _BATCH):
+        phase = order * theta - r[i:i + _BATCH] * np.sin(theta)
+        # in place; each row is summed on its own, so a value does not depend on its batch
+        np.cos(phase, out=phase)
+        phase *= w
+        phase.sum(axis=1, out=vals[i:i + _BATCH])
+        del phase  # freed before the next batch's temporaries
     if order == 1:
-        vals = vals * np.sign(x.reshape(-1)) if x.ndim else vals * np.sign(x)
-    return vals.reshape(x.shape) if x.ndim else float(vals[0])
+        vals *= np.sign(x.reshape(-1))
+    return vals.reshape(x.shape)
 
 
 def bessel_j0(x):

@@ -1,5 +1,5 @@
-"""run_levels on two threads against the serial level loop it replaced, and
-the identity guard every level job applies.
+"""run_levels on two threads against the serial level loop it replaced, the
+identity guard every level job applies, and tracking check (i) across levels.
 
 The oracle is that serial loop, kept here: fine-mesh reference levels
 first, then the study levels by refinement, each solved on the calling
@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from eigshape import cli, convergence, shapegrad
+from eigshape import cli, convergence, eig, shapegrad
 from eigshape import reference as refmod
 from eigshape.convergence import IdentityError, StudyConfig, StudyRecord, run_levels
 from eigshape.eig import NonConvergenceError, Target
@@ -403,6 +403,42 @@ def test_a_helper_failure_exits_as_before(tmp_path, capsys, monkeypatch, exc, co
     assert cli.main(["study", str(cfg), "--out", str(tmp_path / "out")]) == code
     assert str(exc) in capsys.readouterr().err
     assert threading.active_count() == threads
+    assert not (tmp_path / "out").exists()
+
+
+# -- tracking check (i) ---------------------------------------------------------------
+
+def pick_the_next_pair_at(monkeypatch, domain, level):
+    """Make the target pick take the second nonzero pair on that level's mesh: on
+    the disk with Neumann conditions, the other member of the lowest pair."""
+    pick = eig.pick_target
+
+    def shifted(pairs, A, M, target, exact_nodal=None):
+        if A.shape[0] == vertex_count(domain, level):
+            return [p for p in pairs if not p.zero_mode][1]
+        return pick(pairs, A, M, target, exact_nodal)
+
+    monkeypatch.setattr(eig, "pick_target", shifted)
+
+
+@pytest.mark.parametrize("level,where", [(2, "at study level 1 but 1 at study level 2"),
+                                         (4, "at reference level 3 but 1 at reference level 4")])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_pair_that_changes_its_ordinal_is_a_tracking_error(monkeypatch, level, where, cpus):
+    monkeypatch.setattr(convergence, "_cpus", lambda: cpus)
+    pick_the_next_pair_at(monkeypatch, Domain.UNIT_DISK, level)
+    with pytest.raises(convergence.TrackingError,
+                       match=f"^the tracked lambda_h is computed eigenvalue 0 .* {where}: "):
+        run_levels(config(Domain.UNIT_DISK, N))
+
+
+def test_a_pair_that_changes_its_ordinal_exits_1(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("[study]\ndomain = disk\nbc = neumann\nmin_level = 1\nmax_level = 3\n"
+                   "reference = finemesh:5\n")
+    pick_the_next_pair_at(monkeypatch, Domain.UNIT_DISK, 2)
+    assert cli.main(["study", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "1 at study level 2: the target does not follow" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -15,7 +15,7 @@ from eigshape.reference import (UnsupportedDomainError, bessel_j0,
 from eigshape.velocity import (VelocityBasis, build_basis, constant_field,
                                identity_field, rotation_field)
 
-from conftest import record_pair_counts
+from conftest import record_pair_counts, traced_peak_bytes
 
 ALL_EXACT = [(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET),
              (Domain.UNIT_SQUARE, BoundaryCondition.NEUMANN),
@@ -55,6 +55,23 @@ def test_bessel_of_a_batch_equals_the_pointwise_calls():
     x = np.linspace(0.0, 30.0, 1000)
     assert np.array_equal(bessel_j0(x), [bessel_j0(v) for v in x])
     assert np.array_equal(bessel_j1(x), [bessel_j1(v) for v in x])
+    # across the rule's own batches: each batch alone, and scalars at their edges
+    B = refmod._BATCH
+    x = np.linspace(0.0, 4.0, 3 * B + 1)
+    edges = [0, B - 1, B, 2 * B - 1, 2 * B, 3 * B - 1, 3 * B]
+    for bessel in (bessel_j0, bessel_j1):
+        vals = bessel(x)
+        assert np.array_equal(vals, np.concatenate([bessel(x[i:i + B])
+                                                    for i in range(0, x.size, B)]))
+        assert np.array_equal(vals[edges], [bessel(x[i]) for i in edges])
+
+
+@pytest.mark.parametrize("bessel", [bessel_j0, bessel_j1])
+def test_the_bessel_rule_holds_one_batch_of_temporaries(bessel):
+    # four passes; one pass's two (_BATCH, 64) temporaries are 8 MiB, and the
+    # last pass's array kept alive into the next pass makes that 12 MiB
+    x = np.linspace(0.0, 4.0, 3 * refmod._BATCH + 1)
+    assert traced_peak_bytes(bessel, x) <= 2.5 * refmod._BATCH * 64 * 8
 
 
 def test_bessel_first_zeros():
