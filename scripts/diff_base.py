@@ -11,9 +11,11 @@ not an installed one. Then, for each tree's configs/*.cfg and
 perfbench/configs/*.cfg, it runs every study in a child process of its own
 (run_all_studies.run_study) into OUT/change/<dir> and OUT/base/<dir>, with the
 children's stdout on stderr, and prints each side's wall time and peak RSS and
-compare_studies.compare's table of the two. It then byte-compares the stdout
-and exit code of each command in COMMANDS on both trees, and prints the
-src/, tests/ and scripts/ line counts of both.
+compare_studies.compare's table of the two. The two trees' studies alternate,
+one study at a time, and so does which tree goes first, so that both runs of
+a study meet the same phase of the host's speed. It then byte-compares the
+stdout and exit code of each command in COMMANDS on both trees, and prints
+the src/, tests/ and scripts/ line counts of both.
 
 Exit codes: 0 when nothing differs; 1 when a study fails, a study row is
 beyond tolerance, missing or unreadable, or a command's stdout differs or it
@@ -57,14 +59,24 @@ def child_env(tree: Path) -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
-def run_studies(configs: list[Path], out: Path, env: dict) -> tuple[list[str], bool]:
-    """The wall time and peak RSS table of the configs' studies, and whether all ran."""
-    rows, ok = ["| study | wall s | peak RSS MB |", "|---|---|---|"], True
-    for cfg in configs:
-        code, wall, rss = run_all_studies.run_study(cfg, str(out), env=env, stdout=2)
-        ok &= code == 0
-        rows.append(f"| {cfg.stem} | {wall:.2f} | {rss:.1f} |" if code == 0
-                    else f"| {cfg.stem} | exit {code} | |")
+def run_studies(trees: dict, directory: str, out: Path,
+                envs: dict) -> tuple[dict[str, list[str]], bool]:
+    """Each tree's wall time and peak RSS table of its directory's studies, and
+    whether all ran. The trees take turns study by study, the first one
+    alternating; a config in one tree only runs there."""
+    names = sorted({cfg.name for tree in trees.values() for cfg in (tree / directory).glob("*.cfg")})
+    rows = {side: ["| study | wall s | peak RSS MB |", "|---|---|---|"] for side in trees}
+    ok = True
+    for k, name in enumerate(names):
+        for side in (list(trees) if k % 2 == 0 else list(trees)[::-1]):
+            cfg = trees[side] / directory / name
+            if not cfg.exists():
+                continue
+            code, wall, rss = run_all_studies.run_study(cfg, str(out / side / directory),
+                                                        env=envs[side], stdout=2)
+            ok &= code == 0
+            rows[side].append(f"| {cfg.stem} | {wall:.2f} | {rss:.1f} |" if code == 0
+                              else f"| {cfg.stem} | exit {code} | |")
     return rows, ok
 
 
@@ -109,11 +121,11 @@ def main() -> int:
 
     ok = True
     for title, directory in STUDY_SETS:
-        for side, tree in trees.items():
-            rows, ran = run_studies(sorted((tree / directory).glob("*.cfg")),
-                                    out / side / directory, envs[side])
-            section(f"{title}: wall time and peak RSS ({side}, one child process each)", rows)
-            ok &= ran
+        tables, ran = run_studies(trees, directory, out, envs)
+        for side, rows in tables.items():
+            section(f"{title}: wall time and peak RSS ({side}, one child process each, "
+                    f"one run per side: it cannot resolve a few percent)", rows)
+        ok &= ran
     for title, directory in STUDY_SETS:
         rows, within = compare_studies.compare(out / "base" / directory, out / "change" / directory)
         section(f"{title}, base against change", rows)

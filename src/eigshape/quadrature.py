@@ -73,7 +73,8 @@ def physical_points(mesh: Mesh, degree: int,
     """Quadrature data over the triangles `cells` (default all).
 
     Returns points (2, n, npts), coordinate-major, weights (n, npts) and the
-    reference barycentric coordinates (npts, 3) used for P1 interpolation.
+    reference barycentric coordinates (npts, 3) used for P1 interpolation,
+    cached with the rule and read-only.
     Each coordinate plane is p0 + xi (p1 - p0) + eta (p2 - p0), and each
     weight the rule's times twice the signed area, so a slice of cells gets
     the same values as the whole mesh.
@@ -86,8 +87,16 @@ def physical_points(mesh: Mesh, degree: int,
     x, y = ref
     pts = p0 + x * d1 + y * d2
     wts = (d1[0] * d2[1] - d1[1] * d2[0]) * w[None, :]
+    return pts, wts, _barycentric(degree)
+
+
+@lru_cache(maxsize=None)
+def _barycentric(degree: int) -> np.ndarray:
+    """The triangle rule's barycentric coordinates (npts, 3), cached read-only."""
+    x, y = triangle_rule(degree)[0]
     bary = np.stack([1.0 - x - y, x, y], axis=1)
-    return pts, wts, bary
+    bary.setflags(write=False)
+    return bary
 
 
 def boundary_points(mesh: Mesh, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

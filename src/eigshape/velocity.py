@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -37,10 +37,30 @@ class VelocityField:
     coeffs_x: np.ndarray
     coeffs_y: np.ndarray
     name: str = ""
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def degree(self) -> int:
         return max(_total_degree(self.coeffs_x), _total_degree(self.coeffs_y))
+
+    def coefficient_block(self, size: int) -> np.ndarray:
+        """This field's (2, 3, size, size) block of coefficient_stack, built
+        once per size and kept read-only: like degree, it takes the
+        coefficient arrays never to change."""
+        block = self._blocks.get(size)
+        if block is None:
+            block = np.zeros((2, 3, size, size))
+            for c, coeffs in enumerate((self.coeffs_x, self.coeffs_y)):
+                # entries past the total degree are zero, so truncation is exact
+                kept = coeffs[:size, :size]
+                block[c, 0, :kept.shape[0], :kept.shape[1]] = kept
+            powers = np.arange(1, size)
+            block[:, 1, :-1, :] = powers[:, None] * block[:, 0, 1:, :]
+            block[:, 2, :, :-1] = powers[None, :] * block[:, 0, :, 1:]
+            block.setflags(write=False)
+            # a block another thread kept first wins, so each size has one
+            block = self._blocks.setdefault(size, block)
+        return block
 
 
 def monomial_field(b1: int, b2: int, component: int) -> VelocityField:
@@ -105,18 +125,9 @@ def coefficient_stack(fields, size: int) -> np.ndarray:
     monomial coefficients. size must exceed every field's total degree.
 
     Contracting C against moment tables integrates any polynomial expression
-    that is linear in V and DV.
+    that is linear in V and DV. C stacks the fields' kept coefficient blocks.
     """
-    out = np.zeros((len(fields), 2, 3, size, size))
-    powers = np.arange(1, size)
-    for f, field in enumerate(fields):
-        for c, coeffs in enumerate((field.coeffs_x, field.coeffs_y)):
-            # entries past the total degree are zero, so truncation is exact
-            block = coeffs[:size, :size]
-            out[f, c, 0, :block.shape[0], :block.shape[1]] = block
-        out[f, :, 1, :-1, :] = powers[:, None] * out[f, :, 0, 1:, :]
-        out[f, :, 2, :, :-1] = powers[None, :] * out[f, :, 0, :, 1:]
-    return out
+    return np.stack([f.coefficient_block(size) for f in fields])
 
 
 def gramian(basis: VelocityBasis, mesh: Mesh) -> Gramian:

@@ -52,7 +52,8 @@ def test_identical_trees_exit_0_and_every_row_says_identical(tmp_path, monkeypat
     assert run(tmp_path, monkeypatch, checkout(tmp_path / "base")) == 0
     tables = sections(capfd.readouterr().out)
     for side in ("change", "base"):
-        walls = tables[f"Shipped studies: wall time and peak RSS ({side}, one child process each)"]
+        walls = tables[f"Shipped studies: wall time and peak RSS ({side}, one child process each, "
+                       "one run per side: it cannot resolve a few percent)"]
         assert [r[0] for r in walls] == ["small"] and float(walls[0][1]) > 0.0
         assert (tmp_path / "out" / side / "configs" / "small.csv").exists()
     assert tables[SHIPPED] == [["small", "identical", *["0.0e+00"] * 5, "ok"]]
@@ -77,6 +78,31 @@ def test_another_start_seed_in_the_base_differs_and_exits_1(tmp_path, monkeypatc
     assert tables[OUTPUTS] == [
         [f"`eigshape {SOLVE}`", "differs (exit codes: base 0, change 0)"],
         [f"`eigshape {usage_error}`", "differs (exit codes: base 2, change 2)"]]
+
+
+def test_the_trees_take_turns_study_by_study(tmp_path, monkeypatch, capfd):
+    trees = {side: checkout(tmp_path / side) for side in ("change", "base")}
+    for tree in trees.values():
+        (tree / "configs" / "second.cfg").write_text(SMALL)
+    (trees["change"] / "configs" / "third.cfg").write_text(SMALL)  # in one tree only
+    runs = []
+
+    def recorded(cfg, out, env, stdout):
+        runs.append((Path(out).parts[-2], cfg.stem))
+        return 0, 1.0, 100.0
+
+    monkeypatch.setattr(diff_base.run_all_studies, "run_study", recorded)
+    monkeypatch.setattr(diff_base, "ROOT", trees["change"])
+    monkeypatch.setattr(diff_base, "COMMANDS", ())
+    monkeypatch.setattr("sys.argv", ["diff_base.py", str(trees["base"]), str(tmp_path / "out")])
+    diff_base.main()
+    assert runs == [("change", "second"), ("base", "second"), ("base", "small"),
+                    ("change", "small"), ("change", "third")]
+    tables = sections(capfd.readouterr().out)
+    for side, stems in (("change", ["second", "small", "third"]), ("base", ["second", "small"])):
+        walls = tables[f"Shipped studies: wall time and peak RSS ({side}, one child process each, "
+                       "one run per side: it cannot resolve a few percent)"]
+        assert walls == [[stem, "1.00", "100.0"] for stem in stems]
 
 
 @pytest.mark.parametrize("package", [None, "eigshape"], ids=["no_src", "no_init"])

@@ -213,6 +213,11 @@ def test_element_geometry_is_bit_identical_to_einsum(domain, bc, level):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+        cells = mesh.boundary_edges[:, 2]  # the boundary form's triangles
+        edge = element_gradients(space, U, cells)
+        assert edge.shape == (2, l, len(cells))
+        assert np.array_equal(edge, got[:, :, cells])
+        assert np.array_equal(np.signbit(edge), np.signbit(got[:, :, cells]))
     local = einsum_stiffness_local(mesh)
     assert_identical_csr(assemble_stiffness(space), fem._assemble(space, lambda _: local))
     pattern = (np.ones((3, 3)) + np.eye(3)) / 12.0

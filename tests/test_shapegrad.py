@@ -389,6 +389,43 @@ def test_weyl_bound_shape_validation(l):
     A = np.eye(l)
     with pytest.raises(ValueError):
         weyl_bound(l, A, np.eye(l + 1))
+    with pytest.raises(ValueError):
+        weyl_bound(l, np.eye(l + 1), A)
+    with pytest.raises(ValueError):
+        weyl_bound(l + 1, A, A)
+
+
+@pytest.mark.parametrize("l", range(1, 5))
+def test_weyl_bound_equals_two_eigvalsh_calls(l):
+    rng = np.random.default_rng(l)
+    for scale in (0.1, 1e-9, 0.0):
+        for _ in range(100):
+            B, C = rng.standard_normal((2, l, l))
+            A = B + B.T
+            Ah = A + scale * (C + C.T)
+            dev = float(np.max(np.abs(np.linalg.eigvalsh(A) - np.linalg.eigvalsh(Ah))))
+            bound = float(np.sqrt(l) * np.max(np.sum(np.abs(A - Ah), axis=1)))
+            assert weyl_bound(l, A, Ah) == (dev, bound)
+
+
+@pytest.mark.parametrize("bc", BCS)
+def test_the_boundary_form_takes_gradients_on_the_boundary_triangles_only(monkeypatch, bc):
+    mesh, space, A, M = assembled(Domain.UNIT_SQUARE, bc, 4)
+    pair = first_nonzero_pair(space, A, M)
+    fields = build_basis(2).fields
+    gradients = shapegrad.element_gradients
+    counts = []
+
+    def counted(*args):
+        out = gradients(*args)
+        counts.append(out.shape[-1])
+        return out
+
+    monkeypatch.setattr(shapegrad, "element_gradients", counted)
+    boundary_gradients(space, pair, fields)
+    assert counts == [len(mesh.boundary_edges)] == [128]
+    volume_gradients(space, pair, fields)  # the volume form keeps every triangle
+    assert counts[1:] == [mesh.num_triangles] == [2048]
 
 
 # -- general polynomial fields against pointwise evaluation --------------------

@@ -1,4 +1,5 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from eigshape import quadrature
 from eigshape.mesh import Domain, Mesh, generate
 from eigshape.quadrature import physical_points
 from eigshape.velocity import (FactorizationError, Gramian, VelocityBasis, VelocityField,
-                               _factorize, build_basis, constant_field, dual_norm,
-                               gramian, identity_field, monomial_field, rotation_field)
+                               _factorize, build_basis, coefficient_stack, constant_field,
+                               dual_norm, gramian, identity_field, monomial_field,
+                               rotation_field)
 
 from conftest import field_divergence, field_jacobian, field_value, signed_areas
 
@@ -247,3 +249,71 @@ def test_field_degree():
     assert constant_field(1.0, 2.0).degree == 0
     assert identity_field().degree == 1
     assert monomial_field(2, 3, 1).degree == 5
+
+
+def _per_call_stack(fields, size):
+    """Oracle: coefficient_stack as it was, every block built on each call."""
+    out = np.zeros((len(fields), 2, 3, size, size))
+    powers = np.arange(1, size)
+    for f, field in enumerate(fields):
+        for c, coeffs in enumerate((field.coeffs_x, field.coeffs_y)):
+            block = coeffs[:size, :size]
+            out[f, c, 0, :block.shape[0], :block.shape[1]] = block
+        out[f, :, 1, :-1, :] = powers[:, None] * out[f, :, 0, 1:, :]
+        out[f, :, 2, :, :-1] = powers[None, :] * out[f, :, 0, :, 1:]
+    return out
+
+
+def test_coefficient_stack_equals_the_per_call_build():
+    fields = (*build_basis(6).fields, identity_field(), rotation_field(),
+              constant_field(-0.0, 2.5),
+              VelocityField(np.array([[0.3, -2.0], [-1.0, 0.5]]), np.array([[0.0], [0.7]])))
+    for size in range(1, 9):
+        want = _per_call_stack(fields, size)
+        for _ in range(2):  # building the blocks, then reading the kept ones
+            got = coefficient_stack(fields, size)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        for f, field in enumerate(fields):
+            assert np.array_equal(coefficient_stack((field,), size), want[f:f + 1])
+
+
+def test_coefficient_blocks_are_kept_read_only_once_per_field_and_size():
+    fields = build_basis(3).fields
+    blocks = {(f, size): field.coefficient_block(size)
+              for f, field in enumerate(fields) for size in (4, 6)}
+    assert len({id(b) for b in blocks.values()}) == len(blocks)
+    coefficient_stack(fields, 4)[...] = 1.0  # the stack is a copy
+    for (f, size), block in blocks.items():
+        assert fields[f].coefficient_block(size) is block
+        assert not block.flags.writeable
+        assert np.array_equal(block, _per_call_stack((fields[f],), size)[0])
+    with pytest.raises(ValueError):
+        blocks[0, 4][0, 0, 0, 0] = 1.0
+
+
+def test_threads_building_the_same_blocks_get_one_object_each():
+    fields = build_basis(6).fields
+    sizes = range(1, 9)
+    got = [None] * 8
+    barrier = threading.Barrier(len(got))
+
+    def build(t: int) -> None:
+        barrier.wait()
+        got[t] = [[field.coefficient_block(size) for size in sizes] for field in fields]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(t,)) for t in range(len(got))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for f, field in enumerate(fields):
+        for s, size in enumerate(sizes):
+            assert all(blocks[f][s] is field.coefficient_block(size) for blocks in got)
