@@ -9,16 +9,16 @@ continuous Eulerian derivatives coincide. A fine-mesh reference solves the
 same target eigenpair as the study levels, through the same level solve, and
 Richardson-extrapolates its three finest levels.
 
-Each study or reference level is an independent job of three stages, the
-solve, the evaluation (volume form, identity guard, and at a study level the
-boundary form) and the mesh stage (a study level's h and Gramian), which
-fill one record per level (_Level). The finest level runs on the calling
-thread, and every other task goes to one executor: a helper thread with two
-or more CPUs, else _Inline, which runs each task on the calling thread as it
-is queued. The plan and its reasons are in _run_jobs. Each
-evaluation checks the volume-form values against exact identities; on
-the nested square and L-shape meshes lambda_h must not rise from level to
-level, and the tracked pair keeps one place among the computed eigenvalues.
+Each study or reference level is an independent job of two stages, the
+solve and the evaluation (volume form, identity guard, and at a study level
+the boundary form, h and Gramian), which fill one record per level
+(_Level). The finest level runs on the calling thread, and every other task
+goes to one executor: a helper thread with two or more CPUs, else _Inline,
+which runs each task on the calling thread as it is queued. The plan and
+its reasons are in _run_jobs. Each evaluation checks the volume-form values
+against exact identities; on the nested square and L-shape meshes lambda_h
+must not rise from level to level, and the tracked pair keeps one place
+among the computed eigenvalues.
 """
 
 from __future__ import annotations
@@ -120,8 +120,7 @@ class _Level:
 
     The solve sets the mesh (a reference level builds its own), space, pair
     and lams; the evaluation sets the volume-form values, and at a study level
-    the boundary-form values; the mesh stage sets a study level's h and
-    Gramian."""
+    the boundary-form values, h and the Gramian."""
     role: str  # "study" or "reference"
     level: int
     mesh: Mesh | None = None
@@ -170,7 +169,7 @@ def _evaluate_stage(cfg: StudyConfig, basis: VelocityBasis, lv: _Level,
     """The level's volume-form values, checked against identities that hold on
     every mesh for an M-normalised u_h: vol(x, 0) + vol(0, y) = -2 lam_h
     (gamma >= 1) and vol(translation) = 0; at a study level also the
-    boundary-form values. `helper` shares the volume form."""
+    boundary-form values, h and the Gramian. `helper` shares the volume form."""
     lv.volume = shapegrad.volume_gradients(lv.space, lv.pair, basis.fields, helper)
     named = dict(zip((f.name for f in basis.fields), lv.volume))
     misses = {f"translation {name}": abs(named[name]) for name in _TRANSLATIONS}
@@ -186,12 +185,6 @@ def _evaluate_stage(cfg: StudyConfig, basis: VelocityBasis, lv: _Level,
             "is wrong")
     if lv.role == "study":
         lv.boundary = shapegrad.boundary_gradients(lv.space, lv.pair, basis.fields)
-    return lv
-
-
-def _mesh_stage(basis: VelocityBasis, lv: _Level) -> _Level:
-    """A study level's values that need only its mesh: h and the Gramian."""
-    if lv.role == "study":
         lv.h, lv.K = mesh_size(lv.mesh), gramian(basis, lv.mesh)
     return lv
 
@@ -244,41 +237,45 @@ class _Inline(Executor):
 
 def _run_jobs(cfg: StudyConfig, basis: VelocityBasis, levels: list[_Level],
               helper: Executor, reference: Future | None = None) -> list[_Level]:
-    """Every level solved, evaluated and measured, with the serial loop's
-    results bit for bit; returns levels. `reference` is the analytic reference,
-    which comes before every level.
+    """Every level solved and evaluated, with the serial loop's results bit
+    for bit; returns levels. `reference` is the analytic reference, which
+    comes before every level.
 
     The largest level, the finest, runs on the calling thread; no other level
     has its level number. `helper` runs, after the analytic reference that
     run_levels queues on it first: every other level's solve, largest level
-    first (ties in list order); the finest study level's mesh-only work, its
-    match_exact interpolant (read by the finest solve at the target pick) and
-    then its h and Gramian (read at the end of its evaluation); every other
+    first (ties in list order); the finest study level's match_exact
+    interpolant, read by the finest solve at the target pick; every other
     evaluation in list order; and then blocks of the finest volume form
     (quadrature.moments). With one CPU `helper` is _Inline, so that queue runs
     in that order on the calling thread before the finest solve and
     evaluation, and nothing overlaps. With two or more it is one helper
     thread, and the calling thread waits on that queue at two points only,
     and only when the helper is behind: inside the finest solve, for the
-    match_exact interpolant, and after the finest evaluation, for the finest
-    h and Gramian and the other levels' outcomes.
+    match_exact interpolant, and after the finest evaluation, for the other
+    levels' outcomes.
 
     The threads overlap less than their native code suggests. SuperLU
     releases the GIL while it factors, but scipy's allocator for it takes
     the GIL back on every allocation (PyGILState_Ensure), so the finest splu
     waits whenever the helper holds the GIL, as it does between the small
-    calls of a coarse eigensolve; CHANGES.md has the measured timeline. So
-    the mesh-only work goes after the coarse solves: ahead of them, it
-    pushed the level-4 eigensolve into the finest one, and the benchmark
-    gained no more. Each stage is single-threaded work on inputs of its own,
-    and a volume-form block's tables do not depend on the thread, so every
-    result is the serial one.
+    calls of a coarse eigensolve; CHANGES.md has the measured timeline. The
+    finest Lanczos loop fares no better. The SuperLU.solve and CSR matvec of
+    each ARPACK callback release the GIL (a pure-Python loop beside a loop of
+    either kept most of its speed), but ARPACK's own work holds it, and each
+    callback must take it back. On 2 vCPUs the finest disk level-5
+    solve_lowest(k=10) took 49-68 ms alone, 59-67 ms beside a looping level-4
+    volume form, 84-112 ms beside a looping level-4 eigensolve and 1.9-2.5 s
+    beside a pure-Python loop. So the coarse solves go first, next to the
+    finest assembly and factorization, and the evaluations, mostly numpy,
+    next to the finest eigensolve. Each stage is single-threaded work on
+    inputs of its own, and a volume-form block's tables do not depend on the
+    thread, so every result is the serial one.
 
     The first failure in the serial order, the analytic reference and then
     list order, is raised after the helper's queued work is cancelled and its
     running task has finished. Within a level that order is solve, identity
-    guard, Gramian: the finest level reads its interpolant inside its solve
-    and its h and Gramian after its evaluation. Every queued solve runs
+    guard, Gramian, as each evaluation runs them. Every queued solve runs
     whatever failed before it, and an evaluation carries its solve's failure
     and runs whenever its own solve succeeded, so a level's failure is found
     even when a larger or later level's solve failed first. A failure in the
@@ -290,17 +287,14 @@ def _run_jobs(cfg: StudyConfig, basis: VelocityBasis, levels: list[_Level],
     86 to 90 MB (disk study), and the disk study's wall_per_calib from 29.1-29.5
     to 30.6-31.0, most likely through glibc's per-thread heaps."""
     solve, evaluate = partial(_solve_stage, cfg), partial(_evaluate_stage, cfg, basis)
-    measure = partial(_mesh_stage, basis)
     inline, *others = sorted(range(len(levels)), key=lambda k: -levels[k].level)
     finest, exact_nodal = levels[inline], None
     solved = {k: helper.submit(solve, levels[k]) for k in others}
     if finest.role == "study" and cfg.target.kind is TargetKind.MATCH_EXACT:
         exact_nodal = helper.submit(_exact_nodal, finest.mesh, cfg.bc).result
-    measured = helper.submit(measure, finest)
-    outcomes = {k: helper.submit(lambda f: measure(evaluate(f.result())), solved[k])
+    outcomes = {k: helper.submit(lambda f: evaluate(f.result()), solved[k])
                 for k in sorted(solved)}
-    done = _Inline().submit(lambda: evaluate(solve(finest, exact_nodal), helper))
-    outcomes[inline] = measured if done.exception() is None else done
+    outcomes[inline] = _Inline().submit(lambda: evaluate(solve(finest, exact_nodal), helper))
     if reference is not None:
         reference.result()
     return [outcomes[k].result() for k in range(len(levels))]

@@ -111,8 +111,8 @@ def test_one_cpu_runs_every_level_on_the_calling_thread(monkeypatch, cpus):
     (5, [("reference", 4), ("reference", 3), ("study", 3), ("study", 2), ("study", 1)]),
 ], ids=["analytic", "finemesh"])
 def test_the_helper_solves_the_largest_level_first(monkeypatch, reference_level, helper_order):
-    # so the largest coarse eigensolve starts as early as the finest level's
-    # mesh-only work allows
+    # so the largest coarse eigensolve runs next to the finest assembly and
+    # factorization, not next to the finest eigensolve
     stage, order = convergence._solve_stage, []
 
     def recording(cfg, lv, *ahead):
@@ -129,20 +129,19 @@ def test_the_helper_solves_the_largest_level_first(monkeypatch, reference_level,
 
 
 def evaluated(role, *levels):
-    return [(stage, role, lv) for lv in levels for stage in ("evaluate", "measure")]
+    return [("evaluate", role, lv) for lv in levels]
 
 
 @pytest.mark.parametrize("cfg,helper_queue", [
     # reference, coarse solves largest first (each builds its own interpolant
-    # at the pick), the finest interpolant, h and Gramian, coarse evaluations
+    # at the pick), the finest interpolant, coarse evaluations
     (config(Domain.UNIT_DISK, N, None, Target.match_exact()),
      [("reference",), ("solve", "study", 2), ("interpolant", 2), ("solve", "study", 1),
-      ("interpolant", 1), ("interpolant", 3), ("measure", "study", 3),
-      *evaluated("study", 1, 2)]),
-    # the finest level is the reference's level 5, which needs no h or Gramian
+      ("interpolant", 1), ("interpolant", 3), *evaluated("study", 1, 2)]),
+    # the finest level is the reference's level 5
     (config(Domain.UNIT_SQUARE, D),
      [("solve", "reference", 4), ("solve", "reference", 3), ("solve", "study", 3),
-      ("solve", "study", 2), ("solve", "study", 1), ("measure", "reference", 5),
+      ("solve", "study", 2), ("solve", "study", 1),
       *evaluated("reference", 3, 4), *evaluated("study", 1, 2, 3)]),
 ], ids=["disk-neumann-match_exact", "square-dirichlet-finemesh"])
 def test_one_cpu_follows_the_two_thread_plan(monkeypatch, cfg, helper_queue):
@@ -164,8 +163,7 @@ def test_one_cpu_follows_the_two_thread_plan(monkeypatch, cfg, helper_queue):
         return wrapped
 
     for name, attr in [("reference", "reference_derivatives_for"), ("solve", "_solve_stage"),
-                       ("interpolant", "_exact_nodal"), ("evaluate", "_evaluate_stage"),
-                       ("measure", "_mesh_stage")]:
+                       ("interpolant", "_exact_nodal"), ("evaluate", "_evaluate_stage")]:
         monkeypatch.setattr(convergence, attr, recorded(name, getattr(convergence, attr)))
     records, ref = run_levels(cfg)
     finest = [("solve", "study", 3), ("evaluate", "study", 3)]
@@ -361,24 +359,28 @@ def test_the_finest_volume_form_runs_on_both_threads_only_with_two_cpus(monkeypa
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_the_finest_mesh_only_work_runs_on_the_helper_only_with_two_cpus(monkeypatch, cpus):
-    """The finest study level's interpolant, h and Gramian, and the analytic
-    reference, go to the helper ahead of the coarse solves."""
+def test_the_finest_h_and_gramian_run_on_the_calling_thread_after_its_boundary_form(
+        monkeypatch, cpus):
+    """The analytic reference and the finest study level's interpolant go to
+    the helper; its h and Gramian stay in its evaluation, on the calling
+    thread, after its boundary form."""
     monkeypatch.setattr(convergence, "_cpus", lambda: cpus)
     cfg = config(Domain.UNIT_DISK, N, None, Target.match_exact())
     finest = generate(cfg.domain, cfg.max_level).num_triangles
-    caller, threads = threading.current_thread(), {}
+    caller, calls = threading.current_thread(), []
 
     def recorded(name, fn, mesh_of=lambda *args: None):
         def wrapped(*args):
             mesh = mesh_of(*args)
             if mesh is None or mesh.num_triangles == finest:
-                threads.setdefault(name, set()).add(threading.current_thread() is caller)
+                calls.append((name, threading.current_thread() is caller))
             return fn(*args)
         return wrapped
 
     monkeypatch.setattr(convergence.FemSpace, "interpolate", recorded(
         "interpolant", convergence.FemSpace.interpolate, lambda space, f: space.mesh))
+    monkeypatch.setattr(shapegrad, "boundary_gradients", recorded(
+        "boundary_gradients", shapegrad.boundary_gradients, lambda space, *rest: space.mesh))
     monkeypatch.setattr(convergence, "gramian", recorded(
         "gramian", convergence.gramian, lambda basis, mesh: mesh))
     monkeypatch.setattr(convergence, "mesh_size", recorded(
@@ -386,8 +388,11 @@ def test_the_finest_mesh_only_work_runs_on_the_helper_only_with_two_cpus(monkeyp
     monkeypatch.setattr(convergence, "reference_derivatives_for", recorded(
         "reference", convergence.reference_derivatives_for))
     records, _ = run_levels(cfg)
-    assert threads == {name: {cpus == 1}
-                       for name in ("interpolant", "gramian", "mesh_size", "reference")}
+    assert dict(calls) == {"reference": cpus == 1, "interpolant": cpus == 1,
+                           "boundary_gradients": True, "mesh_size": True, "gramian": True}
+    assert len(calls) == 5
+    names = [name for name, _ in calls]
+    assert names.index("boundary_gradients") < names.index("mesh_size") < names.index("gramian")
     assert records == serial_run_levels(cfg)[0]
 
 
