@@ -196,8 +196,7 @@ def cmd_study(args) -> int:
     csv_path = out_dir / f"{stem}.csv"
     svg_path = out_dir / f"{stem}.svg"
     csv_path.write_text(conv.write_csv(result))
-    svg_path.write_text(conv.loglog_svg(
-        result, title=f"{cfg.domain.value} {cfg.bc.value} gamma={cfg.gamma}"))
+    svg_path.write_text(conv.loglog_svg(result))
     manifest = {"config": snapshot, "outputs": [str(csv_path), str(svg_path)],
                 "timestamp": datetime.now(timezone.utc).isoformat(), "version": __version__}
     manifest_path = out_dir / f"{stem}.manifest.json"

@@ -302,7 +302,7 @@ def _run_jobs(cfg: StudyConfig, basis: VelocityBasis, levels: list[_Level],
 
 def reference_derivatives_for(cfg: StudyConfig, basis) -> refmod.ReferenceDerivatives:
     """The analytic reference: the continuous derivatives of the exact eigenpair."""
-    return refmod.continuous_derivatives(cfg.domain, cfg.bc, basis)
+    return refmod.continuous_derivatives(cfg.domain, cfg.bc, basis.fields)
 
 
 def run_levels(cfg: StudyConfig) -> tuple[list[StudyRecord], refmod.ReferenceDerivatives]:
@@ -401,8 +401,9 @@ def write_csv(result: StudyResult) -> str:
     return buf.getvalue()
 
 
-def loglog_svg(result: StudyResult, title: str = "") -> str:
-    """Dependency-light SVG log-log plot of both error series with slopes."""
+def loglog_svg(result: StudyResult) -> str:
+    """Dependency-light SVG log-log plot of both error series with slopes, titled by config."""
+    cfg = result.config
     width, height = 640, 480
     ml, mr, mt, mb = 70, 20, 40, 55
     hs = [r.h for r in result.records]
@@ -428,10 +429,9 @@ def loglog_svg(result: StudyResult, title: str = "") -> str:
              f'viewBox="0 0 {width} {height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>',
              f'<rect x="{ml}" y="{mt}" width="{width - ml - mr}" height="{height - mt - mb}" '
-             'fill="none" stroke="black"/>']
-    if title:
-        parts.append(f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-                     f'font-size="15">{title}</text>')
+             'fill="none" stroke="black"/>',
+             f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="15">'
+             f'{cfg.domain.value} {cfg.bc.value} gamma={cfg.gamma}</text>']
     for p in range(math.floor(lx0), math.ceil(lx1) + 1):
         if lx0 <= p <= lx1:
             x = sx(p)

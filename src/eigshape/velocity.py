@@ -12,7 +12,6 @@ monomial moments as boundary-edge integrals (Green's theorem).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -22,8 +21,6 @@ import scipy.linalg
 
 from .mesh import Mesh
 from .quadrature import boundary_points, moments
-
-log = logging.getLogger(__name__)
 
 
 class FactorizationError(RuntimeError):
@@ -159,7 +156,6 @@ def gramian(basis: VelocityBasis, mesh: Mesh) -> Gramian:
 
 def _factorize(K: np.ndarray) -> Gramian:
     condition = float(np.linalg.cond(K))
-    log.debug("Gramian size %d, condition %.3e", K.shape[0], condition)
     if not np.isfinite(condition) or condition > 1e14:
         raise FactorizationError(
             f"Gramian condition {condition:.2e} exceeds double precision "

@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -276,8 +277,9 @@ def test_extrapolated_reference_clamps_the_rate(rate, clamped):
 
 def test_loglog_svg_output():
     cfg = StudyConfig(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 1, 3, gamma=1)
-    svg = loglog_svg(run_study(cfg), title="test plot")
+    svg = loglog_svg(run_study(cfg))
     assert svg.startswith("<svg")
+    assert re.search(r'<text [^>]*font-size="15">square dirichlet gamma=1</text>', svg)
     assert svg.rstrip().endswith("</svg>")
     assert "E_volume" in svg and "E_boundary" in svg
     assert "slope" in svg

@@ -37,7 +37,7 @@ def serial_run_levels(cfg):
     """The serial level loop: reference levels, then study levels, in order."""
     basis = build_basis(cfg.gamma)
     if cfg.reference_level is None:
-        ref = refmod.continuous_derivatives(cfg.domain, cfg.bc, basis)
+        ref = refmod.continuous_derivatives(cfg.domain, cfg.bc, basis.fields)
     else:
         levels = []
         for lv in range(cfg.reference_level - 2, cfg.reference_level + 1):

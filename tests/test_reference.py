@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.special
@@ -12,8 +14,7 @@ from eigshape.reference import (UnsupportedDomainError, bessel_j0,
                                 bessel_j0_first_zero, bessel_j1,
                                 bessel_j1_first_zero, continuous_derivatives,
                                 exact_eigenpair, golden_values)
-from eigshape.velocity import (VelocityBasis, build_basis, constant_field,
-                               identity_field, rotation_field)
+from eigshape.velocity import build_basis, constant_field, identity_field, rotation_field
 
 from conftest import record_pair_counts, traced_peak_bytes
 
@@ -173,10 +174,46 @@ def test_exact_eigenpair_takes_coordinate_major_points(domain, bc):
         assert np.array_equal(pair.gradient(p)[(slice(None),) + k], pair.gradient(one))
 
 
+def _square_closures(bc):
+    """The square's eigenfunction as four separate closures, one value and one
+    gradient per bc: the reference implementation exact_eigenpair must match."""
+    if bc is BoundaryCondition.DIRICHLET:
+        def value(p):
+            return 2.0 * np.sin(math.pi * p[0]) * np.sin(math.pi * p[1])
+
+        def grad(p):
+            s1, c1 = np.sin(math.pi * p[0]), np.cos(math.pi * p[0])
+            s2, c2 = np.sin(math.pi * p[1]), np.cos(math.pi * p[1])
+            return 2.0 * math.pi * np.stack([c1 * s2, s1 * c2])
+    else:
+        def value(p):
+            return 2.0 * np.cos(math.pi * p[0]) * np.cos(math.pi * p[1])
+
+        def grad(p):
+            s1, c1 = np.sin(math.pi * p[0]), np.cos(math.pi * p[0])
+            s2, c2 = np.sin(math.pi * p[1]), np.cos(math.pi * p[1])
+            return -2.0 * math.pi * np.stack([s1 * c2, c1 * s2])
+    return value, grad
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition))
+def test_square_eigenpair_equals_the_separate_closures_bit_for_bit(bc):
+    pair = exact_eigenpair(Domain.UNIT_SQUARE, bc)
+    value, grad = _square_closures(bc)
+    assert pair.lam == 2.0 * math.pi ** 2
+    rng = np.random.default_rng(7)
+    corners = np.array([[0.0, 1.0, 1.0, 0.0, -0.0, 0.5], [0.0, 0.0, 1.0, 1.0, -0.0, 0.5]])
+    for p in (rng.uniform(-0.25, 1.25, (2, 20000)), refmod._boundary_quadrature(
+            Domain.UNIT_SQUARE)[0], corners):
+        for got, want in ((pair.value(p), value(p)), (pair.gradient(p), grad(p))):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("domain,bc", ALL_EXACT)
 def test_continuous_derivatives_symmetries(domain, bc):
-    probe = VelocityBasis(1, (constant_field(1.0, 0.0), constant_field(0.0, 1.0),
-                              identity_field(), rotation_field()))
+    probe = (constant_field(1.0, 0.0), constant_field(0.0, 1.0), identity_field(),
+             rotation_field())
     ref = continuous_derivatives(domain, bc, probe)
     assert abs(ref.values[0]) <= 1e-10
     assert abs(ref.values[1]) <= 1e-10
@@ -187,9 +224,9 @@ def test_continuous_derivatives_symmetries(domain, bc):
 
 def test_continuous_derivatives_panel_doubling(monkeypatch):
     basis = build_basis(3)
-    a = continuous_derivatives(Domain.UNIT_DISK, BoundaryCondition.DIRICHLET, basis)
+    a = continuous_derivatives(Domain.UNIT_DISK, BoundaryCondition.DIRICHLET, basis.fields)
     monkeypatch.setattr(refmod, "_PANELS", 2 * refmod._PANELS)
-    b = continuous_derivatives(Domain.UNIT_DISK, BoundaryCondition.DIRICHLET, basis)
+    b = continuous_derivatives(Domain.UNIT_DISK, BoundaryCondition.DIRICHLET, basis.fields)
     scale = np.abs(a.values).max()
     assert np.abs(a.values - b.values).max() <= 1e-9 * scale
 
@@ -202,7 +239,7 @@ def _finemesh_config(max_level, reference_level):
 @pytest.mark.slow
 def test_finemesh_square_cross_check_against_analytic():
     basis = build_basis(3)
-    ana = continuous_derivatives(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, basis)
+    ana = continuous_derivatives(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, basis.fields)
     fm = run_levels(_finemesh_config(6, 8))[1]  # gamma 3, as basis
     assert np.abs(fm.values - ana.values).max() <= 5e-5
 

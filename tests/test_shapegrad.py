@@ -10,8 +10,8 @@ from eigshape.fem import BoundaryCondition
 from eigshape.mesh import Domain, generate, refine
 from eigshape.shapegrad import (Formula, boundary_gradients, directional_matrix,
                                 volume_gradient, volume_gradients, weyl_bound)
-from eigshape.velocity import (VelocityBasis, VelocityField, build_basis, constant_field,
-                               identity_field, monomial_field, rotation_field)
+from eigshape.velocity import (VelocityField, build_basis, constant_field, identity_field,
+                               monomial_field, rotation_field)
 from eigshape import reference as refmod
 from eigshape.fem import FemSpace, assemble_mass, assemble_stiffness, element_gradients
 from eigshape.quadrature import edge_rule, physical_points
@@ -50,7 +50,7 @@ def test_volume_matches_continuous_reference_at_h_squared_rate():
     field = monomial_field(1, 0, 0)
     probe = build_basis(1)
     ref = refmod.continuous_derivatives(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET,
-                                        probe)
+                                        probe.fields)
     exact = ref.values[1]  # the (x1, 0) entry
     errs = []
     mesh = generate(Domain.UNIT_SQUARE, 4)
@@ -515,7 +515,7 @@ def test_general_fields_match_pointwise_evaluation(domain, bc):
 @pytest.mark.parametrize("domain", [Domain.UNIT_SQUARE, Domain.UNIT_DISK])
 @pytest.mark.parametrize("bc", BCS)
 def test_general_fields_continuous_reference_matches_pointwise_evaluation(domain, bc):
-    ref = refmod.continuous_derivatives(domain, bc, VelocityBasis(2, GENERAL_FIELDS))
+    ref = refmod.continuous_derivatives(domain, bc, GENERAL_FIELDS)
     exact = refmod.exact_eigenpair(domain, bc)
     pts, w, normals = refmod._boundary_quadrature(domain)
     # the oracle works point-major, (P, q, 2)
