@@ -37,16 +37,19 @@ STUDY_SETS = (("Shipped studies", "configs"),
               ("Benchmark configs (perfbench/configs)", "perfbench/configs"))
 # Outputs no study writes: the spectrum workload's solve, square and L-shape
 # solves (their stiffness sums hold exact zeros, which the disk's do not), the
-# golden values, and constant fields, whose moment tables are 1 x 1 (the volume
-# value is 0.0 whatever the tables; the Dirichlet boundary ones read them).
-# `gradient` calls the study runner's level solve, so its disk case covers that
-# solve on the disk.
+# golden values, a constant field (its volume value is 0.0 whatever the tables;
+# the Dirichlet boundary ones read its 1 x 1 boundary tables), and a
+# degree-2 field alone, whose volume value reads the entries of the smallest
+# volume tables, 3 x 3, so a change to the table sizes shows. `gradient` calls
+# the study runner's level solve, so its disk case covers that solve on the
+# disk.
 COMMANDS = (
     "solve --domain disk --bc neumann --level 6 --k 10",
     "solve --domain square --bc neumann --level 5 --k 10",
     "solve --domain lshape --bc dirichlet --level 5 --k 4",
     "golden",
     "gradient --domain lshape --bc neumann --level 4 --field const:1,2 --formula volume",
+    "gradient --domain lshape --bc neumann --level 4 --field mono:1,1,0 --formula volume",
     "gradient --domain lshape --bc dirichlet --level 4 --field const:1,2 --formula boundary",
     "gradient --domain disk --bc dirichlet --level 4 --field const:1,2 --formula boundary",
 )

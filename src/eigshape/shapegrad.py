@@ -15,9 +15,15 @@ directional derivatives. A simple eigenpair is the one-member cluster.
 
 Both forms are linear in V and DV, so each is computed as moment tables of
 the eigenfunction data (quadrature.moments), one per matrix entry, contracted
-against the fields' coefficient stacks (velocity.coefficient_stack). A cluster
-keeps its tables: directional_matrix builds one table per space and formula
-for every field of degree <= _BASE_DEGREE - 2, and one per higher degree.
+against the fields' coefficient stacks (velocity.coefficient_stack).
+
+The volume form reads only DV, one degree below V, so every volume table has
+the size of the largest field degree, but at least _MIN_VOLUME_SIZE: BLAS
+rounds a table's entries by its column count, alike from size 3 up but not
+below, so a field's value is the same alone as in any set of fields. The
+boundary form reads V, and its edge rule follows the table size, so its
+tables keep the size the base volume rule integrates exactly, _BASE_DEGREE - 1,
+for every field of degree <= _BASE_DEGREE - 2: a smaller one moves the values.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .quadrature import boundary_points, edge_rule, moments, physical_points, tr
 from .velocity import VelocityField, coefficient_stack
 
 _BASE_DEGREE = 6  # volume rule exact for degree max(6, field degree + 2)
+_MIN_VOLUME_SIZE = 3  # the smallest volume table that rounds as the larger ones do
 
 
 class Formula(Enum):
@@ -56,7 +63,7 @@ def volume_gradients(space: FemSpace, pair: EigenPair, fields,
                      helper: Executor | None = None) -> np.ndarray:
     """Volume-form derivative for each field, sharing one set of tables; an
     executor `helper` takes part in building them once it is free."""
-    T = _volume_tables(space, pair.coeffs[:, None], pair.lam, _size(fields), helper)
+    T = _volume_tables(space, pair.coeffs[:, None], pair.lam, _volume_size(fields), helper)
     return _contract(Formula.VOLUME, fields, T)[:, 0]
 
 
@@ -72,15 +79,17 @@ def directional_matrix(space: FemSpace, cl: EigenCluster, field: VelocityField,
 
     The continuous formulas use the (single) continuous eigenvalue; here it
     is replaced by the cluster-mean discrete eigenvalue. The tables are cached
-    on the cluster per (space, formula, size). The size is the largest that the
-    base volume rule integrates exactly, or the field's own when that is larger,
-    so every field of degree <= _BASE_DEGREE - 2 shares one table; each result
-    depends on the field alone, not on which fields came before.
+    on the cluster per (space, formula, size), sized as the module docstring
+    says: every field of degree <= _MIN_VOLUME_SIZE shares one volume table,
+    and every field of degree <= _BASE_DEGREE - 2 one boundary table. Each
+    result depends on the field alone, not on which fields came before.
     """
-    size = max(field.degree + 1, _BASE_DEGREE - 1)
+    if formula is Formula.VOLUME:
+        size, build = _volume_size((field,)), _volume_tables
+    else:
+        size, build = max(field.degree + 1, _BASE_DEGREE - 1), _boundary_tables
     key = (space, formula, size)
     if key not in cl._tables:
-        build = _volume_tables if formula is Formula.VOLUME else _boundary_tables
         cl._tables[key] = build(space, cl.basis, cl.mean, size)
     values = _contract(formula, (field,), cl._tables[key])[0]
     mat = np.empty((cl.multiplicity, cl.multiplicity))
@@ -129,6 +138,11 @@ def _size(fields) -> int:
     return max(f.degree for f in fields) + 1
 
 
+def _volume_size(fields) -> int:
+    """The volume tables' size: DV has degree at most the fields' largest - 1."""
+    return max(max(f.degree for f in fields), _MIN_VOLUME_SIZE)
+
+
 def _contract(formula: Formula, fields, T: np.ndarray) -> np.ndarray:
     """out[f, e]: the fields' V (boundary) or DV (volume) against the tables."""
     C = coefficient_stack(fields, T.shape[-1])
@@ -158,7 +172,7 @@ def _volume_tables(space: FemSpace, basis: np.ndarray, lam: float, size: int,
     the tables are the same either way.
     """
     mesh = space.mesh
-    degree = max(_BASE_DEGREE, size + 1)
+    degree = max(_BASE_DEGREE, size + 2)
     nt = mesh.num_triangles
     i, j = _entries(basis.shape[1])
     grads = element_gradients(space, basis).swapaxes(0, 1)[..., None]  # (l, 2, nt, 1)

@@ -43,17 +43,23 @@ class VelocityField:
     def coefficient_block(self, size: int) -> np.ndarray:
         """This field's (2, 3, size, size) block of coefficient_stack, built
         once per size and kept read-only: like degree, it takes the
-        coefficient arrays never to change."""
+        coefficient arrays never to change.
+
+        The derivative blocks are taken before truncation, so they are exact
+        for size >= degree (a degree-d field's DV has degree d - 1); the
+        component block is exact only for size > degree.
+        """
         block = self._blocks.get(size)
         if block is None:
-            block = np.zeros((2, 3, size, size))
+            full = np.zeros((2, 3, size + 1, size + 1))
             for c, coeffs in enumerate((self.coeffs_x, self.coeffs_y)):
                 # entries past the total degree are zero, so truncation is exact
-                kept = coeffs[:size, :size]
-                block[c, 0, :kept.shape[0], :kept.shape[1]] = kept
-            powers = np.arange(1, size)
-            block[:, 1, :-1, :] = powers[:, None] * block[:, 0, 1:, :]
-            block[:, 2, :, :-1] = powers[None, :] * block[:, 0, :, 1:]
+                kept = coeffs[:size + 1, :size + 1]
+                full[c, 0, :kept.shape[0], :kept.shape[1]] = kept
+            powers = np.arange(1, size + 1)
+            full[:, 1, :-1, :] = powers[:, None] * full[:, 0, 1:, :]
+            full[:, 2, :, :-1] = powers[None, :] * full[:, 0, :, 1:]
+            block = full[:, :, :size, :size].copy()
             block.setflags(write=False)
             # a block another thread kept first wins, so each size has one
             block = self._blocks.setdefault(size, block)
@@ -119,7 +125,8 @@ class Gramian:
 def coefficient_stack(fields, size: int) -> np.ndarray:
     """C[f, c, d] for field f and component c (V_x, V_y): d = 0 the component,
     d = 1, 2 its x1, x2 derivative, each a zero-padded (size, size) array of
-    monomial coefficients. size must exceed every field's total degree.
+    monomial coefficients. size must exceed every field's total degree, or
+    equal it where only the derivatives are read.
 
     Contracting C against moment tables integrates any polynomial expression
     that is linear in V and DV. C stacks the fields' kept coefficient blocks.

@@ -76,7 +76,7 @@ def oracle_moments(points, weights, values, degree):
 
 def oracle_volume_tables(space, basis, lam, size, helper=None):
     """The volume tables with one oracle_moments call for G and one for U."""
-    points, weights, bary = physical_points(space.mesh, max(shapegrad._BASE_DEGREE, size + 1))
+    points, weights, bary = physical_points(space.mesh, max(shapegrad._BASE_DEGREE, size + 2))
     nt = points.shape[1]
     i, j = np.triu_indices(basis.shape[1])
     grads = np.stack([element_gradients(space, u[:, None])[:, 0].T for u in basis.T])
@@ -120,7 +120,7 @@ def per_chunk_moments(points, weights, values, degree):
 def per_chunk_volume_tables(space, basis, lam, size):
     """The volume tables with points, u_h values and moments built chunk by chunk."""
     mesh = space.mesh
-    degree = max(shapegrad._BASE_DEGREE, size + 1)
+    degree = max(shapegrad._BASE_DEGREE, size + 2)
     nt = mesh.num_triangles
     i, j = np.triu_indices(basis.shape[1])
     grads = element_gradients(space, basis).swapaxes(0, 1)[..., None]
@@ -230,7 +230,7 @@ def test_block_moments_sum_points_as_numpy_does_at_every_shape(npts):
 
 def whole_mesh_volume_tables(space, basis, lam, size):
     """The volume tables from one moments call over every triangle at once."""
-    points, weights, bary = physical_points(space.mesh, max(shapegrad._BASE_DEGREE, size + 1))
+    points, weights, bary = physical_points(space.mesh, max(shapegrad._BASE_DEGREE, size + 2))
     nt = points.shape[1]
     i, j = np.triu_indices(basis.shape[1])
     grads = np.stack([element_gradients(space, u[:, None])[:, 0].T for u in basis.T])
@@ -306,7 +306,7 @@ def test_volume_tables_equal_the_per_chunk_loop_with_and_without_a_helper(domain
         for level in range(6):
             space, basis, lam = _lowest_live_pairs(domain, bc, level, 3)
             for size in range(1, 8):
-                npts = quadrature.triangle_rule(max(shapegrad._BASE_DEGREE, size + 1))[1].size
+                npts = quadrature.triangle_rule(max(shapegrad._BASE_DEGREE, size + 2))[1].size
                 nt = space.mesh.num_triangles
                 count = len(blocks(nt, npts))
                 seen |= {"single block"} if count == 1 else set()

@@ -272,7 +272,8 @@ def _per_degree(space, cl, field, formula):
 @pytest.mark.parametrize("domain", DOMAINS)
 @pytest.mark.parametrize("bc", BCS)
 def test_shared_tables_match_per_degree_tables(domain, bc):
-    # fields of degree <= 4 share the size-5 tables; the largest sizes are their own
+    # fields of degree <= 3 share the size-3 volume tables and fields of degree <= 4
+    # the size-5 boundary tables; the larger sizes are their own
     space, cl = _test_cluster(domain, bc)
     fields = build_basis(6).fields
     assert {f.degree for f in fields} == set(range(7))
@@ -318,16 +319,45 @@ def test_tables_built_once_per_space_formula_and_size(monkeypatch):
     # every field of a gamma = 3 basis shares one table per formula
     fields = build_basis(3).fields
     first = matrices(space, fields)
-    assert builds == [(space, "_volume_tables", 5), (space, "_boundary_tables", 5)]
-    # degree-5 and degree-6 fields build their own
+    assert builds == [(space, "_volume_tables", 3), (space, "_boundary_tables", 5)]
+    # degree-4, -5 and -6 fields build their own volume tables, degree-5 and -6
+    # fields their own boundary tables
     matrices(space, [f for f in build_basis(6).fields if f.degree >= 4])
-    assert len(builds) == len(set(builds)) == 6
-    assert {size for _, _, size in builds} == {5, 6, 7}
+    assert len(builds) == len(set(builds)) == 7
+    assert sorted(size for _, name, size in builds if name == "_volume_tables") == [3, 4, 5, 6]
+    assert sorted(size for _, name, size in builds if name == "_boundary_tables") == [5, 6, 7]
     # the same cluster on a second space over the same mesh builds its own tables
     other = FemSpace(space.mesh, space.bc)
     second = matrices(other, fields)
-    assert len(builds) == len(set(builds)) == 8
+    assert len(builds) == len(set(builds)) == 9
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+def test_volume_gradients_build_one_size_3_table_for_the_gamma_3_basis(monkeypatch):
+    _, space, A, M = assembled(Domain.UNIT_SQUARE, BoundaryCondition.DIRICHLET, 3)
+    pair = first_nonzero_pair(space, A, M)
+    sizes, build = [], shapegrad._volume_tables
+
+    def counted(space, basis, lam, size, helper=None):
+        sizes.append(size)
+        return build(space, basis, lam, size, helper)
+
+    monkeypatch.setattr(shapegrad, "_volume_tables", counted)
+    volume_gradients(space, pair, build_basis(3).fields)
+    assert sizes == [3]
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("bc", BCS)
+def test_a_fields_volume_value_alone_equals_its_value_in_the_gamma_3_basis(domain, bc):
+    """Every single-field table is at least 3 x 3, as the basis's, so each value
+    keeps its bits; a 2 x 2 table for a degree-1 field rounds differently."""
+    _, space, A, M = assembled(domain, bc, 3)
+    pair = first_nonzero_pair(space, A, M)
+    fields = build_basis(3).fields
+    together = volume_gradients(space, pair, fields)
+    alone = np.array([volume_gradients(space, pair, (f,))[0] for f in fields])
+    assert np.array_equal(alone, together)
 
 
 def _fresh_indices(space, cl, field, formula):

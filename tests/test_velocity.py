@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 import scipy.linalg
+from numpy.polynomial import polynomial as npoly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -252,7 +253,8 @@ def test_field_degree():
 
 
 def _per_call_stack(fields, size):
-    """Oracle: coefficient_stack as it was, every block built on each call."""
+    """Oracle: coefficient_stack as it was, every block built on each call, by
+    truncating before differentiating (so exact for size > degree only)."""
     out = np.zeros((len(fields), 2, 3, size, size))
     powers = np.arange(1, size)
     for f, field in enumerate(fields):
@@ -269,14 +271,30 @@ def test_coefficient_stack_equals_the_per_call_build():
               constant_field(-0.0, 2.5),
               VelocityField(np.array([[0.3, -2.0], [-1.0, 0.5]]), np.array([[0.0], [0.7]])))
     for size in range(1, 9):
-        want = _per_call_stack(fields, size)
+        below = [f for f in fields if f.degree < size]
+        want = _per_call_stack(below, size)
         for _ in range(2):  # building the blocks, then reading the kept ones
-            got = coefficient_stack(fields, size)
+            got = coefficient_stack(below, size)
             assert got.shape == want.shape
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
-        for f, field in enumerate(fields):
+        for f, field in enumerate(below):
             assert np.array_equal(coefficient_stack((field,), size), want[f:f + 1])
+
+
+def test_a_block_of_the_fields_degree_holds_its_exact_derivatives():
+    """The volume form reads only DV, so its tables may have the fields' degree as size."""
+    fields = [f for f in build_basis(6).fields if f.degree > 0]  # every field of gamma 1-6
+    for field in fields:
+        size = field.degree
+        block = field.coefficient_block(size)
+        for c, coeffs in enumerate((field.coeffs_x, field.coeffs_y)):
+            for b in (0, 1):
+                deriv = npoly.polyder(coeffs, axis=b)
+                want = np.zeros((size + 1, size + 1))
+                want[:deriv.shape[0], :deriv.shape[1]] = deriv
+                assert not want[size].any() and not want[:, size].any()  # DV has degree < size
+                assert np.array_equal(block[c, 1 + b], want[:size, :size]), (field.name, c, b)
 
 
 def test_coefficient_blocks_are_kept_read_only_once_per_field_and_size():
